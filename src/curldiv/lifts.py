@@ -65,16 +65,11 @@ def rt_potential(m: Mesh, b: BoundaryStructure, dd: DivergenceData) -> FEFunctio
     alpha_by_comp[b.external_index] = total - float(dd.alpha.sum())
 
     flux = np.zeros(m.n_f)
-    D = inc.D.tocsc()
     # area-weighted spread of the component flux over its boundary faces
     for r, comp in enumerate(b.components):
         areas = m.face_areas[comp]
-        target = alpha_by_comp[r]
-        share = target * areas / areas.sum()
-        owners = b.face_owner[comp]
-        for f, s, t in zip(comp, share, owners):
-            drow = inc.D[int(t), int(f)]
-            flux[int(f)] = drow * s                # outward flux = D * coeff
+        share = alpha_by_comp[r] * areas / areas.sum()
+        flux[comp] = b.face_sign[comp] * share     # outward flux = D * coeff
 
     # dual spanning tree over interior faces
     interior = [f for f in range(m.n_f) if len(m.face_tets[f]) == 2]
@@ -128,15 +123,8 @@ def rt_potential(m: Mesh, b: BoundaryStructure, dd: DivergenceData) -> FEFunctio
 
 def component_fluxes(m: Mesh, b: BoundaryStructure, u: FEFunction) -> np.ndarray:
     """Outward flux of an RT field through each boundary component."""
-    inc = m.incidence
-    out = np.zeros(b.n_components)
-    for r, comp in enumerate(b.components):
-        s = 0.0
-        for f in comp:
-            t = int(b.face_owner[int(f)])
-            s += inc.D[t, int(f)] * u.coeffs[int(f)]
-        out[r] = s
-    return out
+    return np.array([b.face_sign[comp] @ u.coeffs[comp]
+                     for comp in b.components])
 
 
 def cycle_period(cycle: dict, coeffs: np.ndarray) -> float:

@@ -27,6 +27,8 @@ LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 LOCAL_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 # index of the vertex omitted by each local face
 _OMITTED = (3, 2, 1, 0)
+# D entry of each local face of a positively oriented sorted tet
+_LOCAL_FACE_SIGN = np.array([(-1) ** k for k in _OMITTED], dtype=np.int64)
 
 # C restricted to one tet: face cycle a->b->c->a against the sorted edges
 LOCAL_FACE_EDGE_SIGNS = np.zeros((4, 6), dtype=np.int64)
@@ -134,6 +136,7 @@ class BoundaryStructure:
     component_edges: list       # list of int arrays
     face_component: dict        # face id -> component index
     face_owner: np.ndarray      # (n_f,) owning tet for boundary faces, -1 else
+    face_sign: np.ndarray       # (n_f,) D[owner, f] on boundary faces, 0 else
 
     @property
     def n_components(self) -> int:
@@ -280,24 +283,24 @@ def derive_incidence(m: Mesh) -> IncidenceOperators:
     # D sign: +1 iff the face normal points out of the tet
     drows = np.repeat(np.arange(m.n_t), 4)
     dcols = m.tet_faces.ravel()
-    base = np.array([(-1) ** k for k in _OMITTED], dtype=np.int64)
-    ddata = (m.tet_orient[:, None] * base[None, :]).ravel()
+    ddata = (m.tet_orient[:, None] * _LOCAL_FACE_SIGN[None, :]).ravel()
     D = sp.csr_matrix((ddata, (drows, dcols)), shape=(m.n_t, m.n_f))
     return IncidenceOperators(G=G, C=C, D=D)
 
 
 def extract_boundary(m: Mesh) -> BoundaryStructure:
     """Group boundary faces into connected components; identify the external one."""
-    counts = np.zeros(m.n_f, dtype=np.int64)
-    owner = np.full(m.n_f, -1, dtype=np.int64)
-    for t in range(m.n_t):
-        for f in m.tet_faces[t]:
-            counts[f] += 1
-            owner[f] = t
-    bfaces = np.where(counts == 1)[0]
+    flat = m.tet_faces.ravel()
+    once = np.bincount(flat, minlength=m.n_f)[flat] == 1
+    bfaces = flat[once]
     if len(bfaces) == 0:
         raise MeshError("closed complex: empty boundary is unsupported")
-    owner = np.where(counts == 1, owner, -1)
+    tet_of, local = np.divmod(np.flatnonzero(once), 4)
+    owner = np.full(m.n_f, -1, dtype=np.int64)
+    owner[bfaces] = tet_of
+    sign = np.zeros(m.n_f, dtype=np.int64)
+    sign[bfaces] = m.tet_orient[tet_of] * _LOCAL_FACE_SIGN[local]
+    bfaces = np.sort(bfaces)
 
     # connect boundary faces through shared edges
     edge_faces = {}
@@ -363,4 +366,5 @@ def extract_boundary(m: Mesh) -> BoundaryStructure:
     return BoundaryStructure(components=components, external_index=external,
                              component_vertices=comp_vertices,
                              component_edges=comp_edges,
-                             face_component=comp_of, face_owner=owner)
+                             face_component=comp_of, face_owner=owner,
+                             face_sign=sign)

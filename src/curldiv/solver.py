@@ -24,6 +24,8 @@ from .quadrature import make_quadrature, subdivided_tri_rule
 VOLUME_DEGREE = 2
 BOUNDARY_DEGREE = 3
 ERROR_DEGREE = 4
+# faces per block in the refined flux pass of validate_tangential
+_VALIDATE_BLOCK = 512
 
 
 class SolverError(RuntimeError):
@@ -145,11 +147,7 @@ def _eval_boundary(fn, points, normals, vector: bool) -> np.ndarray:
 
 
 def _outward_normals(m: Mesh, faces: np.ndarray) -> np.ndarray:
-    b = m.boundary
-    owners = b.face_owner[faces]
-    signs = np.array([m.incidence.D[int(t), int(f)]
-                      for t, f in zip(owners, faces)], dtype=np.float64)
-    return m.face_normals[faces] * signs[:, None]
+    return m.face_normals[faces] * m.boundary.face_sign[faces, None]
 
 
 def _boundary_face_geometry(m: Mesh, faces: np.ndarray, rule):
@@ -226,23 +224,28 @@ def validate_tangential(p: TangentialProblem, m: Mesh,
                         b: BoundaryStructure, tol: float = 1e-8) -> dict:
     """Necessary-condition checks on tangential data; warnings, no failures.
 
-    The divergence check interpolates J into RT_h and inspects D.J; the
-    trace check compares the flux of J through each boundary face with the
-    circulation of n x a around it (Stokes on the face).  The continuous
-    compatibility against Neumann harmonic fields needs basis fields this
-    package never constructs, so it is reported as unchecked.
+    The divergence check integrates J.n over every face with a refined
+    rule, in blocks of faces so the point arrays stay small, and inspects
+    D.flux.  The trace check compares the outward flux of J through each
+    boundary face, taken from those same fluxes, with the circulation of
+    n x a around the face (Stokes on the face), all boundary faces at once.
+    The continuous compatibility against Neumann harmonic fields needs
+    basis fields this package never constructs, so it is reported as
+    unchecked.
     """
     report = {"warnings": [], "div_check": None, "trace_check": None,
               "unchecked": ["compatibility against Neumann harmonic fields "
                             "(requires harmonic basis; not constructed)"]}
     # refined face fluxes so the check sees div J, not interpolation error
     frule = subdivided_tri_rule(4, 3)
-    fverts = m.vertices[m.faces]
-    fpts = np.einsum("qi,fix->fqx", frule.points, fverts)
-    Jv = eval_field(p.J, fpts.reshape(-1, 3), vector=True)
-    Jv = Jv.reshape(m.n_f, -1, 3)
-    nvec = np.cross(fverts[:, 1] - fverts[:, 0], fverts[:, 2] - fverts[:, 0])
-    flux = np.einsum("fqx,fx,q->f", Jv, nvec, frule.weights)
+    flux = np.empty(m.n_f)
+    for start in range(0, m.n_f, _VALIDATE_BLOCK):
+        blk = slice(start, start + _VALIDATE_BLOCK)
+        fverts = m.vertices[m.faces[blk]]
+        Jv = eval_field(p.J, (frule.points @ fverts).reshape(-1, 3),
+                        vector=True).reshape(len(fverts), -1, 3)
+        nvec = np.cross(fverts[:, 1] - fverts[:, 0], fverts[:, 2] - fverts[:, 0])
+        flux[blk] = np.einsum("fqx,fx,q->f", Jv, nvec, frule.weights)
     scale = 1.0 + np.abs(flux).max()
     div_resid = float(np.abs(m.incidence.D @ flux).max() / scale)
     report["div_check"] = div_resid
@@ -250,34 +253,27 @@ def validate_tangential(p: TangentialProblem, m: Mesh,
         report["warnings"].append(
             f"J is not divergence free (face-flux residual {div_resid:.3e})")
 
-    # per-face: int_f J.n dA = circulation of the tangential part of eta*u,
-    # recovered from a as n x a, around the face boundary (outward RHR)
+    # per face: int_f J.n dA = circulation of the tangential part of eta*u,
+    # recovered from a as n x a, around the face boundary (outward RHR);
+    # inward-numbered faces walk their vertices as 0, 2, 1
     faces = np.asarray(b.boundary_faces, dtype=np.int64)
+    sign = b.face_sign[faces]
+    tri = m.vertices[m.faces[faces]]
+    centroid = tri.mean(axis=1)
+    tri = np.where(sign[:, None, None] > 0, tri, tri[:, [0, 2, 1]])
+    nrm = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    nrm /= np.linalg.norm(nrm, axis=1)[:, None]
     erule = make_quadrature("edge", 15)
-    worst = 0.0
-    for f in faces:
-        t = int(b.face_owner[int(f)])
-        sign = m.incidence.D[t, int(f)]
-        tri = m.vertices[m.faces[f]]
-        pts = frule.points @ tri
-        Jv = eval_field(p.J, pts, vector=True)
-        nvec = np.cross(tri[1] - tri[0], tri[2] - tri[0]) * sign
-        fluxJ = float(np.einsum("qx,x,q->", Jv, nvec, frule.weights))
-        nrm = nvec / np.linalg.norm(nvec)
-        circ = 0.0
-        loop = [(0, 1), (1, 2), (2, 0)] if sign > 0 else [(0, 2), (2, 1), (1, 0)]
-        centroid = tri.mean(axis=0)
-        for i, j in loop:
-            epts = np.outer(1.0 - erule.points[:, 0], tri[i]) + \
-                np.outer(erule.points[:, 0], tri[j])
-            # tiny inset keeps points off ambiguous domain edges, in-plane
-            epts = epts + 1e-9 * (centroid - epts)
-            nq = np.broadcast_to(nrm, (len(epts), 3))
-            av = _eval_boundary(p.a, epts, nq, vector=True)
-            tang_field = np.cross(nrm, av)
-            circ += float(np.einsum("qx,x,q->", tang_field, tri[j] - tri[i],
-                                    erule.weights))
-        worst = max(worst, abs(fluxJ - circ))
+    head, tail = tri, tri[:, [1, 2, 0]]                 # (nbf, 3 edges, 3)
+    t = erule.points[:, 0][:, None]
+    epts = (1.0 - t) * head[:, :, None] + t * tail[:, :, None]
+    # tiny inset keeps points off ambiguous domain edges, in-plane
+    epts = epts + 1e-9 * (centroid[:, None, None] - epts)
+    nq = np.broadcast_to(nrm[:, None, None], epts.shape).reshape(-1, 3)
+    av = _eval_boundary(p.a, epts.reshape(-1, 3), nq, vector=True)
+    tang = np.cross(nrm[:, None, None], av.reshape(epts.shape))
+    circ = np.einsum("feqx,fex,q->f", tang, tail - head, erule.weights)
+    worst = float(np.abs(sign * flux[faces] - circ).max(initial=0.0))
     report["trace_check"] = worst
     if worst > tol:
         report["warnings"].append(

@@ -93,13 +93,6 @@ class TreeCotree:
     def n_Q(self) -> int:
         return len(self.cotree_edges)
 
-    def position(self, edge_id: int) -> int:
-        """1-based position: cotree edges at 1..n_Q, tree edges after."""
-        order = {int(e): i for i, e in enumerate(self.cotree_edges)}
-        if int(edge_id) in order:
-            return order[int(edge_id)] + 1
-        return self.n_Q + 1 + int(np.where(self.tree_edges == edge_id)[0][0])
-
 
 @dataclass(frozen=True)
 class SurfaceCycleBasis:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,8 +12,11 @@ from curldiv import (AssembledSystem, CoefficientField, CurlData,
                      nedelec_potential, recover_solution, rt_potential,
                      solve_spd, validate_tangential)
 from curldiv.cli import ProblemConfig, compute_topology, solve_on_mesh
-from curldiv.elements import eval_at_points
+from curldiv.elements import eval_at_points, eval_field
 from curldiv.meshes import structured_cube_mesh
+from curldiv.mms import get_case, normal_aware
+from curldiv.quadrature import make_quadrature, subdivided_tri_rule
+from curldiv.solver import _eval_boundary
 
 
 def _zeros_v(p):
@@ -270,3 +275,109 @@ def test_lift_independence_tangential(cube2, topo_cube2):
     scale = 1.0 + np.abs(sols[0].u_h.coeffs).max()
     diff = np.abs(sols[0].u_h.coeffs - sols[1].u_h.coeffs).max()
     assert diff <= 1e-8 * scale
+
+
+def _reference_validate(p, m, b, tol=1e-8):
+    """Face-by-face validator: one refined flux per face, then for each
+    boundary face a second flux and a Stokes circulation in a Python loop,
+    with the scalar D[owner, f] as outward sign."""
+    report = {"warnings": [], "div_check": None, "trace_check": None}
+    frule = subdivided_tri_rule(4, 3)
+    fverts = m.vertices[m.faces]
+    fpts = np.einsum("qi,fix->fqx", frule.points, fverts)
+    Jv = eval_field(p.J, fpts.reshape(-1, 3), vector=True)
+    Jv = Jv.reshape(m.n_f, -1, 3)
+    nvec = np.cross(fverts[:, 1] - fverts[:, 0], fverts[:, 2] - fverts[:, 0])
+    flux = np.einsum("fqx,fx,q->f", Jv, nvec, frule.weights)
+    scale = 1.0 + np.abs(flux).max()
+    div_resid = float(np.abs(m.incidence.D @ flux).max() / scale)
+    report["div_check"] = div_resid
+    if div_resid > tol:
+        report["warnings"].append(
+            f"J is not divergence free (face-flux residual {div_resid:.3e})")
+    erule = make_quadrature("edge", 15)
+    worst = 0.0
+    for f in np.asarray(b.boundary_faces, dtype=np.int64):
+        t = int(b.face_owner[int(f)])
+        sign = m.incidence.D[t, int(f)]
+        tri = m.vertices[m.faces[f]]
+        Jv = eval_field(p.J, frule.points @ tri, vector=True)
+        nvec = np.cross(tri[1] - tri[0], tri[2] - tri[0]) * sign
+        fluxJ = float(np.einsum("qx,x,q->", Jv, nvec, frule.weights))
+        nrm = nvec / np.linalg.norm(nvec)
+        circ = 0.0
+        loop = [(0, 1), (1, 2), (2, 0)] if sign > 0 else [(0, 2), (2, 1), (1, 0)]
+        centroid = tri.mean(axis=0)
+        for i, j in loop:
+            epts = np.outer(1.0 - erule.points[:, 0], tri[i]) + \
+                np.outer(erule.points[:, 0], tri[j])
+            epts = epts + 1e-9 * (centroid - epts)
+            nq = np.broadcast_to(nrm, (len(epts), 3))
+            av = _eval_boundary(p.a, epts, nq, vector=True)
+            circ += float(np.einsum("qx,x,q->", np.cross(nrm, av),
+                                    tri[j] - tri[i], erule.weights))
+        worst = max(worst, abs(fluxJ - circ))
+    report["trace_check"] = worst
+    if worst > tol:
+        report["warnings"].append(
+            f"J.n does not match the surface divergence of a "
+            f"(worst face residual {worst:.3e})")
+    return report
+
+
+def _mms1_tangential(a=None):
+    case = get_case("mms1")
+    return TangentialProblem(CoefficientField.identity(), case.J, case.g,
+                             case.a() if a is None else a, np.zeros(0))
+
+
+@pytest.mark.parametrize("name", ["cube2", "torus", "hollow"])
+def test_validate_matches_per_face_oracle(name, request):
+    m = request.getfixturevalue(name)
+    prob = _mms1_tangential()
+    rep = validate_tangential(prob, m, m.boundary)
+    ref = _reference_validate(prob, m, m.boundary)
+    # points from a matmul differ from the einsum ones in the last ulp, so
+    # the round-off-level residuals agree to round-off, not bit for bit
+    assert abs(rep["div_check"] - ref["div_check"]) <= 1e-14
+    assert abs(rep["trace_check"] - ref["trace_check"]) <= 1e-12
+    assert rep["warnings"] == ref["warnings"]
+    assert set(rep) == {"warnings", "div_check", "trace_check", "unchecked"}
+
+
+@pytest.mark.parametrize("name", ["cube2", "torus", "hollow"])
+def test_face_sign_matches_incidence(name, request):
+    m = request.getfixturevalue(name)
+    b = m.boundary
+    faces = b.boundary_faces
+    scalar = [m.incidence.D[int(b.face_owner[f]), int(f)] for f in faces]
+    assert np.array_equal(b.face_sign[faces], scalar)
+    assert set(np.unique(b.face_sign[faces])) == {-1, 1}
+    interior = np.setdiff1d(np.arange(m.n_f), faces)
+    assert np.all(b.face_sign[interior] == 0)
+
+
+def test_validate_flags_wrong_tangential_datum(cube2):
+    a = get_case("mms1").a()
+
+    @normal_aware
+    def a_twice(points, normals):
+        return 2.0 * a(points, normals)
+    rep = validate_tangential(_mms1_tangential(a_twice), cube2, cube2.boundary)
+    assert rep["div_check"] <= 1e-8
+    assert rep["trace_check"] > 1e-8
+    assert any("surface divergence" in w for w in rep["warnings"])
+
+
+def test_validate_memory_stays_blocked():
+    m = structured_cube_mesh(8)
+    b, _ = m.boundary, m.incidence              # cached outside the trace
+    prob = _mms1_tangential()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        validate_tangential(prob, m, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / 2**20 < 40.0
