@@ -11,22 +11,24 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elements import CoefficientField, FEFunction, interpolate
+from .elements import CoefficientField, ElementError, FEFunction, interpolate
 from .gauge import build_L_star, build_N_star
-from .lifts import (CurlData, DivergenceData, clean_curl_data, component_fluxes,
-                    cycle_period, nedelec_potential, rt_potential)
-from .mesh import Mesh
+from .lifts import (CurlData, DivergenceData, LiftError, clean_curl_data,
+                    component_fluxes, cycle_period, nedelec_potential,
+                    rt_potential)
+from .mesh import Mesh, MeshError
 from .meshes import structured_cube_mesh
 from .mms import MMSError, discrete_alpha, discrete_beta, get_case
 from .msh import MshParseError, read_gmsh
-from .solver import (NormalProblem, Solution, TangentialProblem,
+from .quadrature import QuadratureError
+from .solver import (NormalProblem, Solution, SolverError, TangentialProblem,
                      assemble_normal, assemble_tangential, error_norms,
                      recover_solution, solve_spd, validate_tangential)
-from .topology import (betti, build_boundary_first_tree,
+from .topology import (TopologyError, betti, build_boundary_first_tree,
                        domain_homology_basis, surface_cycle_basis)
 from .vtk import write_vtk
 
@@ -49,6 +51,10 @@ def compute_topology(m: Mesh) -> Topology:
     b = m.boundary
     tc = build_boundary_first_tree(m, b)
     scb = surface_cycle_basis(m, b, tc)
+    # the gauge puts the closing edges first, then the rest of the cotree
+    rest = tc.cotree_edges[~np.isin(tc.cotree_edges, scb.closing_edges)]
+    tc = replace(tc, cotree_edges=np.concatenate([scb.closing_edges, rest]),
+                 closing_edges=scb.closing_edges)
     hb = domain_homology_basis(m, tc, scb)
     return Topology(boundary=b, tree=tc, surface_cycles=scb, homology=hb)
 
@@ -78,23 +84,27 @@ def parse_config(data: dict) -> ProblemConfig:
         raise ConfigError("config needs a built-in MMS 'case' name")
     cspec = data.get("coefficient", {"kind": "identity"})
     kind = cspec.get("kind", "identity")
-    if kind == "identity":
-        coef = CoefficientField.identity()
-    elif kind == "scalar":
-        coef = CoefficientField.scalar(float(cspec["value"]))
-    elif kind == "per_region":
-        coef = CoefficientField.per_region(np.asarray(cspec["values"]))
-    else:
+    if kind not in ("identity", "scalar", "per_region"):
         raise ConfigError(f"unknown coefficient kind {kind!r}")
     alpha = data.get("alpha")
     beta = data.get("beta")
-    return ProblemConfig(
-        formulation=form, case=case, coefficient=coef,
-        alpha=None if alpha is None else np.asarray(alpha, dtype=np.float64),
-        beta=None if beta is None else np.asarray(beta, dtype=np.float64),
-        tol=float(data.get("tol", 1e-10)),
-        maxit=data.get("maxit"),
-        output=data.get("output"))
+    try:
+        if kind == "identity":
+            coef = CoefficientField.identity()
+        elif kind == "scalar":
+            coef = CoefficientField.scalar(float(cspec["value"]))
+        else:
+            coef = CoefficientField.per_region(np.asarray(cspec["values"]))
+        return ProblemConfig(
+            formulation=form, case=case, coefficient=coef,
+            alpha=None if alpha is None else np.asarray(alpha, dtype=np.float64),
+            beta=None if beta is None else np.asarray(beta, dtype=np.float64),
+            tol=float(data.get("tol", 1e-10)),
+            maxit=data.get("maxit"),
+            output=data.get("output"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad coefficient, alpha, beta or tol: {exc!r}"
+                          ) from exc
 
 
 def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
@@ -292,7 +302,8 @@ def main(argv=None) -> int:
     except (OSError, MshParseError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, MMSError, ValueError, RuntimeError) as exc:
+    except (MeshError, TopologyError, LiftError, SolverError, ElementError,
+            QuadratureError, ConfigError, MMSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,9 +2,10 @@
 
 Raviart-Thomas lift: prescribed divergence and boundary-component fluxes,
 built by a spanning-tree sweep on the dual graph (tets as nodes, interior
-faces as arcs).  Nedelec lift: prescribed curl and homology periods, built
-by a Webb-Forghani style sweep over the face equations with a least-squares
-fallback for the circulations the sweep leaves undetermined.
+faces as arcs).  Nedelec lift: prescribed curl and homology periods, by
+the Webb-Forghani face sweep of the topology module from the tree and the
+closing edge of each sigma_n, which carries its period.  Circulations it
+leaves free (none on any mesh tried) are fitted to the unused faces.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.sparse as sp  # noqa: F401  perfbench/tracing.py wraps lifts.sp.linalg.lsqr
 
 from .elements import FEFunction, Space
 from .mesh import Mesh, BoundaryStructure
-from .topology import TreeCotree, HomologyBasis
+from .topology import HomologyBasis, TreeCotree, _face_sweep
 
 
 class LiftError(ValueError):
@@ -145,93 +146,25 @@ def nedelec_potential(m: Mesh, tc: TreeCotree, hb: HomologyBasis,
         raise LiftError(
             f"incompatible curl data: D.J residual {div_resid:.3e}")
 
+    # tree circulations are gauged to 0, and the period over sigma_n is the
+    # circulation of its closing edge, its one edge off the tree
     circ = np.zeros(m.n_e)
     known = np.zeros(m.n_e, dtype=bool)
-    known[tc.tree_edges] = True                     # tree circulations gauged to 0
+    known[tc.tree_edges] = True
+    for n, (cyc, tree_part) in enumerate(zip(hb.cycles, hb.tree_parts)):
+        (e, c), = ((e, c) for e, c in cyc.items() if e not in tree_part)
+        circ[e] = cd.beta[n] / c
+        known[e] = True
+    X, R = _face_sweep(inc.C, known, circ, J)
+    circ = X[:, 0]
+    if X.shape[1] > 1:
+        # circulations the sweep left free: the face equations it used hold
+        # for any value of them, so fit them to the ones it did not use
+        rows = np.flatnonzero(R[:, 1:].any(axis=1))
+        t, *_ = np.linalg.lstsq(R[rows, 1:], -R[rows, 0], rcond=None)
+        circ = circ + X[:, 1:] @ t
 
-    C = inc.C.tocsr()
-    # Webb-Forghani sweep: resolve any face equation with a single unknown
-    unknown_count = np.zeros(m.n_f, dtype=np.int64)
-    edge_faces = [[] for _ in range(m.n_e)]
-    for f in range(m.n_f):
-        sl = slice(C.indptr[f], C.indptr[f + 1])
-        for e in C.indices[sl]:
-            edge_faces[int(e)].append(f)
-        unknown_count[f] = int(np.sum(~known[C.indices[sl]]))
-    queue = deque(np.where(unknown_count == 1)[0].tolist())
-    done_face = np.zeros(m.n_f, dtype=bool)
-    while queue:
-        f = queue.popleft()
-        if done_face[f] or unknown_count[f] != 1:
-            continue
-        sl = slice(C.indptr[f], C.indptr[f + 1])
-        eids = C.indices[sl]
-        signs = C.data[sl]
-        resid = J[f]
-        target = -1
-        tsign = 0
-        for e, s in zip(eids, signs):
-            if known[int(e)]:
-                resid -= s * circ[int(e)]
-            else:
-                target, tsign = int(e), s
-        circ[target] = resid / tsign
-        known[target] = True
-        done_face[f] = True
-        for f2 in edge_faces[target]:
-            unknown_count[f2] -= 1
-            if unknown_count[f2] == 1 and not done_face[f2]:
-                queue.append(f2)
-
-    free = np.where(~known)[0]
-    if len(free):
-        # unresolved face equations plus the period equations, least squares
-        rows, cols, data, rhs = [], [], [], []
-        nrow = 0
-        col_of = {int(e): i for i, e in enumerate(free)}
-        for f in range(m.n_f):
-            sl = slice(C.indptr[f], C.indptr[f + 1])
-            eids = C.indices[sl]
-            if not np.any(~known[eids]):
-                continue
-            signs = C.data[sl]
-            r = J[f]
-            for e, s in zip(eids, signs):
-                if known[int(e)]:
-                    r -= s * circ[int(e)]
-                else:
-                    rows.append(nrow)
-                    cols.append(col_of[int(e)])
-                    data.append(float(s))
-            rhs.append(r)
-            nrow += 1
-        for n, cyc in enumerate(hb.cycles):
-            r = cd.beta[n]
-            used = False
-            for e, c in cyc.items():
-                if known[int(e)]:
-                    r -= c * circ[int(e)]
-                else:
-                    rows.append(nrow)
-                    cols.append(col_of[int(e)])
-                    data.append(float(c))
-                    used = True
-            rhs.append(r)
-            nrow += 1
-        A = sp.csr_matrix((data, (rows, cols)), shape=(nrow, len(free)))
-        rhs = np.array(rhs)
-        if len(free) <= 4000:
-            x, *_ = np.linalg.lstsq(np.asarray(A.todense()), rhs, rcond=None)
-        else:
-            x = sp.linalg.lsqr(A, rhs, atol=1e-14, btol=1e-14,
-                               iter_lim=20 * len(free))[0]
-        circ[free] = x
-        known[free] = True
-    elif hb.g:
-        raise LiftError("period system unsolvable: sweep left no free "
-                        "circulations while g > 0")
-
-    resid = np.abs(C @ circ - J).max() / scale
+    resid = np.abs(inc.C @ circ - J).max() / scale
     if resid > RESIDUAL_TOL:
         raise LiftError(f"curl residual {resid:.3e} exceeds tolerance")
     for n, cyc in enumerate(hb.cycles):

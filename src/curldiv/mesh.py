@@ -9,7 +9,6 @@ Whitney bases line up with the global degrees of freedom without sign maps.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -76,6 +75,12 @@ class Mesh:
     @cached_property
     def edge_index(self) -> dict:
         return {(int(a), int(b)): i for i, (a, b) in enumerate(self.edges)}
+
+    def edge_ids(self, u, v) -> np.ndarray:
+        """Ids of the edges joining vertices u and v (arrays, either order)."""
+        keys = self.edges[:, 0] * self.n_v + self.edges[:, 1]
+        return np.searchsorted(keys, np.minimum(u, v) * self.n_v
+                               + np.maximum(u, v))
 
     @cached_property
     def face_index(self) -> dict:
@@ -174,6 +179,21 @@ def _signed_volume(p):
                                   axis=-1)) / 6.0
 
 
+def connected_components(n: int, u, v) -> np.ndarray:
+    """Label each of n nodes joined by edges (u[i], v[i]) with the lowest
+    node of its component, by min-label propagation and pointer jumping."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[u], label[v])
+        new = label.copy()
+        np.minimum.at(new, u, low)
+        np.minimum.at(new, v, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def build_mesh(coords, tet_list) -> Mesh:
     """Assemble the oriented complex from vertex coordinates and tet tuples."""
     vertices = np.asarray(coords, dtype=np.float64)
@@ -192,11 +212,13 @@ def build_mesh(coords, tet_list) -> Mesh:
     if np.any(np.diff(tets, axis=1) == 0):
         bad = int(np.where(np.any(np.diff(tets, axis=1) == 0, axis=1))[0][0])
         raise MeshError(f"degenerate tet {bad}: repeated vertex")
-    seen = {}
-    for t, row in enumerate(map(tuple, tets)):
-        if row in seen:
-            raise MeshError(f"duplicate tet {t} (same vertices as {seen[row]})")
-        seen[row] = t
+    _, first, inverse = np.unique(tets, axis=0, return_index=True,
+                                  return_inverse=True)
+    first = first[inverse.ravel()]          # first tet with the same vertices
+    dup = np.flatnonzero(first != np.arange(len(tets)))
+    if len(dup):
+        raise MeshError(f"duplicate tet {dup[0]} (same vertices as "
+                        f"{first[dup[0]]})")
 
     lo, hi = vertices.min(axis=0), vertices.max(axis=0)
     diag = float(np.linalg.norm(hi - lo))
@@ -207,51 +229,22 @@ def build_mesh(coords, tet_list) -> Mesh:
     tet_orient = np.where(svol > 0, 1, -1).astype(np.int64)
     volumes = np.abs(svol)
 
-    edge_set = {}
-    face_set = {}
-    for row in tets:
-        a, b, c, d = (int(v) for v in row)
-        for (i, j) in LOCAL_EDGES:
-            edge_set[(row[i], row[j])] = None
-        for (i, j, k) in LOCAL_FACES:
-            key = (row[i], row[j], row[k])
-            face_set[key] = face_set.get(key, 0) + 1
-    for key, cnt in face_set.items():
-        if cnt > 2:
-            raise MeshError(f"non-manifold face {key}: shared by {cnt} tets")
+    # sub-simplex keys of sorted tets are sorted, so np.unique numbers them
+    # in lexicographic order
+    edges, tet_edges = np.unique(tets[:, LOCAL_EDGES].reshape(-1, 2), axis=0,
+                                 return_inverse=True)
+    faces, tet_faces, count = np.unique(tets[:, LOCAL_FACES].reshape(-1, 3),
+                                        axis=0, return_inverse=True,
+                                        return_counts=True)
+    if np.any(count > 2):
+        f = int(np.argmax(count > 2))
+        raise MeshError(f"non-manifold face {tuple(map(int, faces[f]))}: "
+                        f"shared by {count[f]} tets")
+    tet_edges = tet_edges.reshape(-1, 6)
+    tet_faces = tet_faces.reshape(-1, 4)
 
-    edges = np.array(sorted((int(a), int(b)) for (a, b) in edge_set),
-                     dtype=np.int64).reshape(-1, 2)
-    faces = np.array(sorted(tuple(int(v) for v in f) for f in face_set),
-                     dtype=np.int64).reshape(-1, 3)
-    edge_index = {tuple(e): i for i, e in enumerate(map(tuple, edges))}
-    face_index = {tuple(f): i for i, f in enumerate(map(tuple, faces))}
-
-    tet_edges = np.empty((len(tets), 6), dtype=np.int64)
-    tet_faces = np.empty((len(tets), 4), dtype=np.int64)
-    for t, row in enumerate(tets):
-        for le, (i, j) in enumerate(LOCAL_EDGES):
-            tet_edges[t, le] = edge_index[(int(row[i]), int(row[j]))]
-        for lf, (i, j, k) in enumerate(LOCAL_FACES):
-            tet_faces[t, lf] = face_index[(int(row[i]), int(row[j]), int(row[k]))]
-
-    # connectivity of the vertex-edge graph
-    if len(tets):
-        parent = np.arange(n_v)
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (a, b) in edges:
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[ra] = rb
-        roots = {find(int(v)) for v in range(n_v)}
-        if len(roots) > 1:
-            raise MeshError("complex is not connected")
+    if len(tets) and np.any(connected_components(n_v, *edges.T)):
+        raise MeshError("complex is not connected")
 
     return Mesh(vertices=vertices, tets=tets, tet_orient=tet_orient,
                 edges=edges, faces=faces, tet_edges=tet_edges,
@@ -269,14 +262,7 @@ def derive_incidence(m: Mesh) -> IncidenceOperators:
     # face cycle a->b->c->a: +1 on [a,b] and [b,c], -1 on [a,c]
     n_f = m.n_f
     crows = np.repeat(np.arange(n_f), 3)
-    ab = m.faces[:, [0, 1]]
-    bc = m.faces[:, [1, 2]]
-    ac = m.faces[:, [0, 2]]
-    eidx = m.edge_index
-    ccols = np.array([[eidx[(int(a), int(b))] for a, b in ab],
-                      [eidx[(int(a), int(b))] for a, b in bc],
-                      [eidx[(int(a), int(b))] for a, b in ac]],
-                     dtype=np.int64).T.ravel()
+    ccols = m.edge_ids(m.faces[:, [0, 1, 0]], m.faces[:, [1, 2, 2]]).ravel()
     cdata = np.tile(np.array([1, 1, -1], dtype=np.int64), n_f)
     C = sp.csr_matrix((cdata, (crows, ccols)), shape=(n_f, n_e))
 
@@ -302,50 +288,30 @@ def extract_boundary(m: Mesh) -> BoundaryStructure:
     sign[bfaces] = m.tet_orient[tet_of] * _LOCAL_FACE_SIGN[local]
     bfaces = np.sort(bfaces)
 
-    # connect boundary faces through shared edges
-    edge_faces = {}
-    face_edge_ids = {}
-    for f in bfaces:
-        fa, fb, fc = (int(v) for v in m.faces[f])
-        eids = [m.edge_index[(fa, fb)], m.edge_index[(fb, fc)],
-                m.edge_index[(fa, fc)]]
-        face_edge_ids[int(f)] = eids
-        for e in eids:
-            edge_faces.setdefault(e, []).append(int(f))
-
-    comp_of = {}
-    components = []
-    for f0 in bfaces:
-        f0 = int(f0)
-        if f0 in comp_of:
-            continue
-        cid = len(components)
-        stack = [f0]
-        comp_of[f0] = cid
-        members = []
-        while stack:
-            f = stack.pop()
-            members.append(f)
-            for e in face_edge_ids[f]:
-                for f2 in edge_faces[e]:
-                    if f2 not in comp_of:
-                        comp_of[f2] = cid
-                        stack.append(f2)
-        components.append(np.array(sorted(members), dtype=np.int64))
-
     # closed-surface check: each boundary edge borders exactly two faces
-    for e, fs in edge_faces.items():
-        if len(fs) != 2:
-            raise MeshError(
-                f"boundary edge {e} belongs to {len(fs)} boundary faces; "
-                "boundary is not a closed surface")
+    fa, fb, fc = m.faces[bfaces].T
+    face_edges = m.edge_ids(np.c_[fa, fb, fa], np.c_[fb, fc, fc])
+    count = np.bincount(face_edges.ravel(), minlength=m.n_e)
+    bad = np.flatnonzero((count != 0) & (count != 2))
+    if len(bad):
+        raise MeshError(
+            f"boundary edge {bad[0]} belongs to {count[bad[0]]} boundary "
+            "faces; boundary is not a closed surface")
+
+    # components of boundary faces joined through shared edges, numbered
+    # by their lowest face
+    pairs = np.argsort(face_edges.ravel(), kind="stable").reshape(-1, 2) // 3
+    _, comp_index = np.unique(connected_components(len(bfaces), *pairs.T),
+                              return_inverse=True)
+    components = [bfaces[comp_index == r] for r in range(comp_index.max() + 1)]
+    comp_of = dict(zip(bfaces.tolist(), comp_index.tolist()))
 
     comp_vertices = []
     comp_edges = []
     boxes = []
-    for comp in components:
+    for r, comp in enumerate(components):
         vs = np.unique(m.faces[comp].ravel())
-        es = np.unique(np.array([e for f in comp for e in face_edge_ids[int(f)]]))
+        es = np.unique(face_edges[comp_index == r])
         comp_vertices.append(vs)
         comp_edges.append(es)
         pts = m.vertices[vs]

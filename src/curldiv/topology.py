@@ -4,18 +4,24 @@ The boundary-first spanning tree restricts to a spanning tree of each
 boundary component.  Surface cycles are fundamental cycles of boundary
 cotree edges whose classes are independent in H1 of the boundary; domain
 generators are the subset of those that survive in H1 of the domain.
-Independence is tested by incremental row elimination modulo a large prime,
-which matches the rational rank for these small-entry incidence systems.
+
+Both selections and the Betti numbers come from one face sweep (Webb &
+Forghani, IEEE Trans. Magn. 1989) from the tree edges, gauged to zero.
+Carried modulo a large prime, it gives the tree-gauged cocycles exactly as
+T ker(R): T holds each edge's value in terms of the k edges left free at
+stalls, R the k-column residuals of the faces it did not use.  A surface
+cycle pairs with them through its closing edge alone, so it is independent
+of the face boundaries and of the cycles kept before it exactly when its
+row of T ker(R) is.  The Nedelec lift runs the same sweep in floating point.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh, BoundaryStructure
+from .mesh import Mesh, BoundaryStructure, connected_components
 
 
 class TopologyError(ValueError):
@@ -61,29 +67,133 @@ class _RowBasis:
     def rank(self) -> int:
         return len(self.pivots)
 
-
-def _sparse_rows(mat) -> list:
-    mat = mat.tocsr()
-    out = []
-    for i in range(mat.shape[0]):
-        sl = slice(mat.indptr[i], mat.indptr[i + 1])
-        out.append(dict(zip(map(int, mat.indices[sl]), map(int, mat.data[sl]))))
-    return out
+    def kernel(self, n: int) -> np.ndarray:
+        """Rows spanning {x in GF(p)^n : r . x = 0 for every added row r}."""
+        p = self.p
+        free = [j for j in range(n) if j not in self.pivots]
+        out = np.zeros((len(free), n), dtype=np.int64)
+        for i, j in enumerate(free):
+            x = {j: 1}
+            # each pivot row involves only its pivot and later columns
+            for c in sorted(self.pivots, reverse=True):
+                row = self.pivots[c]
+                s = sum(v * x.get(cc, 0) for cc, v in row.items() if cc != c)
+                x[c] = -s * pow(row[c], p - 2, p) % p
+            out[i, list(x)] = list(x.values())
+        return out
 
 
 def _modular_rank(mat) -> int:
+    """Rank over GF(p) by elimination of whole rows (a reference for tests)."""
+    mat = mat.tocsr()
     basis = _RowBasis()
-    for row in _sparse_rows(mat):
-        basis.add(row)
+    for i in range(mat.shape[0]):
+        sl = slice(mat.indptr[i], mat.indptr[i + 1])
+        basis.add(dict(zip(map(int, mat.indices[sl]), map(int, mat.data[sl]))))
     return basis.rank
 
 
-@dataclass
+def _ranges(ptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The positions ptr[i] .. ptr[i + 1] - 1 of every i in ids, in turn."""
+    lo, n = ptr[ids], ptr[ids + 1] - ptr[ids]
+    return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+
+
+def _face_sweep(C, known: np.ndarray, x0=None, rhs=None, p: int | None = None):
+    """Sweep the face equations C x = rhs (three +-1 entries per row).
+
+    ``known`` marks the edges ``x0`` gives (zero if omitted) and every edge
+    no row touches.  Each round resolves every row with one unknown edge,
+    the lowest row winning a shared edge; on a stall the lowest unknown
+    edge becomes the next of k free parameters t.  Returns X (n_e, 1 + k)
+    and R (unused rows, 1 + k): x = X[:, 0] + X[:, 1:] @ t solves the rows
+    used, and the others iff R[:, 0] + R[:, 1:] @ t = 0.  With ``p`` the
+    arithmetic is exact modulo p, otherwise float64.
+    """
+    n_e = len(known)
+    fe = C.indices.reshape(-1, 3)
+    fs = C.data.reshape(-1, 3)
+    # the rows touching each edge, grouped by edge
+    by_edge = np.argsort(fe.ravel(), kind="stable") // 3
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(fe.ravel(), minlength=n_e))])
+
+    seeded = known
+    known = known.copy()
+    unknown = np.count_nonzero(~known[fe], axis=1)
+    used = np.zeros(len(fe), dtype=bool)
+    rounds, params = [], []
+    lowest = iter(np.flatnonzero(~known).tolist())
+    front = np.flatnonzero(unknown == 1)
+    while True:
+        if len(front):
+            rows = fe[front]
+            edges, first = np.unique(rows[~known[rows]], return_index=True)
+            used[front[first]] = True
+            rounds.append((front[first], edges))
+        else:
+            e = next((e for e in lowest if not known[e]), None)
+            if e is None:
+                break
+            params.append(e)
+            edges = np.array([e])
+        known[edges] = True
+        touched = by_edge[_ranges(ptr, edges)]
+        np.subtract.at(unknown, touched, 1)
+        front = np.unique(touched[(unknown[touched] == 1) & ~used[touched]])
+
+    k = len(params)
+    X = np.zeros((n_e, 1 + k), dtype=np.int64 if p else np.float64)
+    if x0 is not None:
+        X[seeded, 0] = x0[seeded]
+    X[params, 1 + np.arange(k)] = 1
+    b = np.zeros(len(fe), dtype=X.dtype) if rhs is None else rhs
+    for faces, edges in rounds:
+        ce, cs = fe[faces], fs[faces]
+        own = ce == edges[:, None]
+        v = -np.einsum("fi,fic->fc", np.where(own, 0, cs), X[ce])
+        v[:, 0] += b[faces]
+        v *= cs[own][:, None]               # 1 / s = s for s = +-1
+        X[edges] = v % p if p else v
+    rest = ~used
+    R = np.einsum("fi,fic->fc", fs[rest], X[fe[rest]])
+    R[:, 0] -= b[rest]
+    return X, (R % p if p else R)
+
+
+def _cocycles(C, known: np.ndarray):
+    """Basis W (n_e, d) mod p of {x : C x = 0, x = 0 on known edges}, and
+    rank C if ``known`` is a spanning tree plus the edges C does not touch."""
+    X, R = _face_sweep(C, known, p=_PRIME)
+    T, R = X[:, 1:], R[:, 1:]
+    k = T.shape[1]
+    basis = _RowBasis()
+    for row in np.unique(R[R.any(axis=1)], axis=0):
+        if basis.rank == k:
+            break
+        basis.add({c: int(v) for c, v in enumerate(row) if v})
+    K = basis.kernel(k)
+    W = np.zeros((len(T), len(K)), dtype=np.int64)
+    for j in range(k):                      # products stay below 2^62
+        W = (W + T[:, j, None] * K[None, :, j] % _PRIME) % _PRIME
+    return W, int(np.count_nonzero(~known)) - k + basis.rank
+
+
+def _independent(rows: np.ndarray, need: int) -> list:
+    """Indices of the rows, in order, independent of the rows before them."""
+    basis = _RowBasis()
+    picked = []
+    for i, row in enumerate(rows):
+        if len(picked) == need:
+            break
+        if basis.add({c: int(v) for c, v in enumerate(row) if v}):
+            picked.append(i)
+    return picked
+
+
+@dataclass(frozen=True)
 class TreeCotree:
     tree_edges: np.ndarray          # (n_v - 1,) edge ids of the spanning tree
     cotree_edges: np.ndarray        # (n_Q,) remaining edge ids, ordered
-    parent_vertex: np.ndarray       # (n_v,) BFS parent vertex, -1 at roots
-    parent_edge: np.ndarray         # (n_v,) edge id to parent, -1 at roots
     boundary_parent_vertex: dict    # vertex -> parent within its boundary tree
     boundary_parent_edge: dict      # vertex -> edge id within its boundary tree
     closing_edges: np.ndarray = field(
@@ -125,91 +235,69 @@ def chain_boundary(m: Mesh, chain: dict) -> dict:
     return {v: c for v, c in out.items() if c}
 
 
+def _bfs(m: Mesh, edge_ids, root: int):
+    """Queue-order BFS from root over the given edges: the visit order and
+    each vertex's parent (-1 if none).  Neighbours are scanned in ascending
+    order, the edge order around a vertex as edges are sorted."""
+    src, dst = m.edges[edge_ids].T
+    src, dst = np.r_[src, dst], np.r_[dst, src]
+    by_src = np.lexsort((dst, src))
+    dst = dst[by_src]
+    ptr = np.searchsorted(src[by_src], np.arange(m.n_v + 1))
+    parent = np.full(m.n_v, -1, dtype=np.int64)
+    seen = np.zeros(m.n_v, dtype=bool)
+    seen[root] = True
+    order = [np.array([root])]
+    while len(order[-1]):
+        front = order[-1]
+        nbr = dst[_ranges(ptr, front)]
+        via = np.repeat(front, ptr[front + 1] - ptr[front])
+        fresh = np.flatnonzero(~seen[nbr])
+        # a vertex joins the queue where the scan first meets it
+        first = fresh[np.sort(np.unique(nbr[fresh], return_index=True)[1])]
+        parent[nbr[first]] = via[first]
+        seen[nbr[first]] = True
+        order.append(nbr[first])
+    return np.concatenate(order), parent
+
+
 def build_boundary_first_tree(m: Mesh, b: BoundaryStructure) -> TreeCotree:
     """Spanning tree containing a BFS spanning tree of each boundary component."""
-    adj = [[] for _ in range(m.n_v)]
-    for e, (u, v) in enumerate(m.edges):
-        adj[int(u)].append((int(v), e))
-        adj[int(v)].append((int(u), e))
-
     in_tree = np.zeros(m.n_e, dtype=bool)
     bparent_v = {}
     bparent_e = {}
-
-    # BFS spanning tree of each boundary component's surface graph
     for cv, ce in zip(b.component_vertices, b.component_edges):
-        comp_edges = set(int(e) for e in ce)
-        comp_verts = set(int(v) for v in cv)
-        root = min(comp_verts)
-        bparent_v[root] = -1
-        bparent_e[root] = -1
-        seen = {root}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for (v, e) in adj[u]:
-                if e in comp_edges and v in comp_verts and v not in seen:
-                    seen.add(v)
-                    in_tree[e] = True
-                    bparent_v[v] = u
-                    bparent_e[v] = e
-                    queue.append(v)
-        if seen != comp_verts:
+        order, parent = _bfs(m, ce, int(cv.min()))
+        if len(order) != len(cv):
             raise TopologyError("boundary component surface graph is disconnected")
+        tree = m.edge_ids(order[1:], parent[order[1:]])
+        in_tree[tree] = True
+        bparent_v.update(zip(order.tolist(), parent[order].tolist()))
+        bparent_e.update(zip(order.tolist(), [-1] + tree.tolist()))
 
-    # extend to a global spanning tree: scan edges in index order, keeping
-    # those that merge distinct forest components (deterministic)
-    parent = np.arange(m.n_v)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in np.where(in_tree)[0]:
-        u, v = (int(x) for x in m.edges[e])
-        parent[find(u)] = find(v)
-    for e in range(m.n_e):
-        if in_tree[e]:
-            continue
-        u, v = (int(x) for x in m.edges[e])
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            in_tree[e] = True
-
-    tree_edges = np.where(in_tree)[0]
+    # extend to a global spanning tree: each round joins every component to
+    # its lowest-index outgoing edge (Boruvka), which keeps exactly the edges
+    # that a scan in index order would keep for merging two components
+    u, v = m.edges.T
+    while True:
+        label = connected_components(m.n_v, u[in_tree], v[in_tree])
+        cross = np.flatnonzero(label[u] != label[v])
+        if not len(cross):
+            break
+        best = np.full(m.n_v, m.n_e)
+        np.minimum.at(best, label[u[cross]], cross)
+        np.minimum.at(best, label[v[cross]], cross)
+        in_tree[best[best < m.n_e]] = True
+    tree_edges = np.flatnonzero(in_tree)
     if len(tree_edges) != m.n_v - 1:
         raise TopologyError("vertex graph is disconnected")
 
-    # orient the global tree from vertex 0 for path lookups
-    tadj = [[] for _ in range(m.n_v)]
-    for e in tree_edges:
-        u, v = (int(x) for x in m.edges[e])
-        tadj[u].append((v, int(e)))
-        tadj[v].append((u, int(e)))
-    parent_vertex = np.full(m.n_v, -1, dtype=np.int64)
-    parent_edge = np.full(m.n_v, -1, dtype=np.int64)
-    seen = np.zeros(m.n_v, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for (v, e) in tadj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent_vertex[v] = u
-                parent_edge[v] = e
-                queue.append(v)
-
     # cotree: boundary edges first (closing-edge candidates), then the rest
-    cotree = [e for e in range(m.n_e) if not in_tree[e]]
-    bedges = b.boundary_edges
-    cotree.sort(key=lambda e: (0 if e in bedges else 1, e))
+    cotree = np.flatnonzero(~in_tree)
+    on_boundary = np.isin(cotree, np.concatenate(b.component_edges))
     return TreeCotree(tree_edges=tree_edges,
-                      cotree_edges=np.array(cotree, dtype=np.int64),
-                      parent_vertex=parent_vertex, parent_edge=parent_edge,
+                      cotree_edges=np.concatenate([cotree[on_boundary],
+                                                   cotree[~on_boundary]]),
                       boundary_parent_vertex=bparent_v,
                       boundary_parent_edge=bparent_e)
 
@@ -277,42 +365,30 @@ def surface_cycle_basis(m: Mesh, b: BoundaryStructure,
     cycles = []
     closing = []
     comps = []
-    cotree_set = set(int(e) for e in tc.cotree_edges)
     for r, comp in enumerate(b.components):
         need = genus2[r]
         if need == 0:
             continue
-        basis = _RowBasis()
-        for f in comp:
-            sl = slice(C.indptr[f], C.indptr[f + 1])
-            basis.add(dict(zip(map(int, C.indices[sl]), map(int, C.data[sl]))))
-        comp_edge_set = set(int(x) for x in b.component_edges[r])
-        found = 0
-        for e in tc.cotree_edges:
-            e = int(e)
-            if e not in comp_edge_set:
-                continue
-            cyc = fundamental_cycle(m, bpv, bpe, e)
-            if basis.add(dict(cyc)):
-                cycles.append(cyc)
-                closing.append(e)
-                comps.append(r)
-                found += 1
-                if found == need:
-                    break
-        if found != need:
+        # cocycles of the surface, gauged on its boundary tree
+        known = np.ones(m.n_e, dtype=bool)
+        known[b.component_edges[r]] = False
+        tree = bpe[b.component_vertices[r]]
+        known[tree[tree >= 0]] = True
+        W, _ = _cocycles(C[comp], known)
+        candidates = tc.cotree_edges[np.isin(tc.cotree_edges,
+                                             b.component_edges[r])]
+        picked = candidates[_independent(W[candidates], need)]
+        if len(picked) != need:
             raise TopologyError(
-                f"boundary component {r}: found {found} of {need} independent "
-                "cycles; mesh or topology bug")
+                f"boundary component {r}: found {len(picked)} of {need} "
+                "independent cycles; mesh or topology bug")
+        for e in picked:
+            cycles.append(fundamental_cycle(m, bpv, bpe, int(e)))
+            closing.append(int(e))
+            comps.append(r)
 
-    # reorder the cotree so closing edges occupy the first positions
-    closing_arr = np.array(closing, dtype=np.int64)
-    rest = [e for e in tc.cotree_edges if int(e) not in set(map(int, closing))]
-    tc.cotree_edges = np.concatenate(
-        [closing_arr, np.array(rest, dtype=np.int64)]).astype(np.int64)
-    tc.closing_edges = closing_arr
-    assert cotree_set == set(int(e) for e in tc.cotree_edges)
-    return SurfaceCycleBasis(cycles=cycles, closing_edges=closing_arr,
+    return SurfaceCycleBasis(cycles=cycles,
+                             closing_edges=np.array(closing, dtype=np.int64),
                              components=np.array(comps, dtype=np.int64),
                              genus_per_component=np.array(
                                  [x // 2 for x in genus2], dtype=np.int64))
@@ -333,16 +409,10 @@ def domain_homology_basis(m: Mesh, tc: TreeCotree,
                              tree_parts=[],
                              kernel_vectors=np.zeros((0, 0)), g=0)
 
-    C = m.incidence.C
-    basis = _RowBasis()
-    for row in _sparse_rows(C):
-        basis.add(row)
-    selected = []
-    for q, cyc in enumerate(scb.cycles):
-        if basis.add(dict(cyc)):
-            selected.append(q)
-        if len(selected) == g:
-            break
+    known = np.zeros(m.n_e, dtype=bool)
+    known[tc.tree_edges] = True
+    W, _ = _cocycles(m.incidence.C, known)
+    selected = _independent(W[scb.closing_edges], g)
     if len(selected) != g:
         raise TopologyError(
             f"only {len(selected)} of {g} surface cycles survive in the "
@@ -370,12 +440,22 @@ def domain_homology_basis(m: Mesh, tc: TreeCotree,
 
 
 def betti(m: Mesh):
-    """Betti numbers (b0, b1, b2) from ranks of the incidence operators."""
+    """Betti numbers (b0, b1, b2) from ranks of the incidence operators.
+
+    rank G = n_v - 1, as build_mesh rejects disconnected complexes; rank C
+    comes from the face sweep; rank D is n_t less the dual components (tets
+    joined through shared faces) that touch no boundary face.
+    """
     inc = m.incidence
-    rG = _modular_rank(inc.G)
-    rC = _modular_rank(inc.C)
-    rD = _modular_rank(inc.D)
-    b0 = m.n_v - rG
-    b1 = m.n_e - rG - rC
-    b2 = m.n_f - rC - rD
-    return (b0, b1, b2)
+    order, pred = _bfs(m, np.arange(m.n_e), 0)
+    known = np.zeros(m.n_e, dtype=bool)
+    known[m.edge_ids(order[1:], pred[order[1:]])] = True
+    _, rC = _cocycles(inc.C, known)
+    D = inc.D.tocsc()
+    n_tets = np.diff(D.indptr)
+    pair = D.indptr[:-1][n_tets == 2]           # interior faces join two tets
+    label = connected_components(m.n_t, D.indices[pair], D.indices[pair + 1])
+    on_boundary = label[D.indices[D.indptr[:-1][n_tets == 1]]]
+    rD = m.n_t - len(np.unique(label)) + len(np.unique(on_boundary))
+    rG = m.n_v - 1
+    return (m.n_v - rG, m.n_e - rG - rC, m.n_f - rC - rD)

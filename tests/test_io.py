@@ -183,3 +183,45 @@ def test_cli_convergence(tmp_path, capsys):
     assert report["levels"][0]["n"] == 2 and report["levels"][1]["n"] == 4
     text = capsys.readouterr().out
     assert "tangential" in text and "normal" in text
+
+
+def test_cli_topology_error_exit_1(tmp_path, capsys, monkeypatch):
+    from curldiv import cli
+    from curldiv.topology import TopologyError
+
+    def broken(m):
+        raise TopologyError("inconsistent ranks")
+    monkeypatch.setattr(cli, "topology_report", broken)
+    mesh_path = tmp_path / "tet.msh"
+    m = single_tet_mesh()
+    write_gmsh(mesh_path, m.vertices, m.tets)
+    assert main(["topology", "--mesh", str(mesh_path)]) == 1
+    assert "inconsistent ranks" in capsys.readouterr().err
+
+
+def test_cli_bug_is_not_a_data_failure(tmp_path, monkeypatch):
+    from curldiv import cli
+
+    def buggy(m):
+        raise ValueError("a bug, not bad data")
+    monkeypatch.setattr(cli, "topology_report", buggy)
+    mesh_path = tmp_path / "tet.msh"
+    m = single_tet_mesh()
+    write_gmsh(mesh_path, m.vertices, m.tets)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["topology", "--mesh", str(mesh_path)])
+
+
+@pytest.mark.parametrize("coefficient", [{"kind": "scalar"},
+                                         {"kind": "scalar", "value": "x"},
+                                         {"kind": "scalar", "value": -1.0}])
+def test_cli_bad_coefficient_exit_1(tmp_path, coefficient):
+    m = single_tet_mesh()
+    mesh_path = tmp_path / "tet.msh"
+    write_gmsh(mesh_path, m.vertices, m.tets)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"formulation": "tangential",
+                                    "case": "mms1",
+                                    "coefficient": coefficient}))
+    assert main(["solve", "--mesh", str(mesh_path),
+                 "--config", str(cfg_path)]) == 1

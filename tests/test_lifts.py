@@ -1,9 +1,17 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curldiv import (CurlData, DivergenceData, FEFunction, LiftError,
-                     clean_curl_data, component_fluxes, cycle_period,
-                     interpolate, nedelec_potential, rt_potential)
+from curldiv import (CurlData, DivergenceData, FEFunction, HomologyBasis,
+                     LiftError, betti, build_mesh, clean_curl_data,
+                     component_fluxes, cycle_period, interpolate,
+                     nedelec_potential, rt_potential, solid_torus_mesh)
+from curldiv import lifts
+from curldiv.cli import compute_topology
+from curldiv.meshes import _grid_mesh
+from curldiv.mms import discrete_beta, get_case
 
 
 def test_rt_constant_divergence_on_cube(cube2, topo_cube2):
@@ -112,3 +120,151 @@ def test_wrong_space_rejected(cube1):
                        np.zeros(0))
     with pytest.raises(LiftError):
         CurlData(FEFunction("cell", cube1, np.zeros(cube1.n_t)), np.zeros(0))
+
+
+# ---------------------------------------------------------------------------
+# reference: the queue-driven face sweep with a dense least-squares fallback
+# for the circulations it leaves free, which the seeded sweep replaced
+
+
+def _reference_nedelec(m, tc, hb, J, beta):
+    C = m.incidence.C.tocsr()
+    circ = np.zeros(m.n_e)
+    known = np.zeros(m.n_e, dtype=bool)
+    known[tc.tree_edges] = True
+    unknown = np.array([np.sum(~known[C.indices[C.indptr[f]:C.indptr[f + 1]]])
+                        for f in range(m.n_f)])
+    edge_faces = [[] for _ in range(m.n_e)]
+    for f in range(m.n_f):
+        for e in C.indices[C.indptr[f]:C.indptr[f + 1]]:
+            edge_faces[int(e)].append(f)
+    queue = deque(np.flatnonzero(unknown == 1).tolist())
+    done = np.zeros(m.n_f, dtype=bool)
+    while queue:
+        f = queue.popleft()
+        if done[f] or unknown[f] != 1:
+            continue
+        sl = slice(C.indptr[f], C.indptr[f + 1])
+        resid, target, tsign = J[f], -1, 0
+        for e, s in zip(C.indices[sl], C.data[sl]):
+            if known[e]:
+                resid -= s * circ[e]
+            else:
+                target, tsign = int(e), s
+        circ[target] = resid / tsign
+        known[target] = done[f] = True
+        for f2 in edge_faces[target]:
+            unknown[f2] -= 1
+            if unknown[f2] == 1 and not done[f2]:
+                queue.append(f2)
+    free = np.flatnonzero(~known)
+    if len(free):
+        col = {int(e): i for i, e in enumerate(free)}
+        rows, rhs = [], []
+        for f in range(m.n_f):
+            sl = slice(C.indptr[f], C.indptr[f + 1])
+            if known[C.indices[sl]].all():
+                continue
+            row = np.zeros(len(free))
+            r = J[f]
+            for e, s in zip(C.indices[sl], C.data[sl]):
+                if known[e]:
+                    r -= s * circ[e]
+                else:
+                    row[col[int(e)]] = s
+            rows.append(row)
+            rhs.append(r)
+        for n, cyc in enumerate(hb.cycles):
+            row = np.zeros(len(free))
+            r = beta[n]
+            for e, c in cyc.items():
+                if known[e]:
+                    r -= c * circ[e]
+                else:
+                    row[col[int(e)]] = c
+            rows.append(row)
+            rhs.append(r)
+        circ[free] = np.linalg.lstsq(np.array(rows), np.array(rhs),
+                                     rcond=None)[0]
+    return circ
+
+
+LIFT_FIXTURES = [("torus", "topo_torus"), ("hollow", "topo_hollow"),
+                 ("genus2", "topo_genus2"),
+                 ("handle_cavity", "topo_handle_cavity"),
+                 ("torus_cavity", "topo_torus_cavity")]
+
+
+@pytest.mark.parametrize("mesh,fixture", LIFT_FIXTURES)
+def test_nedelec_sweep_matches_reference_without_lstsq(mesh, fixture, request,
+                                                       monkeypatch):
+    m = request.getfixturevalue(mesh)
+    topo = request.getfixturevalue(fixture)
+    case = get_case("mms1")
+    J_h = clean_curl_data(m, topo.boundary, interpolate("face", case.J, m))
+    beta = discrete_beta(case, m, topo.homology) + 0.5
+    expected = _reference_nedelec(m, topo.tree, topo.homology, J_h.coeffs,
+                                  beta)
+    def fail(*args, **kwargs):
+        raise AssertionError("least squares called")
+    monkeypatch.setattr(lifts.np.linalg, "lstsq", fail)
+    u = nedelec_potential(m, topo.tree, topo.homology, CurlData(J_h, beta))
+    assert np.abs(u.coeffs - expected).max() <= 1e-12
+
+
+def test_nedelec_fits_circulations_the_sweep_leaves(torus, topo_torus,
+                                                    monkeypatch):
+    # with no period to seed, the sweep on a torus stalls; the free
+    # circulations go to the small least-squares fit over the unused faces
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(A, b, **kwargs):
+        calls.append(A.shape)
+        return lstsq(A, b, **kwargs)
+    monkeypatch.setattr(lifts.np.linalg, "lstsq", counted)
+    no_periods = HomologyBasis(cycles=[], A=np.zeros((0, 0), dtype=np.int64),
+                               tree_parts=[], kernel_vectors=np.zeros((0, 0)),
+                               g=0)
+    a = np.random.default_rng(0).standard_normal(torus.n_e)
+    J = torus.incidence.C @ a
+    u = nedelec_potential(torus, topo_torus.tree, no_periods,
+                          CurlData(FEFunction("face", torus, J), np.zeros(0)))
+    assert len(calls) == 1 and calls[0][1] >= 1
+    assert np.abs(torus.incidence.C @ u.coeffs - J).max() <= 1e-12
+    assert np.all(u.coeffs[topo_torus.tree.tree_edges] == 0.0)
+
+
+def _renumbered(m, seed):
+    perm = np.random.default_rng(seed).permutation(m.n_v)
+    vertices = np.empty_like(m.vertices)
+    vertices[perm] = m.vertices
+    return build_mesh(vertices, perm[m.tets])
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.sampled_from([0, 1]))
+def test_topology_and_lift_invariant_under_renumbering(seed, which):
+    base = (solid_torus_mesh(), _grid_mesh(
+        5, 0.2, lambda i, j, k: not (j == 2 and i in (1, 3))))[which]
+    m = _renumbered(base, seed)
+    topo = compute_topology(m)
+    assert betti(m) == betti(base)
+    assert (topo.boundary.p, topo.homology.g) == (0, which + 1)
+    calls = []
+    lstsq = lifts.np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+    lifts.np.linalg.lstsq = counted
+    try:
+        J = FEFunction("face", m, np.zeros(m.n_f))
+        beta = np.arange(1.0, topo.homology.g + 1)
+        u = nedelec_potential(m, topo.tree, topo.homology, CurlData(J, beta))
+    finally:
+        lifts.np.linalg.lstsq = lstsq
+    assert calls == []
+    assert np.abs(m.incidence.C @ u.coeffs).max() <= 1e-12
+    for cyc, b in zip(topo.homology.cycles, beta):
+        assert abs(cycle_period(cyc, u.coeffs) - b) <= 1e-12

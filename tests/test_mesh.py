@@ -142,3 +142,48 @@ def test_disconnected_mesh_rejected():
     coords[4] = [10.1, 10.1, 10.1]
     with pytest.raises(MeshError):
         build_mesh(coords, [[0, 1, 2, 3], [4, 5, 6, 7]])
+
+
+def _reference_sub_simplices(tets):
+    """Edges, faces, tet_edges and tet_faces by the dict loop over tets."""
+    from curldiv.mesh import LOCAL_EDGES, LOCAL_FACES
+    edge_set, face_set = {}, {}
+    for row in tets.tolist():
+        for (i, j) in LOCAL_EDGES:
+            edge_set[(row[i], row[j])] = None
+        for (i, j, k) in LOCAL_FACES:
+            face_set[(row[i], row[j], row[k])] = None
+    edges = np.array(sorted(edge_set), dtype=np.int64).reshape(-1, 2)
+    faces = np.array(sorted(face_set), dtype=np.int64).reshape(-1, 3)
+    eidx = {e: i for i, e in enumerate(map(tuple, edges.tolist()))}
+    fidx = {f: i for i, f in enumerate(map(tuple, faces.tolist()))}
+    tet_edges = np.array([[eidx[(r[i], r[j])] for (i, j) in LOCAL_EDGES]
+                          for r in tets.tolist()], dtype=np.int64)
+    tet_faces = np.array([[fidx[(r[i], r[j], r[k])] for (i, j, k) in LOCAL_FACES]
+                          for r in tets.tolist()], dtype=np.int64)
+    return edges, faces, tet_edges, tet_faces
+
+
+@pytest.mark.parametrize("fixture", ["tet1", "cube2", "torus", "hollow",
+                                     "torus_cavity"])
+@pytest.mark.parametrize("seed", [None, 3])
+def test_sub_simplices_match_reference(fixture, seed, request):
+    m = request.getfixturevalue(fixture)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(m.n_v)
+        coords = np.empty_like(m.vertices)
+        coords[perm] = m.vertices
+        m = build_mesh(coords, rng.permuted(perm[m.tets], axis=1))
+    for got, want in zip((m.edges, m.faces, m.tet_edges, m.tet_faces),
+                         _reference_sub_simplices(m.tets)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_boundary_that_is_not_a_closed_surface_rejected():
+    # two tets sharing only the edge (0, 1): four boundary faces meet there
+    coords = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                       [0, -1, 0], [0, 0, -1]])
+    m = build_mesh(coords, [[0, 1, 2, 3], [0, 1, 4, 5]])
+    with pytest.raises(MeshError, match="not a closed surface"):
+        m.boundary
