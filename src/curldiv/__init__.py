@@ -31,6 +31,5 @@ from .vtk import write_vtk
 from .cli import (ProblemConfig, compute_topology, parse_config,
                   run_convergence, solve_on_mesh, topology_report)
 from .quadrature import QuadratureError, QuadratureRule, make_quadrature
-from .kernels import HAVE_NUMBA
 
 __version__ = "0.1.0"

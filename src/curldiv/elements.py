@@ -111,16 +111,14 @@ class CoefficientField:
 
 
 def eval_field(fn, points, vector: bool) -> np.ndarray:
-    """Evaluate a user field at an (n, 3) point array, looping if needed."""
+    """Evaluate a vectorized user field at an (n, 3) point array: fn must
+    return (n, 3) values if ``vector``, else (n,)."""
     points = np.asarray(points, dtype=np.float64)
-    try:
-        out = np.asarray(fn(points), dtype=np.float64)
-        want = (len(points), 3) if vector else (len(points),)
-        if out.shape == want:
-            return out
-    except Exception:
-        pass
-    out = np.array([fn(p) for p in points], dtype=np.float64)
+    out = np.asarray(fn(points), dtype=np.float64)
+    want = (len(points), 3) if vector else (len(points),)
+    if out.shape != want:
+        raise ElementError(f"field returned shape {out.shape} at "
+                           f"{len(points)} points, expected {want}")
     return out
 
 

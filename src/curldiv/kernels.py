@@ -1,9 +1,7 @@
 """Element-loop kernels for assembly, evaluation and error quadrature.
 
-Each kernel exists in two interchangeable implementations: a numba
-``@njit`` loop and a vectorized numpy fallback.  The active path is chosen
-at import time; setting the environment variable ``CURLDIV_NO_NUMBA=1``
-forces the numpy path.  ``benchmarks/bench_assembly.py`` times both.
+Each kernel is one vectorized numpy expression over all tets and
+quadrature points at once.
 
 Conventions: tets carry sorted vertex indices, so the local Whitney bases
 (edge pairs and face triples in lexicographic order) coincide with the
@@ -12,26 +10,7 @@ global degrees of freedom without sign flips.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_env = os.environ.get("CURLDIV_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _env in ("1", "true", "yes")
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled by CURLDIV_NO_NUMBA")
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
 
 _EDGE_A = np.array([0, 0, 0, 1, 1, 2], dtype=np.int64)
 _EDGE_B = np.array([1, 2, 3, 2, 3, 3], dtype=np.int64)
@@ -96,128 +75,32 @@ def edge_curl_values(grads):
 # local mass matrices: M[i, j] = sum_q w_q |det| basis_i . coef . basis_j
 
 
-def _mass_numpy(basis_vals, det, qw, coef):
+def local_mass(basis_vals, det, qw, coef):
     cb = np.einsum("tqxy,tqjy->tqjx", coef, basis_vals)
     M = np.einsum("tqix,tqjx,q->tij", basis_vals, cb, qw)
     return M * np.abs(det)[:, None, None]
-
-
-@njit(cache=True)
-def _mass_numba(basis_vals, det, qw, coef):
-    n_t, nq, nb, _ = basis_vals.shape
-    M = np.zeros((n_t, nb, nb))
-    for t in range(n_t):
-        scale = abs(det[t])
-        for q in range(nq):
-            w = qw[q] * scale
-            for j in range(nb):
-                cb0 = (coef[t, q, 0, 0] * basis_vals[t, q, j, 0]
-                       + coef[t, q, 0, 1] * basis_vals[t, q, j, 1]
-                       + coef[t, q, 0, 2] * basis_vals[t, q, j, 2])
-                cb1 = (coef[t, q, 1, 0] * basis_vals[t, q, j, 0]
-                       + coef[t, q, 1, 1] * basis_vals[t, q, j, 1]
-                       + coef[t, q, 1, 2] * basis_vals[t, q, j, 2])
-                cb2 = (coef[t, q, 2, 0] * basis_vals[t, q, j, 0]
-                       + coef[t, q, 2, 1] * basis_vals[t, q, j, 1]
-                       + coef[t, q, 2, 2] * basis_vals[t, q, j, 2])
-                for i in range(nb):
-                    M[t, i, j] += w * (basis_vals[t, q, i, 0] * cb0
-                                       + basis_vals[t, q, i, 1] * cb1
-                                       + basis_vals[t, q, i, 2] * cb2)
-    return M
-
-
-def local_mass(basis_vals, det, qw, coef):
-    """Dispatch to the active implementation."""
-    if HAVE_NUMBA:
-        return _mass_numba(np.ascontiguousarray(basis_vals), det, qw,
-                           np.ascontiguousarray(coef))
-    return _mass_numpy(basis_vals, det, qw, coef)
 
 
 # ---------------------------------------------------------------------------
 # local load vectors
 
 
-def _vector_load_numpy(basis_vals, det, qw, fvals):
+def local_vector_load(basis_vals, det, qw, fvals):
     L = np.einsum("tqix,tqx,q->ti", basis_vals, fvals, qw)
     return L * np.abs(det)[:, None]
 
 
-@njit(cache=True)
-def _vector_load_numba(basis_vals, det, qw, fvals):
-    n_t, nq, nb, _ = basis_vals.shape
-    L = np.zeros((n_t, nb))
-    for t in range(n_t):
-        scale = abs(det[t])
-        for q in range(nq):
-            w = qw[q] * scale
-            for i in range(nb):
-                L[t, i] += w * (basis_vals[t, q, i, 0] * fvals[t, q, 0]
-                                + basis_vals[t, q, i, 1] * fvals[t, q, 1]
-                                + basis_vals[t, q, i, 2] * fvals[t, q, 2])
-    return L
-
-
-def local_vector_load(basis_vals, det, qw, fvals):
-    if HAVE_NUMBA:
-        return _vector_load_numba(np.ascontiguousarray(basis_vals), det, qw,
-                                  np.ascontiguousarray(fvals))
-    return _vector_load_numpy(basis_vals, det, qw, fvals)
-
-
-def _scalar_load_numpy(bary, det, qw, gvals):
+def local_scalar_load(bary, det, qw, gvals):
     L = np.einsum("qi,tq,q->ti", bary, gvals, qw)
     return L * np.abs(det)[:, None]
-
-
-@njit(cache=True)
-def _scalar_load_numba(bary, det, qw, gvals):
-    n_t, nq = gvals.shape
-    L = np.zeros((n_t, 4))
-    for t in range(n_t):
-        scale = abs(det[t])
-        for q in range(nq):
-            w = qw[q] * scale * gvals[t, q]
-            for i in range(4):
-                L[t, i] += w * bary[q, i]
-    return L
-
-
-def local_scalar_load(bary, det, qw, gvals):
-    if HAVE_NUMBA:
-        return _scalar_load_numba(np.ascontiguousarray(bary), det, qw,
-                                  np.ascontiguousarray(gvals))
-    return _scalar_load_numpy(bary, det, qw, gvals)
 
 
 # ---------------------------------------------------------------------------
 # field evaluation and weighted L2 error accumulation
 
 
-def _field_eval_numpy(basis_vals, local_coeffs):
-    return np.einsum("tqix,ti->tqx", basis_vals, local_coeffs)
-
-
-@njit(cache=True)
-def _field_eval_numba(basis_vals, local_coeffs):
-    n_t, nq, nb, _ = basis_vals.shape
-    out = np.zeros((n_t, nq, 3))
-    for t in range(n_t):
-        for q in range(nq):
-            for i in range(nb):
-                c = local_coeffs[t, i]
-                out[t, q, 0] += c * basis_vals[t, q, i, 0]
-                out[t, q, 1] += c * basis_vals[t, q, i, 1]
-                out[t, q, 2] += c * basis_vals[t, q, i, 2]
-    return out
-
-
 def field_at_points(basis_vals, local_coeffs):
-    if HAVE_NUMBA:
-        return _field_eval_numba(np.ascontiguousarray(basis_vals),
-                                 np.ascontiguousarray(local_coeffs))
-    return _field_eval_numpy(basis_vals, local_coeffs)
+    return np.einsum("tqix,ti->tqx", basis_vals, local_coeffs)
 
 
 def weighted_l2_sq(diff, det, qw):

@@ -1,16 +1,17 @@
 """Discrete source potentials.
 
-Raviart-Thomas lift: prescribed divergence and boundary-component fluxes,
-built by a spanning-tree sweep on the dual graph (tets as nodes, interior
-faces as arcs).  Nedelec lift: prescribed curl and homology periods, by
-the Webb-Forghani face sweep of the topology module from the tree and the
-closing edge of each sigma_n, which carries its period.  Circulations it
-leaves free (none on any mesh tried) are fitted to the unused faces.
+Both lifts run the sweep of the topology module.  Raviart-Thomas lift:
+prescribed divergence and boundary-component fluxes, swept over the tet
+equations of D from the leaves of a BFS tree of the dual graph (tets as
+nodes, interior faces as arcs), with every face off that tree given.
+Nedelec lift: prescribed curl and homology periods, swept over the face
+equations of C from the tree and the closing edge of each sigma_n, which
+carries its period.  Circulations it leaves free (none on any mesh tried)
+are fitted to the unused faces.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ import scipy.sparse as sp  # noqa: F401  perfbench/tracing.py wraps lifts.sp.lin
 
 from .elements import FEFunction, Space
 from .mesh import Mesh, BoundaryStructure
-from .topology import HomologyBasis, TreeCotree, _face_sweep
+from .topology import HomologyBasis, TreeCotree, _bfs, _dual_arcs, _face_sweep
 
 
 class LiftError(ValueError):
@@ -72,47 +73,14 @@ def rt_potential(m: Mesh, b: BoundaryStructure, dd: DivergenceData) -> FEFunctio
         share = alpha_by_comp[r] * areas / areas.sum()
         flux[comp] = b.face_sign[comp] * share     # outward flux = D * coeff
 
-    # dual spanning tree over interior faces
-    interior = [f for f in range(m.n_f) if len(m.face_tets[f]) == 2]
-    tet_adj = [[] for _ in range(m.n_t)]
-    for f in interior:
-        t0, t1 = m.face_tets[f]
-        tet_adj[t0].append((t1, f))
-        tet_adj[t1].append((t0, f))
-    parent_tet = np.full(m.n_t, -1, dtype=np.int64)
-    parent_face = np.full(m.n_t, -1, dtype=np.int64)
-    order = []
-    seen = np.zeros(m.n_t, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        t = queue.popleft()
-        order.append(t)
-        for (t2, f) in tet_adj[t]:
-            if not seen[t2]:
-                seen[t2] = True
-                parent_tet[t2] = t
-                parent_face[t2] = f
-                queue.append(t2)
-    if not seen.all():
+    # a dual tree always has a leaf, so the sweep over the tets never stalls
+    interior, t0, t1 = _dual_arcs(inc.D)
+    order, arc = _bfs(m.n_t, t0, t1, 0)
+    if len(order) != m.n_t:
         raise LiftError("dual graph is disconnected; singular sweep")
-    in_dual_tree = set(int(parent_face[t]) for t in order[1:])
-
-    # leaf-to-root: each tet equation determines its parent arc flux
-    Drows = inc.D.tocsr()
-    for t in reversed(order[1:]):
-        sl = slice(Drows.indptr[t], Drows.indptr[t + 1])
-        fids = Drows.indices[sl]
-        signs = Drows.data[sl]
-        pf = int(parent_face[t])
-        resid = cell_int[t]
-        psign = 0
-        for fid, s in zip(fids, signs):
-            if int(fid) == pf:
-                psign = s
-            else:
-                resid -= s * flux[int(fid)]
-        flux[pf] = resid / psign
+    known = np.ones(m.n_f, dtype=bool)
+    known[interior[arc[order[1:]]]] = False
+    flux = _face_sweep(inc.D, known, flux, cell_int)[0][:, 0]
 
     u = FEFunction(Space.FACE, m, flux)
     resid = np.abs(inc.D @ flux - cell_int).max()

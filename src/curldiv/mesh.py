@@ -72,28 +72,11 @@ class Mesh:
     def euler_characteristic(self) -> int:
         return self.n_v - self.n_e + self.n_f - self.n_t
 
-    @cached_property
-    def edge_index(self) -> dict:
-        return {(int(a), int(b)): i for i, (a, b) in enumerate(self.edges)}
-
     def edge_ids(self, u, v) -> np.ndarray:
         """Ids of the edges joining vertices u and v (arrays, either order)."""
         keys = self.edges[:, 0] * self.n_v + self.edges[:, 1]
         return np.searchsorted(keys, np.minimum(u, v) * self.n_v
                                + np.maximum(u, v))
-
-    @cached_property
-    def face_index(self) -> dict:
-        return {tuple(int(v) for v in f): i for i, f in enumerate(self.faces)}
-
-    @cached_property
-    def face_tets(self) -> list:
-        """For each face, the list of adjacent tet indices."""
-        adj = [[] for _ in range(self.n_f)]
-        for t in range(self.n_t):
-            for f in self.tet_faces[t]:
-                adj[f].append(t)
-        return adj
 
     @cached_property
     def face_areas(self) -> np.ndarray:
@@ -121,9 +104,6 @@ class Mesh:
     def boundary(self) -> "BoundaryStructure":
         return extract_boundary(self)
 
-    def bounding_box(self):
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
 
 @dataclass(frozen=True)
 class IncidenceOperators:
@@ -139,7 +119,6 @@ class BoundaryStructure:
     external_index: int
     component_vertices: list    # list of int arrays
     component_edges: list       # list of int arrays
-    face_component: dict        # face id -> component index
     face_owner: np.ndarray      # (n_f,) owning tet for boundary faces, -1 else
     face_sign: np.ndarray       # (n_f,) D[owner, f] on boundary faces, 0 else
 
@@ -155,20 +134,6 @@ class BoundaryStructure:
     @cached_property
     def boundary_faces(self) -> np.ndarray:
         return np.sort(np.concatenate(self.components))
-
-    @cached_property
-    def boundary_edges(self) -> set:
-        out = set()
-        for ce in self.component_edges:
-            out.update(int(e) for e in ce)
-        return out
-
-    @cached_property
-    def boundary_vertices(self) -> set:
-        out = set()
-        for cv in self.component_vertices:
-            out.update(int(v) for v in cv)
-        return out
 
     def internal_components(self):
         return [r for r in range(len(self.components)) if r != self.external_index]
@@ -304,33 +269,19 @@ def extract_boundary(m: Mesh) -> BoundaryStructure:
     _, comp_index = np.unique(connected_components(len(bfaces), *pairs.T),
                               return_inverse=True)
     components = [bfaces[comp_index == r] for r in range(comp_index.max() + 1)]
-    comp_of = dict(zip(bfaces.tolist(), comp_index.tolist()))
+    comp_vertices = [np.unique(m.faces[comp]) for comp in components]
+    comp_edges = [np.unique(face_edges[comp_index == r])
+                  for r in range(len(components))]
 
-    comp_vertices = []
-    comp_edges = []
-    boxes = []
-    for r, comp in enumerate(components):
-        vs = np.unique(m.faces[comp].ravel())
-        es = np.unique(face_edges[comp_index == r])
-        comp_vertices.append(vs)
-        comp_edges.append(es)
-        pts = m.vertices[vs]
-        boxes.append((pts.min(axis=0), pts.max(axis=0)))
-
-    external = 0
-    if len(components) > 1:
-        # the external component's bounding box contains all others
-        for r, (lo, hi) in enumerate(boxes):
-            if all(np.all(lo <= lo2 + 1e-12) and np.all(hi >= hi2 - 1e-12)
-                   for (lo2, hi2) in boxes):
-                external = r
-                break
-        else:
-            sizes = [np.prod(hi - lo) for (lo, hi) in boxes]
-            external = int(np.argmax(sizes))
+    # the volume each component encloses, signed by the outward normals of
+    # the domain: the external one is the only positive one (taken about
+    # the centroid, so that the determinants do not cancel far from 0)
+    p = m.vertices[m.faces[bfaces]] - m.vertices.mean(axis=0)
+    det = np.einsum("fi,fi->f", p[:, 0], np.cross(p[:, 1], p[:, 2]))
+    enclosed = np.bincount(comp_index, weights=sign[bfaces] * det / 6.0)
+    external = int(np.argmax(enclosed))
 
     return BoundaryStructure(components=components, external_index=external,
                              component_vertices=comp_vertices,
-                             component_edges=comp_edges,
-                             face_component=comp_of, face_owner=owner,
+                             component_edges=comp_edges, face_owner=owner,
                              face_sign=sign)

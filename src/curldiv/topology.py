@@ -12,7 +12,8 @@ T ker(R): T holds each edge's value in terms of the k edges left free at
 stalls, R the k-column residuals of the faces it did not use.  A surface
 cycle pairs with them through its closing edge alone, so it is independent
 of the face boundaries and of the cycles kept before it exactly when its
-row of T ker(R) is.  The Nedelec lift runs the same sweep in floating point.
+row of T ker(R) is.  Both lifts run the same sweep in floating point, the
+Nedelec lift over the faces of C and the RT lift over the tets of D.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def _ranges(ptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def _face_sweep(C, known: np.ndarray, x0=None, rhs=None, p: int | None = None):
-    """Sweep the face equations C x = rhs (three +-1 entries per row).
+    """Sweep the equations C x = rhs, rows of w +-1 entries each (w = 3
+    for the faces of C, 4 for the tets of D).
 
     ``known`` marks the edges ``x0`` gives (zero if omitted) and every edge
     no row touches.  Each round resolves every row with one unknown edge,
@@ -111,10 +113,11 @@ def _face_sweep(C, known: np.ndarray, x0=None, rhs=None, p: int | None = None):
     arithmetic is exact modulo p, otherwise float64.
     """
     n_e = len(known)
-    fe = C.indices.reshape(-1, 3)
-    fs = C.data.reshape(-1, 3)
+    w = C.nnz // C.shape[0]
+    fe = C.indices.reshape(-1, w)
+    fs = C.data.reshape(-1, w)
     # the rows touching each edge, grouped by edge
-    by_edge = np.argsort(fe.ravel(), kind="stable") // 3
+    by_edge = np.argsort(fe.ravel(), kind="stable") // w
     ptr = np.concatenate([[0], np.cumsum(np.bincount(fe.ravel(), minlength=n_e))])
 
     seeded = known
@@ -235,30 +238,37 @@ def chain_boundary(m: Mesh, chain: dict) -> dict:
     return {v: c for v, c in out.items() if c}
 
 
-def _bfs(m: Mesh, edge_ids, root: int):
-    """Queue-order BFS from root over the given edges: the visit order and
-    each vertex's parent (-1 if none).  Neighbours are scanned in ascending
-    order, the edge order around a vertex as edges are sorted."""
-    src, dst = m.edges[edge_ids].T
-    src, dst = np.r_[src, dst], np.r_[dst, src]
-    by_src = np.lexsort((dst, src))
-    dst = dst[by_src]
-    ptr = np.searchsorted(src[by_src], np.arange(m.n_v + 1))
-    parent = np.full(m.n_v, -1, dtype=np.int64)
-    seen = np.zeros(m.n_v, dtype=bool)
+def _bfs(n: int, u, v, root: int):
+    """Queue-order BFS from root over the n nodes joined by arcs (u[i], v[i]):
+    the visit order and each node's parent arc (-1 if none).  Neighbours are
+    scanned in ascending arc id; on sorted edges that is ascending vertex."""
+    arc = np.arange(len(u))
+    src, dst, arc = np.r_[u, v], np.r_[v, u], np.r_[arc, arc]
+    by_src = np.lexsort((arc, src))
+    dst, arc = dst[by_src], arc[by_src]
+    ptr = np.searchsorted(src[by_src], np.arange(n + 1))
+    parent = np.full(n, -1, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
     seen[root] = True
     order = [np.array([root])]
     while len(order[-1]):
-        front = order[-1]
-        nbr = dst[_ranges(ptr, front)]
-        via = np.repeat(front, ptr[front + 1] - ptr[front])
+        at = _ranges(ptr, order[-1])
+        nbr = dst[at]
         fresh = np.flatnonzero(~seen[nbr])
-        # a vertex joins the queue where the scan first meets it
+        # a node joins the queue where the scan first meets it
         first = fresh[np.sort(np.unique(nbr[fresh], return_index=True)[1])]
-        parent[nbr[first]] = via[first]
+        parent[nbr[first]] = arc[at[first]]
         seen[nbr[first]] = True
         order.append(nbr[first])
     return np.concatenate(order), parent
+
+
+def _dual_arcs(D):
+    """The interior faces and the two tets each one joins, from D's columns."""
+    D = D.tocsc()
+    interior = np.flatnonzero(np.diff(D.indptr) == 2)
+    at = D.indptr[interior]
+    return interior, D.indices[at], D.indices[at + 1]
 
 
 def build_boundary_first_tree(m: Mesh, b: BoundaryStructure) -> TreeCotree:
@@ -267,13 +277,15 @@ def build_boundary_first_tree(m: Mesh, b: BoundaryStructure) -> TreeCotree:
     bparent_v = {}
     bparent_e = {}
     for cv, ce in zip(b.component_vertices, b.component_edges):
-        order, parent = _bfs(m, ce, int(cv.min()))
+        u, v = m.edges[ce].T
+        order, arc = _bfs(m.n_v, u, v, int(cv.min()))
         if len(order) != len(cv):
             raise TopologyError("boundary component surface graph is disconnected")
-        tree = m.edge_ids(order[1:], parent[order[1:]])
-        in_tree[tree] = True
-        bparent_v.update(zip(order.tolist(), parent[order].tolist()))
-        bparent_e.update(zip(order.tolist(), [-1] + tree.tolist()))
+        arc = arc[order[1:]]
+        in_tree[ce[arc]] = True
+        bparent_v.update(zip(order.tolist(),
+                             [-1] + (u[arc] + v[arc] - order[1:]).tolist()))
+        bparent_e.update(zip(order.tolist(), [-1] + ce[arc].tolist()))
 
     # extend to a global spanning tree: each round joins every component to
     # its lowest-index outgoing edge (Boruvka), which keeps exactly the edges
@@ -447,15 +459,14 @@ def betti(m: Mesh):
     joined through shared faces) that touch no boundary face.
     """
     inc = m.incidence
-    order, pred = _bfs(m, np.arange(m.n_e), 0)
+    order, arc = _bfs(m.n_v, *m.edges.T, 0)
     known = np.zeros(m.n_e, dtype=bool)
-    known[m.edge_ids(order[1:], pred[order[1:]])] = True
+    known[arc[order[1:]]] = True
     _, rC = _cocycles(inc.C, known)
-    D = inc.D.tocsc()
-    n_tets = np.diff(D.indptr)
-    pair = D.indptr[:-1][n_tets == 2]           # interior faces join two tets
-    label = connected_components(m.n_t, D.indices[pair], D.indices[pair + 1])
-    on_boundary = label[D.indices[D.indptr[:-1][n_tets == 1]]]
+    _, t0, t1 = _dual_arcs(inc.D)
+    label = connected_components(m.n_t, t0, t1)
+    # a tet with fewer than four interior faces has a boundary face
+    on_boundary = label[np.bincount(np.r_[t0, t1], minlength=m.n_t) < 4]
     rD = m.n_t - len(np.unique(label)) + len(np.unique(on_boundary))
     rG = m.n_v - 1
     return (m.n_v - rG, m.n_e - rG - rC, m.n_f - rC - rD)

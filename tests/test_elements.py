@@ -3,7 +3,7 @@ import pytest
 
 from curldiv import (CoefficientField, ElementError, FEFunction, differential,
                      eval_fe, interpolate, zero_function)
-from curldiv.elements import eval_at_points
+from curldiv.elements import eval_at_points, eval_field
 from curldiv.quadrature import make_quadrature
 
 
@@ -172,3 +172,13 @@ def test_coefficient_field_kinds():
 def test_wrong_coefficient_length_raises(tet1):
     with pytest.raises(ElementError):
         FEFunction("edge", tet1, np.zeros(5))
+
+
+@pytest.mark.parametrize("fn,vector", [
+    (lambda p: np.array([p[0], p[1], p[2]]), True),   # one point at a time
+    (lambda p: np.zeros((len(p), 1)), False),
+])
+def test_eval_field_requires_vectorized_shape(fn, vector):
+    points = np.random.default_rng(0).random((5, 3))
+    with pytest.raises(ElementError):
+        eval_field(fn, points, vector)

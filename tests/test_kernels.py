@@ -1,20 +1,6 @@
 import numpy as np
-import pytest
 
 from curldiv import kernels
-from curldiv.elements import CoefficientField
-from curldiv.quadrature import make_quadrature
-
-
-@pytest.fixture(scope="module")
-def setup(request):
-    m = request.getfixturevalue("cube1")
-    rule = make_quadrature("tet", 2)
-    grads, det = kernels.tet_geometry(m.vertices, m.tets)
-    pts = kernels.physical_points(m.vertices, m.tets, rule.points)
-    coef = CoefficientField.identity().at_quadrature(np.arange(m.n_t), pts)
-    edge = np.ascontiguousarray(kernels.edge_basis_values(grads, rule.points))
-    return m, rule, grads, det, pts, coef, edge
 
 
 def test_geometry_volumes(cube1):
@@ -25,46 +11,3 @@ def test_geometry_volumes(cube1):
 def test_barycentric_gradients_sum_to_zero(cube1):
     grads, _ = kernels.tet_geometry(cube1.vertices, cube1.tets)
     assert np.abs(grads.sum(axis=1)).max() < 1e-12
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not active")
-def test_mass_paths_agree(setup):
-    m, rule, grads, det, pts, coef, edge = setup
-    a = kernels._mass_numpy(edge, det, rule.weights, coef)
-    b = kernels._mass_numba(edge, det, rule.weights, coef)
-    assert np.abs(a - b).max() <= 1e-13 * (1.0 + np.abs(a).max())
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not active")
-def test_load_paths_agree(setup):
-    m, rule, grads, det, pts, coef, edge = setup
-    rng = np.random.default_rng(0)
-    fvals = np.ascontiguousarray(rng.standard_normal(pts.shape))
-    a = kernels._vector_load_numpy(edge, det, rule.weights, fvals)
-    b = kernels._vector_load_numba(edge, det, rule.weights, fvals)
-    assert np.abs(a - b).max() <= 1e-13 * (1.0 + np.abs(a).max())
-    gvals = np.ascontiguousarray(rng.standard_normal((m.n_t, len(rule.weights))))
-    bary = np.ascontiguousarray(rule.points)
-    a = kernels._scalar_load_numpy(bary, det, rule.weights, gvals)
-    b = kernels._scalar_load_numba(bary, det, rule.weights, gvals)
-    assert np.abs(a - b).max() <= 1e-13 * (1.0 + np.abs(a).max())
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not active")
-def test_eval_paths_agree(setup):
-    m, rule, grads, det, pts, coef, edge = setup
-    rng = np.random.default_rng(1)
-    coeffs = np.ascontiguousarray(rng.standard_normal((m.n_t, 6)))
-    a = kernels._field_eval_numpy(edge, coeffs)
-    b = kernels._field_eval_numba(edge, coeffs)
-    assert np.abs(a - b).max() <= 1e-13 * (1.0 + np.abs(a).max())
-
-
-def test_env_flag_respected():
-    # NUMBA_DISABLED reflects the environment at import time
-    import os
-    env = os.environ.get("CURLDIV_NO_NUMBA", "").strip().lower()
-    expect = env in ("1", "true", "yes")
-    assert kernels.NUMBA_DISABLED == expect
-    if expect:
-        assert not kernels.HAVE_NUMBA

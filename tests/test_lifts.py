@@ -12,6 +12,7 @@ from curldiv import lifts
 from curldiv.cli import compute_topology
 from curldiv.meshes import _grid_mesh
 from curldiv.mms import discrete_beta, get_case
+from curldiv.topology import _bfs, _dual_arcs
 
 
 def test_rt_constant_divergence_on_cube(cube2, topo_cube2):
@@ -233,6 +234,74 @@ def test_nedelec_fits_circulations_the_sweep_leaves(torus, topo_torus,
     assert len(calls) == 1 and calls[0][1] >= 1
     assert np.abs(torus.incidence.C @ u.coeffs - J).max() <= 1e-12
     assert np.all(u.coeffs[topo_torus.tree.tree_edges] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# reference: the queue BFS over the dual graph and the leaf-to-root pass over
+# the tets, which the sweep over the tet equations of D replaced
+
+
+def _reference_rt(m, b, cell_int, alpha):
+    """Dual-tree faces and fluxes of the RT lift, one tet at a time."""
+    D = m.incidence.D
+    face_tets = [[] for _ in range(m.n_f)]
+    for t in range(m.n_t):
+        for f in m.tet_faces[t]:
+            face_tets[f].append(t)
+    flux = np.zeros(m.n_f)
+    target = dict(zip(b.internal_components(), alpha))
+    target[b.external_index] = cell_int.sum() - alpha.sum()
+    for r, comp in enumerate(b.components):
+        areas = m.face_areas[comp]
+        flux[comp] = b.face_sign[comp] * target[r] * areas / areas.sum()
+    tet_adj = [[] for _ in range(m.n_t)]
+    for f in range(m.n_f):
+        if len(face_tets[f]) == 2:
+            t0, t1 = face_tets[f]
+            tet_adj[t0].append((t1, f))
+            tet_adj[t1].append((t0, f))
+    parent_face = np.full(m.n_t, -1)
+    order, seen, queue = [], {0}, deque([0])
+    while queue:
+        t = queue.popleft()
+        order.append(t)
+        for t2, f in tet_adj[t]:
+            if t2 not in seen:
+                seen.add(t2)
+                parent_face[t2] = f
+                queue.append(t2)
+    Drows = D.tocsr()
+    for t in reversed(order[1:]):
+        sl = slice(Drows.indptr[t], Drows.indptr[t + 1])
+        pf = parent_face[t]
+        resid, psign = cell_int[t], 0
+        for f, s in zip(Drows.indices[sl], Drows.data[sl]):
+            if f == pf:
+                psign = s
+            else:
+                resid -= s * flux[f]
+        flux[pf] = resid / psign
+    return set(parent_face[order[1:]].tolist()), flux
+
+
+RT_FIXTURES = ["tet1", "cube2", "torus", "hollow", "genus2", "handle_cavity",
+               "torus_cavity"]
+
+
+@pytest.mark.parametrize("mesh", RT_FIXTURES)
+def test_rt_sweep_matches_reference(mesh, request):
+    m = request.getfixturevalue(mesh)
+    b = m.boundary
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal(m.n_t)
+    alpha = rng.standard_normal(b.p)
+    tree, expected = _reference_rt(m, b, g * m.volumes, alpha)
+    interior, t0, t1 = _dual_arcs(m.incidence.D)
+    order, arc = _bfs(m.n_t, t0, t1, 0)
+    assert set(interior[arc[order[1:]]].tolist()) == tree
+    u = rt_potential(m, b, DivergenceData(FEFunction("cell", m, g), alpha))
+    assert (np.abs(u.coeffs - expected).max()
+            <= 1e-14 * np.abs(expected).max())
 
 
 def _renumbered(m, seed):

@@ -67,18 +67,19 @@ def test_complex_identities_exact(fixture, request):
 def test_G_row_signs(tet1):
     # edge [v0, v1] -> -1 at v0, +1 at v1
     G = tet1.incidence.G.toarray()
-    e01 = tet1.edge_index[(0, 1)]
+    e01 = tet1.edge_ids(0, 1)
     assert list(G[e01]) == [-1, 1, 0, 0]
 
 
 def test_C_row_matches_face_cycle(tet1):
     # face [v0, v1, v2]: +1 on [0,1] and [1,2], -1 on [0,2]
     C = tet1.incidence.C.toarray()
-    f = tet1.face_index[(0, 1, 2)]
+    f = np.flatnonzero((tet1.faces == [0, 1, 2]).all(axis=1))[0]
     row = C[f]
-    assert row[tet1.edge_index[(0, 1)]] == 1
-    assert row[tet1.edge_index[(1, 2)]] == 1
-    assert row[tet1.edge_index[(0, 2)]] == -1
+    e01, e12, e02 = tet1.edge_ids(np.array([0, 1, 0]), np.array([1, 2, 2]))
+    assert row[e01] == 1
+    assert row[e12] == 1
+    assert row[e02] == -1
 
 
 def test_D_sign_is_outward(tet1):
@@ -187,3 +188,19 @@ def test_boundary_that_is_not_a_closed_surface_rejected():
     m = build_mesh(coords, [[0, 1, 2, 3], [0, 1, 4, 5]])
     with pytest.raises(MeshError, match="not a closed surface"):
         m.boundary
+
+
+@pytest.mark.parametrize("fixture", ["hollow", "handle_cavity",
+                                     "torus_cavity"])
+def test_external_component_encloses_the_only_positive_volume(fixture,
+                                                              request):
+    m = request.getfixturevalue(fixture)
+    b = m.boundary
+    enclosed = []
+    for comp in b.components:
+        p = m.vertices[m.faces[comp]]
+        det = np.einsum("fi,fi->f", p[:, 0], np.cross(p[:, 1], p[:, 2]))
+        enclosed.append(b.face_sign[comp] @ det / 6.0)
+    enclosed = np.array(enclosed)
+    assert abs(enclosed.sum() - m.volumes.sum()) <= 1e-14
+    assert np.flatnonzero(enclosed > 0).tolist() == [b.external_index]

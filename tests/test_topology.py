@@ -71,9 +71,8 @@ def test_boundary_first_property(fixture, mesh, request):
 
 
 def test_closing_edges_on_boundary(topo_torus):
-    be = topo_torus.boundary.boundary_edges
-    for e in topo_torus.tree.closing_edges:
-        assert int(e) in be
+    be = np.concatenate(topo_torus.boundary.component_edges)
+    assert np.isin(topo_torus.tree.closing_edges, be).all()
 
 
 @pytest.mark.parametrize("fixture,mesh", [("topo_torus", "torus")])
