@@ -14,17 +14,15 @@ from .topology import (HomologyBasis, TopologyError, TreeCotree, betti,
                        build_boundary_first_tree, domain_homology_basis,
                        fundamental_cycle, surface_cycle_basis)
 from .elements import (CoefficientField, ElementError, FEFunction, Space,
-                       differential, eval_at_points, eval_fe, interpolate,
-                       locate_tet, zero_function)
-from .gauge import (GaugedCurlBasis, ReducedNodalBasis, build_L_star,
-                    build_N_star, curl_image_basis, verify_periods)
+                       differential, interpolate, zero_function)
 from .lifts import (CurlData, DivergenceData, LiftError, clean_curl_data,
                     component_fluxes, cycle_period, nedelec_potential,
                     rt_potential)
 from .solver import (AssembledSystem, NormalProblem, Solution, SolverError,
                      TangentialProblem, assemble_normal, assemble_tangential,
-                     edge_mass_matrix, error_norms, recover_solution,
-                     rt_mass_matrix, solve_spd, validate_tangential)
+                     build_L_star, build_N_star, edge_mass_matrix, error_norms,
+                     recover_solution, rt_mass_matrix, solve_spd,
+                     validate_tangential)
 from .mms import MMSCase, MMSError, REGISTRY, discrete_alpha, discrete_beta, get_case
 from .msh import GmshData, MshParseError, read_gmsh, write_gmsh
 from .vtk import write_vtk

@@ -15,24 +15,22 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elements import CoefficientField, ElementError, FEFunction, interpolate
-from .gauge import build_L_star, build_N_star
-from .lifts import (CurlData, DivergenceData, LiftError, clean_curl_data,
-                    component_fluxes, cycle_period, nedelec_potential,
-                    rt_potential)
+from .elements import CoefficientField, ElementError, interpolate
+from .lifts import (RESIDUAL_TOL, CurlData, DivergenceData, LiftError,
+                    clean_curl_data, component_fluxes, cycle_period,
+                    nedelec_potential, rt_potential)
 from .mesh import Mesh, MeshError
 from .meshes import structured_cube_mesh
 from .mms import MMSError, discrete_alpha, discrete_beta, get_case
 from .msh import MshParseError, read_gmsh
 from .quadrature import QuadratureError
 from .solver import (NormalProblem, Solution, SolverError, TangentialProblem,
-                     assemble_normal, assemble_tangential, error_norms,
-                     recover_solution, solve_spd, validate_tangential)
+                     assemble_normal, assemble_tangential, build_L_star,
+                     build_N_star, error_norms, recover_solution, solve_spd,
+                     validate_tangential)
 from .topology import (TopologyError, betti, build_boundary_first_tree,
                        domain_homology_basis, surface_cycle_basis)
 from .vtk import write_vtk
-
-RESIDUAL_TOL = 1e-10
 
 
 class ConfigError(ValueError):
@@ -53,8 +51,7 @@ def compute_topology(m: Mesh) -> Topology:
     scb = surface_cycle_basis(m, b, tc)
     # the gauge puts the closing edges first, then the rest of the cotree
     rest = tc.cotree_edges[~np.isin(tc.cotree_edges, scb.closing_edges)]
-    tc = replace(tc, cotree_edges=np.concatenate([scb.closing_edges, rest]),
-                 closing_edges=scb.closing_edges)
+    tc = replace(tc, cotree_edges=np.concatenate([scb.closing_edges, rest]))
     hb = domain_homology_basis(m, tc, scb)
     return Topology(boundary=b, tree=tc, surface_cycles=scb, homology=hb)
 
@@ -83,9 +80,14 @@ def parse_config(data: dict) -> ProblemConfig:
     if not isinstance(case, str):
         raise ConfigError("config needs a built-in MMS 'case' name")
     cspec = data.get("coefficient", {"kind": "identity"})
+    if not isinstance(cspec, dict):
+        raise ConfigError(f"coefficient must be a JSON object, got {cspec!r}")
     kind = cspec.get("kind", "identity")
     if kind not in ("identity", "scalar", "per_region"):
         raise ConfigError(f"unknown coefficient kind {kind!r}")
+    maxit = data.get("maxit")
+    if maxit is not None and (type(maxit) is not int or maxit < 1):
+        raise ConfigError(f"maxit must be a positive integer, got {maxit!r}")
     alpha = data.get("alpha")
     beta = data.get("beta")
     try:
@@ -95,16 +97,19 @@ def parse_config(data: dict) -> ProblemConfig:
             coef = CoefficientField.scalar(float(cspec["value"]))
         else:
             coef = CoefficientField.per_region(np.asarray(cspec["values"]))
-        return ProblemConfig(
+        cfg = ProblemConfig(
             formulation=form, case=case, coefficient=coef,
             alpha=None if alpha is None else np.asarray(alpha, dtype=np.float64),
             beta=None if beta is None else np.asarray(beta, dtype=np.float64),
             tol=float(data.get("tol", 1e-10)),
-            maxit=data.get("maxit"),
+            maxit=maxit,
             output=data.get("output"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad coefficient, alpha, beta or tol: {exc!r}"
                           ) from exc
+    if not (np.isfinite(cfg.tol) and cfg.tol > 0):
+        raise ConfigError(f"tol must be finite and > 0, got {cfg.tol!r}")
+    return cfg
 
 
 def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
@@ -126,10 +131,10 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
         report["validation"] = validate_tangential(prob, m, b)
         g_h = interpolate("cell", case.g, m)
         lift = rt_potential(m, b, DivergenceData(g_h, alpha))
-        gb = build_N_star(tc, hb, m.n_e)
-        system = assemble_tangential(prob, m, gb, lift)
+        dofs = build_N_star(tc, hb)
+        system = assemble_tangential(prob, m, dofs, lift)
         coeffs = solve_spd(system, tol=cfg.tol, maxit=cfg.maxit)
-        sol = recover_solution("tangential", coeffs, gb, lift)
+        sol = recover_solution("tangential", coeffs, dofs, lift)
         div_resid = float(np.abs(
             m.incidence.D @ sol.u_h.coeffs - g_h.coeffs * m.volumes).max())
         fluxes = component_fluxes(m, b, sol.u_h)
@@ -148,10 +153,10 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
                              b=case.b(), beta=beta)
         J_h = clean_curl_data(m, b, interpolate("face", case.J, m))
         lift = nedelec_potential(m, tc, hb, CurlData(J_h, beta))
-        rb = build_L_star(m)
-        system = assemble_normal(prob, m, rb, lift)
+        dofs = build_L_star(m)
+        system = assemble_normal(prob, m, dofs, lift)
         coeffs = solve_spd(system, tol=cfg.tol, maxit=cfg.maxit)
-        sol = recover_solution("normal", coeffs, rb, lift)
+        sol = recover_solution("normal", coeffs, dofs, lift)
         curl_resid = float(np.abs(
             m.incidence.C @ sol.u_h.coeffs - J_h.coeffs).max())
         per_err = float(max(

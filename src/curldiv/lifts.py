@@ -12,7 +12,7 @@ are fitted to the unused faces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp  # noqa: F401  perfbench/tracing.py wraps lifts.sp.linalg.lsqr
@@ -84,7 +84,7 @@ def rt_potential(m: Mesh, b: BoundaryStructure, dd: DivergenceData) -> FEFunctio
 
     u = FEFunction(Space.FACE, m, flux)
     resid = np.abs(inc.D @ flux - cell_int).max()
-    scale = 1.0 + np.abs(cell_int).max() + np.abs(dd.alpha).max() if len(dd.alpha) else 1.0 + np.abs(cell_int).max()
+    scale = 1.0 + np.abs(cell_int).max() + np.abs(dd.alpha).max(initial=0.0)
     if resid > RESIDUAL_TOL * scale:
         raise LiftError(f"incompatible divergence data: residual {resid:.3e}")
     return u
@@ -115,14 +115,12 @@ def nedelec_potential(m: Mesh, tc: TreeCotree, hb: HomologyBasis,
             f"incompatible curl data: D.J residual {div_resid:.3e}")
 
     # tree circulations are gauged to 0, and the period over sigma_n is the
-    # circulation of its closing edge, its one edge off the tree
+    # circulation of its closing edge, its one edge off the tree (coeff +1)
     circ = np.zeros(m.n_e)
+    circ[hb.closing_edges] = cd.beta
     known = np.zeros(m.n_e, dtype=bool)
     known[tc.tree_edges] = True
-    for n, (cyc, tree_part) in enumerate(zip(hb.cycles, hb.tree_parts)):
-        (e, c), = ((e, c) for e, c in cyc.items() if e not in tree_part)
-        circ[e] = cd.beta[n] / c
-        known[e] = True
+    known[hb.closing_edges] = True
     X, R = _face_sweep(inc.C, known, circ, J)
     circ = X[:, 0]
     if X.shape[1] > 1:

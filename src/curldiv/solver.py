@@ -5,21 +5,25 @@ boundary, prescribed component fluxes alpha.  Normal problem: curl u = J,
 div(mu u) = g, mu u . n = b, prescribed homology periods beta.  Both are
 reduced to symmetric positive definite systems on a gauged basis, solved
 by Jacobi-preconditioned conjugate gradients.
+
+Both gauged bases are index sets.  N*_h is the cotree less the g closing
+edges of the domain generators sigma_n, so u_h - lift lies in curl N*_h:
+C restricted to those edge columns.  L*_h is every vertex but the last, so
+u_h - lift lies in grad L*_h: G restricted to those vertex columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .elements import (CoefficientField, FEFunction, Space, eval_field,
-                       interpolate)
-from .gauge import GaugedCurlBasis, ReducedNodalBasis, curl_image_basis
+from .elements import CoefficientField, FEFunction, Space, eval_field
 from .mesh import Mesh, BoundaryStructure
 from .quadrature import make_quadrature, subdivided_tri_rule
+from .topology import HomologyBasis, TreeCotree
 
 VOLUME_DEGREE = 2
 BOUNDARY_DEGREE = 3
@@ -60,16 +64,39 @@ class NormalProblem:
 class AssembledSystem:
     K: sp.csr_matrix
     rhs: np.ndarray
-    dof_map: np.ndarray             # reduced index -> basis column / vertex
 
 
 @dataclass
 class Solution:
     kind: str                       # tangential | normal
     u_h: FEFunction                 # RT_h or N_h coefficients
-    homogeneous: FEFunction         # W_h or V_h part
     lift: FEFunction
-    reduced_coeffs: np.ndarray
+
+
+# ---------------------------------------------------------------------------
+# gauged bases
+
+
+def build_N_star(tc: TreeCotree, hb: HomologyBasis) -> np.ndarray:
+    """Edge ids of N*_h: the cotree, in order, less the sigma_n closing edges."""
+    return tc.cotree_edges[~np.isin(tc.cotree_edges, hb.closing_edges)]
+
+
+def build_L_star(m: Mesh) -> np.ndarray:
+    """Vertex ids of L*_h: all but the last vertex."""
+    return np.arange(m.n_v - 1)
+
+
+def _reduced_operator(m: Mesh, kind: str, dofs: np.ndarray) -> sp.csc_matrix:
+    """C (tangential) or G (normal) restricted to the basis columns dofs."""
+    if kind == "tangential":
+        op = m.incidence.C
+    elif kind == "normal":
+        op = m.incidence.G
+    else:
+        raise SolverError(f"unknown formulation {kind!r}")
+    # slice CSC columns: slicing CSR columns reorders the sums of K
+    return op.tocsc()[:, dofs]
 
 
 # ---------------------------------------------------------------------------
@@ -286,33 +313,30 @@ def validate_tangential(p: TangentialProblem, m: Mesh,
 # assembly
 
 
-def assemble_tangential(p: TangentialProblem, m: Mesh, gb: GaugedCurlBasis,
+def assemble_tangential(p: TangentialProblem, m: Mesh, dofs: np.ndarray,
                         lift: FEFunction) -> AssembledSystem:
+    """K = S^T M_eta S and rhs = F[dofs] - S^T M_eta lift, S = C[:, dofs]."""
     if lift.space != Space.FACE:
         raise SolverError("tangential lift must be an RT function")
-    S = curl_image_basis(gb, m)                         # (n_f, n_Q - g)
+    S = _reduced_operator(m, "tangential", dofs)        # (n_f, n_Q - g)
     M = rt_mass_matrix(m, p.eta)
     K = (S.T @ M @ S).tocsr()
-    f_edge = _edge_load(m, p.J)
-    t_edge = _tangential_boundary_load(m, p.a)
-    rhs = np.asarray(gb.fields.T @ (f_edge + t_edge)).ravel()
-    rhs -= np.asarray(S.T @ (M @ lift.coeffs)).ravel()
-    return AssembledSystem(K=K, rhs=rhs, dof_map=np.arange(S.shape[1]))
+    F = _edge_load(m, p.J) + _tangential_boundary_load(m, p.a)
+    rhs = F[dofs] - S.T @ (M @ lift.coeffs)
+    return AssembledSystem(K=K, rhs=rhs)
 
 
-def assemble_normal(p: NormalProblem, m: Mesh, rb: ReducedNodalBasis,
+def assemble_normal(p: NormalProblem, m: Mesh, dofs: np.ndarray,
                     lift: FEFunction) -> AssembledSystem:
+    """K = G^T M_mu G and rhs = (b - g)[dofs] - G^T M_mu lift, G = G[:, dofs]."""
     if lift.space != Space.EDGE:
         raise SolverError("normal lift must be a Nedelec function")
-    keep = rb.retained
-    G = m.incidence.G.tocsc()[:, keep]                  # (n_e, n_v - 1)
+    G = _reduced_operator(m, "normal", dofs)            # (n_e, n_v - 1)
     M = edge_mass_matrix(m, p.mu)
     K = (G.T @ M @ G).tocsr()
-    g_node = _nodal_load(m, p.g)
-    b_node = _scalar_boundary_load(m, p.b)
-    rhs = (b_node - g_node)[keep]
-    rhs -= np.asarray(G.T @ (M @ lift.coeffs)).ravel()
-    return AssembledSystem(K=K, rhs=rhs, dof_map=np.asarray(keep))
+    rhs = (_scalar_boundary_load(m, p.b) - _nodal_load(m, p.g))[dofs]
+    rhs -= G.T @ (M @ lift.coeffs)
+    return AssembledSystem(K=K, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -363,23 +387,12 @@ def solve_spd(s: AssembledSystem, tol: float = 1e-10,
 # solution recovery and error norms
 
 
-def recover_solution(kind: str, coeffs: np.ndarray, basis,
+def recover_solution(kind: str, coeffs: np.ndarray, dofs: np.ndarray,
                      lift: FEFunction) -> Solution:
-    m = lift.mesh
-    if kind == "tangential":
-        S = curl_image_basis(basis, m)
-        W = np.asarray(S @ coeffs).ravel()
-        hom = FEFunction(Space.FACE, m, W)
-        u = FEFunction(Space.FACE, m, W + lift.coeffs)
-    elif kind == "normal":
-        G = m.incidence.G.tocsc()[:, basis.retained]
-        V = np.asarray(G @ coeffs).ravel()
-        hom = FEFunction(Space.EDGE, m, V)
-        u = FEFunction(Space.EDGE, m, V + lift.coeffs)
-    else:
-        raise SolverError(f"unknown formulation {kind!r}")
-    return Solution(kind=kind, u_h=u, homogeneous=hom, lift=lift,
-                    reduced_coeffs=np.asarray(coeffs, dtype=np.float64))
+    """u_h = lift + C[:, dofs] coeffs (tangential) or G[:, dofs] coeffs."""
+    S = _reduced_operator(lift.mesh, kind, dofs)
+    return Solution(kind=kind, lift=lift, u_h=FEFunction(
+        lift.space, lift.mesh, S @ coeffs + lift.coeffs))
 
 
 def error_norms(sol: Solution, exact_u, exact_diff) -> tuple[float, float]:

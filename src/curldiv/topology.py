@@ -18,7 +18,7 @@ Nedelec lift over the faces of C and the RT lift over the tets of D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,16 +82,6 @@ class _RowBasis:
                 x[c] = -s * pow(row[c], p - 2, p) % p
             out[i, list(x)] = list(x.values())
         return out
-
-
-def _modular_rank(mat) -> int:
-    """Rank over GF(p) by elimination of whole rows (a reference for tests)."""
-    mat = mat.tocsr()
-    basis = _RowBasis()
-    for i in range(mat.shape[0]):
-        sl = slice(mat.indptr[i], mat.indptr[i + 1])
-        basis.add(dict(zip(map(int, mat.indices[sl]), map(int, mat.data[sl]))))
-    return basis.rank
 
 
 def _ranges(ptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -197,10 +187,8 @@ def _independent(rows: np.ndarray, need: int) -> list:
 class TreeCotree:
     tree_edges: np.ndarray          # (n_v - 1,) edge ids of the spanning tree
     cotree_edges: np.ndarray        # (n_Q,) remaining edge ids, ordered
-    boundary_parent_vertex: dict    # vertex -> parent within its boundary tree
-    boundary_parent_edge: dict      # vertex -> edge id within its boundary tree
-    closing_edges: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64))
+    boundary_parent: np.ndarray     # (n_v,) edge to the parent in the
+                                    # boundary tree, -1 at roots and inside
 
     @property
     def n_Q(self) -> int:
@@ -222,10 +210,11 @@ class SurfaceCycleBasis:
 @dataclass(frozen=True)
 class HomologyBasis:
     cycles: list                    # g domain generators, dict edge -> coeff
-    A: np.ndarray                   # (g, 2g) integer coefficients on gamma_q
-    tree_parts: list                # per generator, dict tree edge -> coeff
-    kernel_vectors: np.ndarray      # (g, 2g) basis of ker(A)
-    g: int
+    closing_edges: np.ndarray       # (g,) closing edge of each, coeff +1
+
+    @property
+    def g(self) -> int:
+        return len(self.cycles)
 
 
 def chain_boundary(m: Mesh, chain: dict) -> dict:
@@ -274,18 +263,15 @@ def _dual_arcs(D):
 def build_boundary_first_tree(m: Mesh, b: BoundaryStructure) -> TreeCotree:
     """Spanning tree containing a BFS spanning tree of each boundary component."""
     in_tree = np.zeros(m.n_e, dtype=bool)
-    bparent_v = {}
-    bparent_e = {}
+    bparent = np.full(m.n_v, -1, dtype=np.int64)
     for cv, ce in zip(b.component_vertices, b.component_edges):
         u, v = m.edges[ce].T
         order, arc = _bfs(m.n_v, u, v, int(cv.min()))
         if len(order) != len(cv):
             raise TopologyError("boundary component surface graph is disconnected")
-        arc = arc[order[1:]]
-        in_tree[ce[arc]] = True
-        bparent_v.update(zip(order.tolist(),
-                             [-1] + (u[arc] + v[arc] - order[1:]).tolist()))
-        bparent_e.update(zip(order.tolist(), [-1] + ce[arc].tolist()))
+        up = ce[arc[order[1:]]]
+        in_tree[up] = True
+        bparent[order[1:]] = up
 
     # extend to a global spanning tree: each round joins every component to
     # its lowest-index outgoing edge (Boruvka), which keeps exactly the edges
@@ -310,18 +296,19 @@ def build_boundary_first_tree(m: Mesh, b: BoundaryStructure) -> TreeCotree:
     return TreeCotree(tree_edges=tree_edges,
                       cotree_edges=np.concatenate([cotree[on_boundary],
                                                    cotree[~on_boundary]]),
-                      boundary_parent_vertex=bparent_v,
-                      boundary_parent_edge=bparent_e)
+                      boundary_parent=bparent)
 
 
-def _tree_path_chain(m: Mesh, parent_v, parent_e, start: int, stop: int) -> dict:
+def _tree_path_chain(m: Mesh, parent, start: int, stop: int) -> dict:
     """Oriented edge chain for the tree path start -> stop (common-root trees)."""
 
     def to_root(v):
         path = []
-        while parent_v[v] != -1:
-            path.append((v, parent_v[v], parent_e[v]))
-            v = parent_v[v]
+        while parent[v] != -1:
+            e = int(parent[v])
+            up = int(m.edges[e].sum()) - v
+            path.append((v, up, e))
+            v = up
         return path, v
 
     pa, ra = to_root(start)
@@ -344,11 +331,12 @@ def _tree_path_chain(m: Mesh, parent_v, parent_e, start: int, stop: int) -> dict
     return {e: c for e, c in chain.items() if c}
 
 
-def fundamental_cycle(m: Mesh, parent_v, parent_e, edge_id: int) -> dict:
-    """Cycle formed by a non-tree edge plus the tree path between its ends."""
+def fundamental_cycle(m: Mesh, parent, edge_id: int) -> dict:
+    """Cycle formed by a non-tree edge plus the tree path between its ends,
+    the tree given by each vertex's parent edge (-1 at the root)."""
     a, b = (int(x) for x in m.edges[int(edge_id)])
     chain = {int(edge_id): 1}           # oriented a -> b
-    back = _tree_path_chain(m, parent_v, parent_e, b, a)
+    back = _tree_path_chain(m, parent, b, a)
     for e, c in back.items():
         chain[e] = chain.get(e, 0) + c
     chain = {e: c for e, c in chain.items() if c}
@@ -360,13 +348,6 @@ def fundamental_cycle(m: Mesh, parent_v, parent_e, edge_id: int) -> dict:
 def surface_cycle_basis(m: Mesh, b: BoundaryStructure,
                         tc: TreeCotree) -> SurfaceCycleBasis:
     """Select 2g boundary cycles independent in H1 of the boundary surface."""
-    # boundary tree as arrays for path walking
-    bpv = np.full(m.n_v, -1, dtype=np.int64)
-    bpe = np.full(m.n_v, -1, dtype=np.int64)
-    for v, pv in tc.boundary_parent_vertex.items():
-        bpv[v] = pv
-        bpe[v] = tc.boundary_parent_edge[v]
-
     C = m.incidence.C
 
     genus2 = []
@@ -384,7 +365,7 @@ def surface_cycle_basis(m: Mesh, b: BoundaryStructure,
         # cocycles of the surface, gauged on its boundary tree
         known = np.ones(m.n_e, dtype=bool)
         known[b.component_edges[r]] = False
-        tree = bpe[b.component_vertices[r]]
+        tree = tc.boundary_parent[b.component_vertices[r]]
         known[tree[tree >= 0]] = True
         W, _ = _cocycles(C[comp], known)
         candidates = tc.cotree_edges[np.isin(tc.cotree_edges,
@@ -395,7 +376,7 @@ def surface_cycle_basis(m: Mesh, b: BoundaryStructure,
                 f"boundary component {r}: found {len(picked)} of {need} "
                 "independent cycles; mesh or topology bug")
         for e in picked:
-            cycles.append(fundamental_cycle(m, bpv, bpe, int(e)))
+            cycles.append(fundamental_cycle(m, tc.boundary_parent, int(e)))
             closing.append(int(e))
             comps.append(r)
 
@@ -408,18 +389,15 @@ def surface_cycle_basis(m: Mesh, b: BoundaryStructure,
 
 def domain_homology_basis(m: Mesh, tc: TreeCotree,
                           scb: SurfaceCycleBasis) -> HomologyBasis:
-    """Domain generators sigma_n, the coefficient matrix A and ker(A)."""
-    b = m.boundary
-    p = b.p
-    g = 1 + p - m.euler_characteristic
+    """Domain generators sigma_n: the first g surface cycles, in order, that
+    stay independent in H1 of the domain."""
+    g = 1 + m.boundary.p - m.euler_characteristic
     if g < 0 or 2 * g != len(scb.cycles):
         raise TopologyError(
             f"inconsistent ranks: domain g = {g} but surface rank = "
             f"{len(scb.cycles)}")
     if g == 0:
-        return HomologyBasis(cycles=[], A=np.zeros((0, 0), dtype=np.int64),
-                             tree_parts=[],
-                             kernel_vectors=np.zeros((0, 0)), g=0)
+        return HomologyBasis(cycles=[], closing_edges=scb.closing_edges)
 
     known = np.zeros(m.n_e, dtype=bool)
     known[tc.tree_edges] = True
@@ -429,26 +407,8 @@ def domain_homology_basis(m: Mesh, tc: TreeCotree,
         raise TopologyError(
             f"only {len(selected)} of {g} surface cycles survive in the "
             "domain; mesh or topology bug")
-
-    two_g = 2 * g
-    A = np.zeros((g, two_g), dtype=np.int64)
-    cycles = []
-    tree_parts = []
-    tree_set = set(int(e) for e in tc.tree_edges)
-    for n, q in enumerate(selected):
-        A[n, q] = 1
-        cyc = scb.cycles[q]
-        cycles.append(dict(cyc))
-        tree_parts.append({e: c for e, c in cyc.items() if e in tree_set})
-
-    unselected = [q for q in range(two_g) if q not in selected]
-    kernel = np.zeros((g, two_g))
-    for i, q in enumerate(unselected):
-        kernel[i, q] = 1.0
-    if np.abs(A @ kernel.T).max() != 0:
-        raise TopologyError("kernel vectors do not annihilate A")
-    return HomologyBasis(cycles=cycles, A=A, tree_parts=tree_parts,
-                         kernel_vectors=kernel, g=g)
+    return HomologyBasis(cycles=[dict(scb.cycles[q]) for q in selected],
+                         closing_edges=scb.closing_edges[selected])
 
 
 def betti(m: Mesh):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from curldiv import (CoefficientField, ElementError, FEFunction, differential,
-                     eval_fe, interpolate, zero_function)
-from curldiv.elements import eval_at_points, eval_field
+                     interpolate, zero_function)
+from curldiv.elements import eval_field
 from curldiv.quadrature import make_quadrature
+from fe_eval import eval_at_points, eval_fe
 
 
 def _edge_dof_of(m, f, edge):

@@ -225,3 +225,31 @@ def test_cli_bad_coefficient_exit_1(tmp_path, coefficient):
                                     "coefficient": coefficient}))
     assert main(["solve", "--mesh", str(mesh_path),
                  "--config", str(cfg_path)]) == 1
+
+
+def _solve_exit_code(tmp_path, **config):
+    m = single_tet_mesh()
+    mesh_path = tmp_path / "tet.msh"
+    write_gmsh(mesh_path, m.vertices, m.tets)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"formulation": "tangential",
+                                    "case": "mms1", **config}))
+    return main(["solve", "--mesh", str(mesh_path),
+                 "--config", str(cfg_path)])
+
+
+def test_cli_non_object_coefficient_exit_1(tmp_path, capsys):
+    assert _solve_exit_code(tmp_path, coefficient="scalar") == 1
+    assert "coefficient must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("maxit", ["many", 2.5, 0, -3, True])
+def test_cli_bad_maxit_exit_1(tmp_path, capsys, maxit):
+    assert _solve_exit_code(tmp_path, maxit=maxit) == 1
+    assert "maxit must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", [-1, 0, float("inf"), float("nan")])
+def test_cli_bad_tol_exit_1(tmp_path, capsys, tol):
+    assert _solve_exit_code(tmp_path, tol=tol) == 1
+    assert "tol must be finite and > 0" in capsys.readouterr().err

@@ -224,9 +224,8 @@ def test_nedelec_fits_circulations_the_sweep_leaves(torus, topo_torus,
         calls.append(A.shape)
         return lstsq(A, b, **kwargs)
     monkeypatch.setattr(lifts.np.linalg, "lstsq", counted)
-    no_periods = HomologyBasis(cycles=[], A=np.zeros((0, 0), dtype=np.int64),
-                               tree_parts=[], kernel_vectors=np.zeros((0, 0)),
-                               g=0)
+    no_periods = HomologyBasis(cycles=[],
+                               closing_edges=np.zeros(0, dtype=np.int64))
     a = np.random.default_rng(0).standard_normal(torus.n_e)
     J = torus.incidence.C @ a
     u = nedelec_potential(torus, topo_torus.tree, no_periods,

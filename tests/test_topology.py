@@ -6,9 +6,18 @@ import pytest
 from curldiv import betti
 from curldiv.cli import compute_topology
 from curldiv.topology import (_PRIME, _RowBasis, _cocycles, _face_sweep,
-                              _modular_rank, build_boundary_first_tree,
-                              chain_boundary, fundamental_cycle,
-                              surface_cycle_basis)
+                              build_boundary_first_tree, chain_boundary,
+                              fundamental_cycle, surface_cycle_basis)
+
+
+def _modular_rank(mat) -> int:
+    """Rank over GF(p) by elimination of whole rows."""
+    mat = mat.tocsr()
+    basis = _RowBasis()
+    for i in range(mat.shape[0]):
+        sl = slice(mat.indptr[i], mat.indptr[i + 1])
+        basis.add(dict(zip(map(int, mat.indices[sl]), map(int, mat.data[sl]))))
+    return basis.rank
 
 
 def test_single_tet_tree(tet1):
@@ -16,19 +25,20 @@ def test_single_tet_tree(tet1):
     tc = topo.tree
     assert len(tc.tree_edges) == 3
     assert tc.n_Q == 3
-    assert len(tc.closing_edges) == 0
+    assert len(topo.homology.closing_edges) == 0
 
 
 def test_cube_tree_counts(topo_cube1):
     tc = topo_cube1.tree
     assert len(tc.tree_edges) == 7
     assert tc.n_Q == 12
-    assert len(tc.closing_edges) == 0
+    assert len(topo_cube1.homology.closing_edges) == 0
 
 
 def test_torus_closing_edges(topo_torus):
-    assert len(topo_torus.tree.closing_edges) == 2
+    assert len(topo_torus.surface_cycles.closing_edges) == 2
     assert len(topo_torus.surface_cycles.cycles) == 2
+    assert len(topo_torus.homology.closing_edges) == 1
 
 
 def test_hollow_no_cycles(topo_hollow):
@@ -72,7 +82,7 @@ def test_boundary_first_property(fixture, mesh, request):
 
 def test_closing_edges_on_boundary(topo_torus):
     be = np.concatenate(topo_torus.boundary.component_edges)
-    assert np.isin(topo_torus.tree.closing_edges, be).all()
+    assert np.isin(topo_torus.surface_cycles.closing_edges, be).all()
 
 
 @pytest.mark.parametrize("fixture,mesh", [("topo_torus", "torus")])
@@ -85,21 +95,23 @@ def test_cycles_are_exact_1cycles(fixture, mesh, request):
         assert chain_boundary(m, cyc) == {}
 
 
-def test_torus_homology_matrices(topo_torus):
+def test_torus_homology_closing_edge(topo_torus):
+    # sigma_1 is one of the two surface cycles; its closing edge is its one
+    # edge off the tree and has coefficient +1
     hb = topo_torus.homology
     assert hb.g == 1
-    assert hb.A.shape == (1, 2)
-    assert np.linalg.matrix_rank(hb.A) == 1
-    assert hb.kernel_vectors.shape == (1, 2)
-    # A . c = 0 exactly
-    assert np.all(hb.A @ hb.kernel_vectors.T == 0)
+    (e,) = hb.closing_edges
+    assert e in topo_torus.surface_cycles.closing_edges
+    off_tree = set(hb.cycles[0]) - set(topo_torus.tree.tree_edges.tolist())
+    assert off_tree == {e}
+    assert hb.cycles[0][e] == 1
 
 
 def test_cube_homology_trivial(topo_cube1):
     hb = topo_cube1.homology
     assert hb.g == 0
-    assert hb.A.shape == (0, 0)
-    assert len(hb.kernel_vectors) == 0
+    assert hb.cycles == []
+    assert len(hb.closing_edges) == 0
 
 
 def test_betti_numbers(cube1, torus, hollow):
@@ -136,11 +148,6 @@ def _rows_of(C, faces):
 
 def _reference_surface_cycles(m, b, tc):
     """Closing edges and cycles, by elimination over all boundary face rows."""
-    bpv = np.full(m.n_v, -1, dtype=np.int64)
-    bpe = np.full(m.n_v, -1, dtype=np.int64)
-    for v, pv in tc.boundary_parent_vertex.items():
-        bpv[v] = pv
-        bpe[v] = tc.boundary_parent_edge[v]
     C = m.incidence.C
     cycles, closing = [], []
     for r, comp in enumerate(b.components):
@@ -156,7 +163,7 @@ def _reference_surface_cycles(m, b, tc):
         for e in tc.cotree_edges:
             if int(e) not in comp_edges:
                 continue
-            cyc = fundamental_cycle(m, bpv, bpe, int(e))
+            cyc = fundamental_cycle(m, tc.boundary_parent, int(e))
             if basis.add(dict(cyc)):
                 cycles.append(cyc)
                 closing.append(int(e))
@@ -195,17 +202,11 @@ def test_sweep_selects_reference_cycles(mesh, fixture, request):
     cycles, closing = _reference_surface_cycles(m, m.boundary, tree)
     assert topo.surface_cycles.cycles == cycles
     assert topo.surface_cycles.closing_edges.tolist() == closing
-    assert topo.tree.closing_edges.tolist() == closing
+    assert topo.tree.cotree_edges[:len(closing)].tolist() == closing
     hb = topo.homology
     selected = _reference_domain_selection(m, cycles, hb.g)
     assert hb.cycles == [cycles[q] for q in selected]
-    A = np.zeros((hb.g, 2 * hb.g), dtype=np.int64)
-    A[np.arange(hb.g), selected] = 1
-    kernel = np.zeros((hb.g, 2 * hb.g))
-    kernel[np.arange(hb.g),
-           [q for q in range(2 * hb.g) if q not in selected]] = 1.0
-    assert np.array_equal(hb.A, A)
-    assert np.array_equal(hb.kernel_vectors, kernel)
+    assert hb.closing_edges.tolist() == [closing[q] for q in selected]
 
 
 @pytest.mark.parametrize("mesh,expected", [
@@ -240,11 +241,9 @@ def test_tree_is_frozen_and_left_unchanged(torus):
     topo = compute_topology(torus)
     surface_cycle_basis(torus, torus.boundary, tree)
     assert np.array_equal(tree.cotree_edges, cotree)
-    assert len(tree.closing_edges) == 0
     # the ordered tree puts the closing edges first
-    n_closing = len(topo.tree.closing_edges)
-    assert np.array_equal(topo.tree.cotree_edges[:n_closing],
-                          topo.tree.closing_edges)
+    closing = topo.surface_cycles.closing_edges
+    assert np.array_equal(topo.tree.cotree_edges[:len(closing)], closing)
     assert sorted(topo.tree.cotree_edges.tolist()) == sorted(cotree.tolist())
     with pytest.raises(dataclasses.FrozenInstanceError):
         tree.cotree_edges = cotree[::-1]
