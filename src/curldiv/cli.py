@@ -88,6 +88,9 @@ def parse_config(data: dict) -> ProblemConfig:
     maxit = data.get("maxit")
     if maxit is not None and (type(maxit) is not int or maxit < 1):
         raise ConfigError(f"maxit must be a positive integer, got {maxit!r}")
+    output = data.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"output must be a file name or null, got {output!r}")
     alpha = data.get("alpha")
     beta = data.get("beta")
     try:
@@ -103,7 +106,7 @@ def parse_config(data: dict) -> ProblemConfig:
             beta=None if beta is None else np.asarray(beta, dtype=np.float64),
             tol=float(data.get("tol", 1e-10)),
             maxit=maxit,
-            output=data.get("output"))
+            output=output)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad coefficient, alpha, beta or tol: {exc!r}"
                           ) from exc
@@ -118,6 +121,10 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
     if topo is None:
         topo = compute_topology(m)
     b, tc, hb = topo.boundary, topo.tree, topo.homology
+    coef = cfg.coefficient
+    if coef.kind == "per_region" and len(coef.value) != m.n_t:
+        raise ConfigError(f"per_region needs one value per tet ({m.n_t}), "
+                          f"got {len(coef.value)}")
     case = get_case(cfg.case)
     report = {"formulation": cfg.formulation, "case": cfg.case,
               "checks": {}, "passed": True}

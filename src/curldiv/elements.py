@@ -52,9 +52,6 @@ class FEFunction:
                 f"{self.space.value} function needs {expect} coefficients, "
                 f"got {self.coeffs.shape}")
 
-    def copy(self) -> "FEFunction":
-        return FEFunction(self.space, self.mesh, self.coeffs.copy())
-
 
 def zero_function(space, mesh) -> FEFunction:
     space = Space(space)
@@ -81,6 +78,8 @@ class CoefficientField:
     def per_region(values: np.ndarray) -> "CoefficientField":
         """One positive scalar per tet (e.g. mapped from region tags)."""
         vals = np.asarray(values, dtype=np.float64)
+        if vals.ndim != 1:
+            raise ValueError("per-region coefficients must be a flat list")
         if not np.all(vals > 0):
             raise ValueError("per-region coefficients must be positive")
         return CoefficientField("per_region", vals)

@@ -29,15 +29,6 @@ _OMITTED = (3, 2, 1, 0)
 # D entry of each local face of a positively oriented sorted tet
 _LOCAL_FACE_SIGN = np.array([(-1) ** k for k in _OMITTED], dtype=np.int64)
 
-# C restricted to one tet: face cycle a->b->c->a against the sorted edges
-LOCAL_FACE_EDGE_SIGNS = np.zeros((4, 6), dtype=np.int64)
-for _fi, (_a, _b, _c) in enumerate(LOCAL_FACES):
-    for (_u, _v) in ((_a, _b), (_b, _c), (_c, _a)):
-        _key = (min(_u, _v), max(_u, _v))
-        LOCAL_FACE_EDGE_SIGNS[_fi, LOCAL_EDGES.index(_key)] = (
-            1 if (_u, _v) == _key else -1
-        )
-
 DEGENERACY_TOL = 1e-14
 
 
@@ -121,10 +112,6 @@ class BoundaryStructure:
     component_edges: list       # list of int arrays
     face_owner: np.ndarray      # (n_f,) owning tet for boundary faces, -1 else
     face_sign: np.ndarray       # (n_f,) D[owner, f] on boundary faces, 0 else
-
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
 
     @property
     def p(self) -> int:

@@ -103,9 +103,9 @@ def _reduced_operator(m: Mesh, kind: str, dofs: np.ndarray) -> sp.csc_matrix:
 # global mass matrices
 
 
-def _global_mass(m: Mesh, coef: CoefficientField, space: Space,
-                 degree: int = VOLUME_DEGREE) -> sp.csr_matrix:
-    rule = make_quadrature("tet", degree)
+def _global_mass(m: Mesh, coef: CoefficientField,
+                 space: Space) -> sp.csr_matrix:
+    rule = make_quadrature("tet", VOLUME_DEGREE)
     grads, det = kernels.tet_geometry(m.vertices, m.tets)
     pts = kernels.physical_points(m.vertices, m.tets, rule.points)
     cvals = coef.at_quadrature(np.arange(m.n_t), pts)
@@ -125,23 +125,21 @@ def _global_mass(m: Mesh, coef: CoefficientField, space: Space,
     return M.tocsr()
 
 
-def rt_mass_matrix(m: Mesh, coef: CoefficientField,
-                   degree: int = VOLUME_DEGREE) -> sp.csr_matrix:
-    return _global_mass(m, coef, Space.FACE, degree)
+def rt_mass_matrix(m: Mesh, coef: CoefficientField) -> sp.csr_matrix:
+    return _global_mass(m, coef, Space.FACE)
 
 
-def edge_mass_matrix(m: Mesh, coef: CoefficientField,
-                     degree: int = VOLUME_DEGREE) -> sp.csr_matrix:
-    return _global_mass(m, coef, Space.EDGE, degree)
+def edge_mass_matrix(m: Mesh, coef: CoefficientField) -> sp.csr_matrix:
+    return _global_mass(m, coef, Space.EDGE)
 
 
 # ---------------------------------------------------------------------------
 # volume and boundary load vectors
 
 
-def _edge_load(m: Mesh, fn, degree: int = VOLUME_DEGREE) -> np.ndarray:
+def _edge_load(m: Mesh, fn) -> np.ndarray:
     """Global vector of integrals of fn against the edge basis."""
-    rule = make_quadrature("tet", degree)
+    rule = make_quadrature("tet", VOLUME_DEGREE)
     grads, det = kernels.tet_geometry(m.vertices, m.tets)
     pts = kernels.physical_points(m.vertices, m.tets, rule.points)
     fvals = eval_field(fn, pts.reshape(-1, 3), vector=True)
@@ -153,9 +151,9 @@ def _edge_load(m: Mesh, fn, degree: int = VOLUME_DEGREE) -> np.ndarray:
     return out
 
 
-def _nodal_load(m: Mesh, fn, degree: int = VOLUME_DEGREE) -> np.ndarray:
+def _nodal_load(m: Mesh, fn) -> np.ndarray:
     """Global vector of integrals of a scalar fn against P1 hat functions."""
-    rule = make_quadrature("tet", degree)
+    rule = make_quadrature("tet", VOLUME_DEGREE)
     _, det = kernels.tet_geometry(m.vertices, m.tets)
     pts = kernels.physical_points(m.vertices, m.tets, rule.points)
     gvals = eval_field(fn, pts.reshape(-1, 3), vector=False)
@@ -192,14 +190,13 @@ def _boundary_face_geometry(m: Mesh, faces: np.ndarray, rule):
     return pts, lam, grads, owners
 
 
-def _tangential_boundary_load(m: Mesh, a_fn,
-                              degree: int = BOUNDARY_DEGREE) -> np.ndarray:
+def _tangential_boundary_load(m: Mesh, a_fn) -> np.ndarray:
     """Integrals of the tangential field a against edge-basis traces."""
     b = m.boundary
     faces = np.asarray(b.boundary_faces, dtype=np.int64)
     if len(faces) == 0:
         return np.zeros(m.n_e)
-    rule = make_quadrature("tri", degree)
+    rule = make_quadrature("tri", BOUNDARY_DEGREE)
     pts, lam, grads, owners = _boundary_face_geometry(m, faces, rule)
     nbf, nq = pts.shape[:2]
     nrm = _outward_normals(m, faces)
@@ -221,14 +218,13 @@ def _tangential_boundary_load(m: Mesh, a_fn,
     return out
 
 
-def _scalar_boundary_load(m: Mesh, b_fn,
-                          degree: int = BOUNDARY_DEGREE) -> np.ndarray:
+def _scalar_boundary_load(m: Mesh, b_fn) -> np.ndarray:
     """Integrals of a scalar boundary field against P1 traces."""
     b = m.boundary
     faces = np.asarray(b.boundary_faces, dtype=np.int64)
     if len(faces) == 0:
         return np.zeros(m.n_v)
-    rule = make_quadrature("tri", degree)
+    rule = make_quadrature("tri", BOUNDARY_DEGREE)
     fverts = m.vertices[m.faces[faces]]
     pts = np.einsum("qi,fix->fqx", rule.points, fverts)
     nbf, nq = pts.shape[:2]

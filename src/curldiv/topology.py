@@ -12,8 +12,10 @@ T ker(R): T holds each edge's value in terms of the k edges left free at
 stalls, R the k-column residuals of the faces it did not use.  A surface
 cycle pairs with them through its closing edge alone, so it is independent
 of the face boundaries and of the cycles kept before it exactly when its
-row of T ker(R) is.  Both lifts run the same sweep in floating point, the
-Nedelec lift over the faces of C and the RT lift over the tets of D.
+row of T ker(R) is.  What the sweep leaves, ker R and the rows independent
+of the rows before them, goes through one dense reduced row echelon form
+modulo p, ``_echelon``.  Both lifts run the same sweep in floating point,
+the Nedelec lift over the faces of C and the RT lift over the tets of D.
 """
 
 from __future__ import annotations
@@ -32,56 +34,39 @@ class TopologyError(ValueError):
 _PRIME = 2_147_483_647
 
 
-class _RowBasis:
-    """Incremental row-echelon basis over GF(p) for sparse integer rows."""
+def _echelon(A):
+    """Reduced row echelon form of the integer matrix A modulo _PRIME: its
+    nonzero rows E and their pivot columns, ascending.  A column is a pivot
+    exactly when it is independent of the columns before it."""
+    p = _PRIME
+    E = np.array(A, dtype=np.int64) % p
+    pivots = []
+    for c in range(E.shape[1]):
+        r = len(pivots)
+        if r == len(E):
+            break
+        nz = r + np.flatnonzero(E[r:, c])
+        if not len(nz):
+            continue
+        E[[r, nz[0]]] = E[[nz[0], r]]
+        E[r] = E[r] * pow(int(E[r, c]), p - 2, p) % p
+        rest = np.flatnonzero(E[:, c])
+        rest = rest[rest != r]
+        # products of two residues stay below 2^62
+        E[rest] = (E[rest] - E[rest, c, None] * E[r]) % p
+        pivots.append(c)
+    return E[:len(pivots)], np.array(pivots, dtype=np.int64)
 
-    def __init__(self, p: int = _PRIME):
-        self.p = p
-        self.pivots = {}        # pivot column -> reduced row (dict col -> val)
 
-    def _reduce(self, row: dict) -> dict:
-        p = self.p
-        row = {c: v % p for c, v in row.items() if v % p}
-        while row:
-            c = min(row)
-            if c not in self.pivots:
-                return row
-            piv = self.pivots[c]
-            factor = row[c] * pow(piv[c], p - 2, p) % p
-            for pc, pv in piv.items():
-                nv = (row.get(pc, 0) - factor * pv) % p
-                if nv:
-                    row[pc] = nv
-                else:
-                    row.pop(pc, None)
-        return row
-
-    def add(self, row: dict) -> bool:
-        """Insert a row; True if it increased the rank."""
-        red = self._reduce(row)
-        if not red:
-            return False
-        self.pivots[min(red)] = red
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def kernel(self, n: int) -> np.ndarray:
-        """Rows spanning {x in GF(p)^n : r . x = 0 for every added row r}."""
-        p = self.p
-        free = [j for j in range(n) if j not in self.pivots]
-        out = np.zeros((len(free), n), dtype=np.int64)
-        for i, j in enumerate(free):
-            x = {j: 1}
-            # each pivot row involves only its pivot and later columns
-            for c in sorted(self.pivots, reverse=True):
-                row = self.pivots[c]
-                s = sum(v * x.get(cc, 0) for cc, v in row.items() if cc != c)
-                x[c] = -s * pow(row[c], p - 2, p) % p
-            out[i, list(x)] = list(x.values())
-        return out
+def _kernel(A) -> np.ndarray:
+    """Rows spanning {x : A x = 0} modulo _PRIME: a unit vector on each free
+    column, solved for the pivot columns."""
+    E, pivots = _echelon(A)
+    free = np.setdiff1d(np.arange(A.shape[1]), pivots)
+    K = np.zeros((len(free), A.shape[1]), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, pivots] = -E[:, free].T % _PRIME
+    return K
 
 
 def _ranges(ptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -157,30 +142,17 @@ def _cocycles(C, known: np.ndarray):
     """Basis W (n_e, d) mod p of {x : C x = 0, x = 0 on known edges}, and
     rank C if ``known`` is a spanning tree plus the edges C does not touch."""
     X, R = _face_sweep(C, known, p=_PRIME)
-    T, R = X[:, 1:], R[:, 1:]
-    k = T.shape[1]
-    basis = _RowBasis()
-    for row in np.unique(R[R.any(axis=1)], axis=0):
-        if basis.rank == k:
-            break
-        basis.add({c: int(v) for c, v in enumerate(row) if v})
-    K = basis.kernel(k)
+    T = X[:, 1:]
+    K = _kernel(R[:, 1:])
     W = np.zeros((len(T), len(K)), dtype=np.int64)
-    for j in range(k):                      # products stay below 2^62
+    for j in range(T.shape[1]):             # products stay below 2^62
         W = (W + T[:, j, None] * K[None, :, j] % _PRIME) % _PRIME
-    return W, int(np.count_nonzero(~known)) - k + basis.rank
+    return W, int(np.count_nonzero(~known)) - len(K)
 
 
-def _independent(rows: np.ndarray, need: int) -> list:
+def _independent(rows: np.ndarray, need: int) -> np.ndarray:
     """Indices of the rows, in order, independent of the rows before them."""
-    basis = _RowBasis()
-    picked = []
-    for i, row in enumerate(rows):
-        if len(picked) == need:
-            break
-        if basis.add({c: int(v) for c, v in enumerate(row) if v}):
-            picked.append(i)
-    return picked
+    return _echelon(rows.T)[1][:need]
 
 
 @dataclass(frozen=True)
@@ -199,12 +171,6 @@ class TreeCotree:
 class SurfaceCycleBasis:
     cycles: list                    # list of dict edge id -> int coefficient
     closing_edges: np.ndarray       # (2g,) the cotree edge closing each cycle
-    components: np.ndarray          # (2g,) boundary component of each cycle
-    genus_per_component: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return len(self.cycles)
 
 
 @dataclass(frozen=True)
@@ -299,48 +265,28 @@ def build_boundary_first_tree(m: Mesh, b: BoundaryStructure) -> TreeCotree:
                       boundary_parent=bparent)
 
 
-def _tree_path_chain(m: Mesh, parent, start: int, stop: int) -> dict:
-    """Oriented edge chain for the tree path start -> stop (common-root trees)."""
-
-    def to_root(v):
-        path = []
-        while parent[v] != -1:
-            e = int(parent[v])
-            up = int(m.edges[e].sum()) - v
-            path.append((v, up, e))
-            v = up
-        return path, v
-
-    pa, ra = to_root(start)
-    pb, rb = to_root(stop)
-    if ra != rb:
-        raise TopologyError("vertices lie in different trees")
-    chain = {}
-
-    def add(u, v, e):
-        # edge stored as [a, b], a < b, oriented a -> b
-        a, bb = (int(x) for x in m.edges[e])
-        sgn = 1 if (u, v) == (a, bb) else -1
-        chain[e] = chain.get(e, 0) + sgn
-
-    # walk start -> root -> stop; shared segments cancel in the chain sum
-    for (child, par, e) in pa:
-        add(child, par, e)
-    for (child, par, e) in reversed(pb):
-        add(par, child, e)
-    return {e: c for e, c in chain.items() if c}
-
-
 def fundamental_cycle(m: Mesh, parent, edge_id: int) -> dict:
     """Cycle formed by a non-tree edge plus the tree path between its ends,
-    the tree given by each vertex's parent edge (-1 at the root)."""
+    the tree given by each vertex's parent edge (-1 at the root): the edge
+    a -> b, the path up from b, then the path from a, reversed."""
     a, b = (int(x) for x in m.edges[int(edge_id)])
-    chain = {int(edge_id): 1}           # oriented a -> b
-    back = _tree_path_chain(m, parent, b, a)
-    for e, c in back.items():
-        chain[e] = chain.get(e, 0) + c
-    chain = {e: c for e, c in chain.items() if c}
-    if chain_boundary(m, chain):
+    paths = []
+    for v in (b, a):
+        path = []                       # (edge, sign of child -> parent)
+        while parent[v] != -1:
+            e = int(parent[v])
+            lo, hi = (int(x) for x in m.edges[e])
+            path.append((e, 1 if v == lo else -1))
+            v = lo + hi - v
+        paths.append(path)
+    up_b, up_a = paths
+    while up_b and up_a and up_b[-1] == up_a[-1]:   # above the meeting vertex
+        up_b.pop()
+        up_a.pop()
+    chain = {int(edge_id): 1}
+    chain.update(up_b)
+    chain.update((e, -s) for e, s in reversed(up_a))
+    if chain_boundary(m, chain):        # also when a and b lie in two trees
         raise TopologyError("fundamental cycle is not closed")
     return chain
 
@@ -350,16 +296,12 @@ def surface_cycle_basis(m: Mesh, b: BoundaryStructure,
     """Select 2g boundary cycles independent in H1 of the boundary surface."""
     C = m.incidence.C
 
-    genus2 = []
-    for comp, cv, ce in zip(b.components, b.component_vertices, b.component_edges):
-        chi = len(cv) - len(ce) + len(comp)
-        genus2.append(2 - chi)
-
     cycles = []
     closing = []
-    comps = []
     for r, comp in enumerate(b.components):
-        need = genus2[r]
+        # twice the genus: 2 - Euler characteristic of the closed surface
+        need = 2 - (len(b.component_vertices[r]) - len(b.component_edges[r])
+                    + len(comp))
         if need == 0:
             continue
         # cocycles of the surface, gauged on its boundary tree
@@ -378,13 +320,8 @@ def surface_cycle_basis(m: Mesh, b: BoundaryStructure,
         for e in picked:
             cycles.append(fundamental_cycle(m, tc.boundary_parent, int(e)))
             closing.append(int(e))
-            comps.append(r)
-
     return SurfaceCycleBasis(cycles=cycles,
-                             closing_edges=np.array(closing, dtype=np.int64),
-                             components=np.array(comps, dtype=np.int64),
-                             genus_per_component=np.array(
-                                 [x // 2 for x in genus2], dtype=np.int64))
+                             closing_edges=np.array(closing, dtype=np.int64))
 
 
 def domain_homology_basis(m: Mesh, tc: TreeCotree,

@@ -227,8 +227,8 @@ def test_cli_bad_coefficient_exit_1(tmp_path, coefficient):
                  "--config", str(cfg_path)]) == 1
 
 
-def _solve_exit_code(tmp_path, **config):
-    m = single_tet_mesh()
+def _solve_exit_code(tmp_path, mesh=None, **config):
+    m = single_tet_mesh() if mesh is None else mesh
     mesh_path = tmp_path / "tet.msh"
     write_gmsh(mesh_path, m.vertices, m.tets)
     cfg_path = tmp_path / "cfg.json"
@@ -253,3 +253,33 @@ def test_cli_bad_maxit_exit_1(tmp_path, capsys, maxit):
 def test_cli_bad_tol_exit_1(tmp_path, capsys, tol):
     assert _solve_exit_code(tmp_path, tol=tol) == 1
     assert "tol must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output", [["x.vtk"], 3, 1, True, {"file": "x"}])
+def test_cli_bad_output_exit_1(tmp_path, capsys, output):
+    assert _solve_exit_code(tmp_path, output=output) == 1
+    assert "output must be a file name or null" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_values", [2, 53], ids=["short", "long"])
+def test_cli_per_region_length_exit_1(tmp_path, capsys, n_values):
+    cube = structured_cube_mesh(2)                    # 48 tets
+    per_region = {"kind": "per_region", "values": [1.0] * n_values}
+    assert _solve_exit_code(tmp_path, mesh=cube, formulation="normal",
+                            coefficient=per_region) == 1
+    assert "one value per tet (48)" in capsys.readouterr().err
+
+
+def test_cli_per_region_2d_values_exit_1(tmp_path, capsys):
+    cube = structured_cube_mesh(2)
+    per_region = {"kind": "per_region", "values": [[1.0, 2.0]] * 24}
+    assert _solve_exit_code(tmp_path, mesh=cube, formulation="normal",
+                            coefficient=per_region) == 1
+    assert "must be a flat list" in capsys.readouterr().err
+
+
+def test_cli_per_region_one_value_per_tet_solves(tmp_path, capsys):
+    cube = structured_cube_mesh(2)
+    per_region = {"kind": "per_region", "values": [2.0] * cube.n_t}
+    assert _solve_exit_code(tmp_path, mesh=cube, formulation="normal",
+                            coefficient=per_region) == 0

@@ -5,9 +5,62 @@ import pytest
 
 from curldiv import betti
 from curldiv.cli import compute_topology
-from curldiv.topology import (_PRIME, _RowBasis, _cocycles, _face_sweep,
+from curldiv.topology import (_PRIME, TopologyError, _cocycles, _echelon,
+                              _face_sweep, _independent, _kernel,
                               build_boundary_first_tree, chain_boundary,
                               fundamental_cycle, surface_cycle_basis)
+
+
+class _RowBasis:
+    """Incremental row-echelon basis over GF(p) for sparse integer rows."""
+
+    def __init__(self, p: int = _PRIME):
+        self.p = p
+        self.pivots = {}        # pivot column -> reduced row (dict col -> val)
+
+    def _reduce(self, row: dict) -> dict:
+        p = self.p
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            c = min(row)
+            if c not in self.pivots:
+                return row
+            piv = self.pivots[c]
+            factor = row[c] * pow(piv[c], p - 2, p) % p
+            for pc, pv in piv.items():
+                nv = (row.get(pc, 0) - factor * pv) % p
+                if nv:
+                    row[pc] = nv
+                else:
+                    row.pop(pc, None)
+        return row
+
+    def add(self, row: dict) -> bool:
+        """Insert a row; True if it increased the rank."""
+        red = self._reduce(row)
+        if not red:
+            return False
+        self.pivots[min(red)] = red
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def kernel(self, n: int) -> np.ndarray:
+        """Rows spanning {x in GF(p)^n : r . x = 0 for every added row r}."""
+        p = self.p
+        free = [j for j in range(n) if j not in self.pivots]
+        out = np.zeros((len(free), n), dtype=np.int64)
+        for i, j in enumerate(free):
+            x = {j: 1}
+            # each pivot row involves only its pivot and later columns
+            for c in sorted(self.pivots, reverse=True):
+                row = self.pivots[c]
+                s = sum(v * x.get(cc, 0) for cc, v in row.items() if cc != c)
+                x[c] = -s * pow(row[c], p - 2, p) % p
+            out[i, list(x)] = list(x.values())
+        return out
 
 
 def _modular_rank(mat) -> int:
@@ -247,3 +300,95 @@ def test_tree_is_frozen_and_left_unchanged(torus):
     assert sorted(topo.tree.cotree_edges.tolist()) == sorted(cotree.tolist())
     with pytest.raises(dataclasses.FrozenInstanceError):
         tree.cotree_edges = cotree[::-1]
+
+
+# ---------------------------------------------------------------------------
+# the dense row reduction mod p against the dict elimination, and the tree
+# walk of fundamental_cycle against the summed walks to the root
+
+
+def _sparse(row) -> dict:
+    return {c: int(v) for c, v in enumerate(row) if v}
+
+
+def _greedy(rows) -> list:
+    """Indices of the rows independent of the rows before them."""
+    basis = _RowBasis()
+    return [i for i, row in enumerate(rows) if basis.add(_sparse(row))]
+
+
+def _matrices():
+    """400 seeded matrices of up to 7 rows: full-range residues,
+    rank-deficient integer products, and columns that repeat or vanish
+    modulo p."""
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        r, c = (int(x) for x in rng.integers(0, 8, size=2))
+        k = int(rng.integers(0, min(r, c) + 1))
+        low = rng.integers(-3, 4, size=(r, k)) @ rng.integers(-3, 4, size=(k, c))
+        yield rng.integers(0, _PRIME, size=(r, c))
+        yield low
+        yield (rng.integers(0, _PRIME, size=(r, k))
+               @ rng.integers(0, 2, size=(k, c)) % _PRIME)
+        yield np.column_stack([low, low[:, :1], _PRIME * low[:, -1:]])
+
+
+def test_echelon_matches_row_basis():
+    for A in _matrices():
+        E, pivots = _echelon(A)
+        rows = _RowBasis()
+        for row in A:
+            rows.add(_sparse(row))
+        assert len(pivots) == rows.rank
+        assert pivots.tolist() == _greedy(A.T)
+        assert np.array_equal(E[:, pivots], np.eye(len(pivots)))
+        # every row of A is the combination of E's rows given by its pivots
+        assert not np.any((A.astype(object)
+                           - A[:, pivots].astype(object) @ E) % _PRIME)
+        K = _kernel(A)
+        assert np.array_equal(K, rows.kernel(A.shape[1]))
+        assert not np.any((A.astype(object) @ K.T.astype(object)) % _PRIME)
+
+
+@pytest.mark.parametrize("need", [1, 3, 8])
+def test_independent_matches_greedy_rows(need):
+    for A in _matrices():
+        assert _independent(A, need).tolist() == _greedy(A)[:need]
+
+
+def _reference_cycle(m, parent, edge_id) -> dict:
+    """The edge a -> b, plus the walk from b to its root, less the walk
+    from a to its root taken backwards; shared edges cancel."""
+    chain = {}
+
+    def walk(v):
+        steps = []
+        while parent[v] != -1:
+            e = int(parent[v])
+            lo, hi = (int(x) for x in m.edges[e])
+            steps.append((e, 1 if v == lo else -1))
+            v = lo + hi - v
+        return steps
+    a, b = (int(x) for x in m.edges[edge_id])
+    for e, s in [(edge_id, 1)] + walk(b) + [(e, -s) for e, s in walk(a)[::-1]]:
+        chain[e] = chain.get(e, 0) + s
+    return {e: c for e, c in chain.items() if c}
+
+
+@pytest.mark.parametrize("mesh,fixture", TOPOLOGY_FIXTURES)
+def test_fundamental_cycle_matches_summed_walks(mesh, fixture, request):
+    m = request.getfixturevalue(mesh)
+    tc = request.getfixturevalue(fixture).tree
+    surface = np.concatenate(m.boundary.component_edges)
+    for e in tc.cotree_edges[np.isin(tc.cotree_edges, surface)][:50].tolist():
+        cycle = fundamental_cycle(m, tc.boundary_parent, e)
+        # same entries in the same order, so periods sum in the same order
+        assert list(cycle.items()) == list(
+            _reference_cycle(m, tc.boundary_parent, e).items())
+
+
+def test_fundamental_cycle_across_two_trees_raises(tet1):
+    ids = {tuple(int(x) for x in e): i for i, e in enumerate(tet1.edges)}
+    parent = np.array([-1, ids[0, 1], -1, ids[2, 3]])     # roots 0 and 2
+    with pytest.raises(TopologyError, match="not closed"):
+        fundamental_cycle(tet1, parent, ids[1, 2])
