@@ -2,9 +2,10 @@
 
 Two single-field formulations on tetrahedral meshes: a divergence-free
 Raviart-Thomas subspace with tangential boundary data, and a curl-free
-Nedelec subspace with normal boundary data.  Gauge fixing by a
-boundary-first tree-cotree decomposition with explicit homology
-generators; both reduced systems are symmetric positive definite.
+Nedelec subspace with normal boundary data.  A boundary-first
+tree-cotree decomposition with explicit homology generators gives the
+topology and the lifts; the normal system is symmetric positive definite,
+the tangential one is solved in the quotient space with a consistent load.
 """
 
 from .mesh import Mesh, MeshError, build_mesh
@@ -16,13 +17,13 @@ from .topology import (HomologyBasis, TopologyError, TreeCotree, betti,
 from .elements import (CoefficientField, ElementError, FEFunction, Space,
                        differential, interpolate, zero_function)
 from .lifts import (CurlData, DivergenceData, LiftError, clean_curl_data,
-                    component_fluxes, cycle_period, nedelec_potential,
-                    rt_potential)
+                    component_fluxes, cycle_period, harmonic_cocycles,
+                    nedelec_potential, rt_potential)
 from .solver import (AssembledSystem, NormalProblem, Solution, SolverError,
                      TangentialProblem, assemble_normal, assemble_tangential,
-                     build_L_star, build_N_star, edge_mass_matrix, error_norms,
-                     recover_solution, rt_mass_matrix, solve_spd,
-                     validate_tangential)
+                     build_L_star, build_N_star, consistent_load,
+                     edge_mass_matrix, error_norms, recover_solution,
+                     rt_mass_matrix, solve_spd, validate_tangential)
 from .mms import MMSCase, MMSError, REGISTRY, discrete_alpha, discrete_beta, get_case
 from .msh import GmshData, MshParseError, read_gmsh, write_gmsh
 from .vtk import write_vtk

@@ -146,6 +146,19 @@ def connected_components(n: int, u, v) -> np.ndarray:
         label = new
 
 
+def _number_rows(keys: np.ndarray):
+    """The distinct rows of an integer array in lexicographic order, the
+    number of each row among them, the first row with each and its count."""
+    order = np.lexsort(keys.T[::-1])         # stable: ties keep row order
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    number = np.empty(len(keys), dtype=np.int64)
+    number[order] = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    return ranked[new], number, order[starts], np.diff(starts, append=len(keys))
+
+
 def build_mesh(coords, tet_list) -> Mesh:
     """Assemble the oriented complex from vertex coordinates and tet tuples."""
     vertices = np.asarray(coords, dtype=np.float64)
@@ -164,9 +177,8 @@ def build_mesh(coords, tet_list) -> Mesh:
     if np.any(np.diff(tets, axis=1) == 0):
         bad = int(np.where(np.any(np.diff(tets, axis=1) == 0, axis=1))[0][0])
         raise MeshError(f"degenerate tet {bad}: repeated vertex")
-    _, first, inverse = np.unique(tets, axis=0, return_index=True,
-                                  return_inverse=True)
-    first = first[inverse.ravel()]          # first tet with the same vertices
+    _, number, first, _ = _number_rows(tets)
+    first = first[number]                   # first tet with the same vertices
     dup = np.flatnonzero(first != np.arange(len(tets)))
     if len(dup):
         raise MeshError(f"duplicate tet {dup[0]} (same vertices as "
@@ -181,13 +193,11 @@ def build_mesh(coords, tet_list) -> Mesh:
     tet_orient = np.where(svol > 0, 1, -1).astype(np.int64)
     volumes = np.abs(svol)
 
-    # sub-simplex keys of sorted tets are sorted, so np.unique numbers them
-    # in lexicographic order
-    edges, tet_edges = np.unique(tets[:, LOCAL_EDGES].reshape(-1, 2), axis=0,
-                                 return_inverse=True)
-    faces, tet_faces, count = np.unique(tets[:, LOCAL_FACES].reshape(-1, 3),
-                                        axis=0, return_inverse=True,
-                                        return_counts=True)
+    # sub-simplex keys of sorted tets are sorted, so they are numbered in
+    # lexicographic order
+    edges, tet_edges, _, _ = _number_rows(tets[:, LOCAL_EDGES].reshape(-1, 2))
+    faces, tet_faces, _, count = _number_rows(
+        tets[:, LOCAL_FACES].reshape(-1, 3))
     if np.any(count > 2):
         f = int(np.argmax(count > 2))
         raise MeshError(f"non-manifold face {tuple(map(int, faces[f]))}: "

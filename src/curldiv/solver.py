@@ -3,18 +3,26 @@
 Tangential problem: curl(eta u) = J, div u = g, (eta u) x n = a on the
 boundary, prescribed component fluxes alpha.  Normal problem: curl u = J,
 div(mu u) = g, mu u . n = b, prescribed homology periods beta.  Both are
-reduced to symmetric positive definite systems on a gauged basis, solved
-by Jacobi-preconditioned conjugate gradients.
+solved by Jacobi-preconditioned conjugate gradients.
 
-Both gauged bases are index sets.  N*_h is the cotree less the g closing
-edges of the domain generators sigma_n, so u_h - lift lies in curl N*_h:
-C restricted to those edge columns.  L*_h is every vertex but the last, so
-u_h - lift lies in grad L*_h: G restricted to those vertex columns.
+Normal: u_h - lift lies in grad L*_h, G restricted to the vertex columns
+L*_h (every vertex but the last), and K = G^T M_mu G is positive definite.
+
+Tangential: u_h = C x + lift over all edges, with K = C^T M_eta C
+semidefinite on the quotient space N_h / ker C.  CG converges on it
+because the load is made consistent first: the edge load F loses its
+M_e-projection onto ker C, the gradients plus the g harmonic cocycles
+(Ren, IEEE Trans. Magn. 32(3), 1996).  The projection does not depend on
+the basis of ker C, so u_h does not depend on the vertex numbering, and
+the curl of every CG iterate lies in W0h.  The tree-cotree gauged basis
+N*_h (the cotree less the g closing edges of the domain generators
+sigma_n) gives the same u_h as a positive definite system; it stays as
+the reference of the topology and the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,6 +72,8 @@ class NormalProblem:
 class AssembledSystem:
     K: sp.csr_matrix
     rhs: np.ndarray
+    # tangential: |Z^T F| / |F| of the raw load against ker C, per part
+    load_compatibility: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -309,17 +319,55 @@ def validate_tangential(p: TangentialProblem, m: Mesh,
 # assembly
 
 
+def consistent_load(m: Mesh, F: np.ndarray,
+                    cocycles: np.ndarray) -> tuple[np.ndarray, dict]:
+    """F - M_e Z (Z^T M_e Z)^-1 Z^T F, Z = [G[:, L*_h], H] spanning ker C.
+
+    M_e is the Nedelec mass with the identity coefficient and H the
+    (n_e, g) cocycles.  The gradient part is one Jacobi-CG solve with
+    G^T M_e G; H is made M_e-orthogonal to the gradients, one solve per
+    column, then its part is one g x g solve.  Also returns |G^T F| and
+    |H^T F| for the orthogonalised H, each over |F|.
+    """
+    norm = np.linalg.norm(F)
+    if norm == 0.0:
+        return F, {"gradient": 0.0, "harmonic": 0.0}
+    M = edge_mass_matrix(m, CoefficientField.identity())
+    G = _reduced_operator(m, "normal", build_L_star(m))
+    A = (G.T @ M @ G).tocsr()
+
+    def grad_part(v):
+        """The gradient G phi whose M_e-pairings with grad L*_h are G^T v."""
+        return G @ solve_spd(AssembledSystem(K=A, rhs=G.T @ v))
+
+    H = np.array(cocycles, dtype=np.float64)
+    for n in range(H.shape[1]):
+        H[:, n] -= grad_part(M @ H[:, n])
+    GtF, HtF = G.T @ F, H.T @ F
+    y = np.linalg.solve(H.T @ (M @ H), HtF)
+    Fc = F - M @ (grad_part(F) + H @ y)
+    return Fc, {"gradient": float(np.linalg.norm(GtF) / norm),
+                "harmonic": float(np.linalg.norm(HtF) / norm)}
+
+
 def assemble_tangential(p: TangentialProblem, m: Mesh, dofs: np.ndarray,
-                        lift: FEFunction) -> AssembledSystem:
-    """K = S^T M_eta S and rhs = F[dofs] - S^T M_eta lift, S = C[:, dofs]."""
+                        lift: FEFunction,
+                        cocycles: np.ndarray) -> AssembledSystem:
+    """K = S^T M_eta S and rhs = F[dofs] - S^T M_eta lift, S = C[:, dofs],
+    with F the consistent load against ker C (``consistent_load``).
+
+    All edges as dofs give the quotient-space system of the solve; the
+    gauged dofs of ``build_N_star`` give its positive definite reference.
+    """
     if lift.space != Space.FACE:
         raise SolverError("tangential lift must be an RT function")
-    S = _reduced_operator(m, "tangential", dofs)        # (n_f, n_Q - g)
+    S = _reduced_operator(m, "tangential", dofs)
     M = rt_mass_matrix(m, p.eta)
     K = (S.T @ M @ S).tocsr()
-    F = _edge_load(m, p.J) + _tangential_boundary_load(m, p.a)
+    F, compat = consistent_load(
+        m, _edge_load(m, p.J) + _tangential_boundary_load(m, p.a), cocycles)
     rhs = F[dofs] - S.T @ (M @ lift.coeffs)
-    return AssembledSystem(K=K, rhs=rhs)
+    return AssembledSystem(K=K, rhs=rhs, load_compatibility=compat)
 
 
 def assemble_normal(p: NormalProblem, m: Mesh, dofs: np.ndarray,
@@ -341,7 +389,9 @@ def assemble_normal(p: NormalProblem, m: Mesh, dofs: np.ndarray,
 
 def solve_spd(s: AssembledSystem, tol: float = 1e-10,
               maxit: int | None = None) -> np.ndarray:
-    """Jacobi-preconditioned CG; raises on stagnation or negative curvature."""
+    """Jacobi-preconditioned CG; raises on stagnation or negative curvature.
+
+    K may be semidefinite if rhs is orthogonal to its kernel."""
     K = s.K
     b = s.rhs
     n = K.shape[0]

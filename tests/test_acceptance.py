@@ -13,8 +13,8 @@ from curldiv import (CoefficientField, CurlData, DivergenceData, FEFunction,
                      NormalProblem, TangentialProblem, assemble_normal,
                      assemble_tangential, build_L_star, build_N_star,
                      component_fluxes, cycle_period, differential, error_norms,
-                     interpolate, nedelec_potential, recover_solution,
-                     rt_potential, solve_spd)
+                     harmonic_cocycles, interpolate, nedelec_potential,
+                     recover_solution, rt_potential, solve_spd)
 from curldiv.cli import (ProblemConfig, compute_topology, run_convergence,
                          solve_on_mesh)
 from curldiv.mms import get_case
@@ -29,6 +29,10 @@ def _zeros_v(p):
 
 def _zeros_s(p):
     return np.zeros(len(p))
+
+
+def _cocycles(m, topo):
+    return harmonic_cocycles(m, topo.tree, topo.homology)
 
 
 def test_criterion_01_convergence_tangential():
@@ -112,7 +116,8 @@ def test_criterion_06_uniqueness_zero_data(request):
         prob_t = TangentialProblem(CoefficientField.identity(), _zeros_v,
                                    _zeros_s, _zeros_v,
                                    np.zeros(topo.boundary.p))
-        W = solve_spd(assemble_tangential(prob_t, m, gb, lift_t))
+        W = solve_spd(assemble_tangential(prob_t, m, gb, lift_t,
+                                          _cocycles(m, topo)))
         assert np.abs(W).max() <= 1e-10
         rb = build_L_star(m)
         lift_n = FEFunction("edge", m, np.zeros(m.n_e))
@@ -136,7 +141,8 @@ def test_criterion_07_spd(request):
             lift_t = FEFunction("face", m, np.zeros(m.n_f))
             prob_t = TangentialProblem(coef, _zeros_v, _zeros_s, _zeros_v,
                                        np.zeros(topo.boundary.p))
-            Kt = assemble_tangential(prob_t, m, gb, lift_t).K
+            Kt = assemble_tangential(prob_t, m, gb, lift_t,
+                                     _cocycles(m, topo)).K
             lift_n = FEFunction("edge", m, np.zeros(m.n_e))
             prob_n = NormalProblem(coef, _zeros_v, _zeros_s, _zeros_s,
                                    np.zeros(topo.homology.g))
@@ -219,7 +225,8 @@ def test_criterion_09_lift_contracts(request, cube2, topo_cube2, torus,
     probes = rng.uniform(0.1, 0.9, size=(10, 3))
     vals = []
     for lf in (base, shifted):
-        s = assemble_tangential(prob, cube2, gb, lf)
+        s = assemble_tangential(prob, cube2, gb, lf,
+                                _cocycles(cube2, topo_cube2))
         sol = recover_solution("tangential", solve_spd(s, tol=1e-12), gb, lf)
         vals.append(eval_at_points(sol.u_h, probes))
     pscale = 1.0 + np.abs(vals[0]).max()

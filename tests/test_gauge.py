@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 from curldiv import (AssembledSystem, CoefficientField, DivergenceData,
                      FEFunction, TangentialProblem, assemble_tangential,
-                     build_L_star, build_N_star, component_fluxes, interpolate,
+                     build_L_star, build_N_star, component_fluxes,
+                     consistent_load, harmonic_cocycles, interpolate,
                      recover_solution, rt_potential, solve_spd)
 from curldiv.cli import compute_topology
 from curldiv.mms import get_case
@@ -204,13 +205,15 @@ def test_tangential_system_matches_sparse_reference(mesh, request):
     lift = rt_potential(m, b, DivergenceData(interpolate("cell", case.g, m),
                                              prob.alpha))
     dofs = _gauged(topo)
-    system = assemble_tangential(prob, m, dofs, lift)
+    H = harmonic_cocycles(m, topo.tree, topo.homology)
+    system = assemble_tangential(prob, m, dofs, lift, H)
     sol = recover_solution("tangential", solve_spd(system), dofs, lift)
 
     fields = _reference_fields(topo.tree, kernel, m.n_e)
     S = (m.incidence.C @ fields).tocsc()
     M = rt_mass_matrix(m, prob.eta)
-    F = _edge_load(m, prob.J) + _tangential_boundary_load(m, prob.a)
+    F, _ = consistent_load(
+        m, _edge_load(m, prob.J) + _tangential_boundary_load(m, prob.a), H)
     rhs = np.asarray(fields.T @ F).ravel()
     rhs -= np.asarray(S.T @ (M @ lift.coeffs)).ravel()
     ref = AssembledSystem(K=(S.T @ M @ S).tocsr(), rhs=rhs)

@@ -6,7 +6,8 @@ import pytest
 from curldiv import (FEFunction, MshParseError, interpolate, read_gmsh,
                      write_gmsh, write_vtk)
 from curldiv.cli import main, parse_config, ConfigError
-from curldiv.meshes import single_tet_mesh, structured_cube_mesh
+from curldiv.meshes import (hollow_ball_mesh, single_tet_mesh,
+                            structured_cube_mesh)
 from curldiv.vtk import read_vtk_cell_count
 
 MINIMAL_MSH = """$MeshFormat
@@ -283,3 +284,27 @@ def test_cli_per_region_one_value_per_tet_solves(tmp_path, capsys):
     per_region = {"kind": "per_region", "values": [2.0] * cube.n_t}
     assert _solve_exit_code(tmp_path, mesh=cube, formulation="normal",
                             coefficient=per_region) == 0
+
+
+@pytest.mark.parametrize("value", [[[0.0]], 0.5], ids=["2d", "scalar"])
+@pytest.mark.parametrize("name, formulation", [("alpha", "tangential"),
+                                               ("beta", "normal")])
+def test_cli_alpha_beta_not_flat_exit_1(tmp_path, capsys, name, formulation,
+                                        value):
+    # a 2-D alpha of the right length ended in a TypeError
+    assert _solve_exit_code(tmp_path, mesh=hollow_ball_mesh(),
+                            formulation=formulation, **{name: value}) == 1
+    assert f"{name} must be a flat list of finite numbers" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name, formulation", [("alpha", "tangential"),
+                                               ("beta", "normal")])
+def test_cli_alpha_beta_not_finite_exit_1(tmp_path, capsys, name, formulation,
+                                          value):
+    # a NaN alpha ran CG to its iteration limit before failing
+    assert _solve_exit_code(tmp_path, mesh=hollow_ball_mesh(),
+                            formulation=formulation, **{name: [value]}) == 1
+    assert f"{name} must be a flat list of finite numbers" in \
+        capsys.readouterr().err

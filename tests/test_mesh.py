@@ -166,7 +166,8 @@ def _reference_sub_simplices(tets):
 
 
 @pytest.mark.parametrize("fixture", ["tet1", "cube2", "torus", "hollow",
-                                     "torus_cavity"])
+                                     "torus_cavity", "genus2",
+                                     "handle_cavity"])
 @pytest.mark.parametrize("seed", [None, 3])
 def test_sub_simplices_match_reference(fixture, seed, request):
     m = request.getfixturevalue(fixture)
@@ -179,6 +180,22 @@ def test_sub_simplices_match_reference(fixture, seed, request):
     for got, want in zip((m.edges, m.faces, m.tet_edges, m.tet_faces),
                          _reference_sub_simplices(m.tets)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_number_rows_matches_unique(width):
+    from curldiv.mesh import _number_rows
+    rng = np.random.default_rng(width)
+    for n in (0, 1, 7, 500):
+        keys = rng.integers(0, 6, size=(n, width))
+        rows, number, first, count = _number_rows(keys)
+        want, want_first, want_number, want_count = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True,
+            return_counts=True)
+        assert np.array_equal(rows, want)
+        assert np.array_equal(number, want_number.ravel())
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(count, want_count)
 
 
 def test_boundary_that_is_not_a_closed_surface_rejected():

@@ -8,9 +8,9 @@ from curldiv import (AssembledSystem, CoefficientField, CurlData,
                      DivergenceData, FEFunction, NormalProblem, SolverError,
                      TangentialProblem, assemble_normal, assemble_tangential,
                      build_L_star, build_N_star, build_mesh, component_fluxes,
-                     cycle_period, error_norms, interpolate, nedelec_potential,
-                     recover_solution, rt_potential, solve_spd,
-                     validate_tangential)
+                     cycle_period, error_norms, harmonic_cocycles,
+                     interpolate, nedelec_potential, recover_solution,
+                     rt_potential, solve_spd, validate_tangential)
 from curldiv.cli import ProblemConfig, compute_topology, solve_on_mesh
 from curldiv.elements import eval_field
 from curldiv.meshes import structured_cube_mesh
@@ -26,6 +26,10 @@ def _zeros_v(p):
 
 def _zeros_s(p):
     return np.zeros(len(p))
+
+
+def _cocycles(m, topo):
+    return harmonic_cocycles(m, topo.tree, topo.homology)
 
 
 def _oracle_rt_mass(m):
@@ -61,7 +65,8 @@ def test_tangential_K_matches_dense_oracle(cube1, topo_cube1):
     lift = FEFunction("face", cube1, np.zeros(cube1.n_f))
     prob = TangentialProblem(CoefficientField.identity(), _zeros_v, _zeros_s,
                              _zeros_v, np.zeros(0))
-    system = assemble_tangential(prob, cube1, gb, lift)
+    system = assemble_tangential(prob, cube1, gb, lift,
+                                 _cocycles(cube1, topo_cube1))
     S = cube1.incidence.C.toarray()[:, gb]
     K_oracle = S.T @ _oracle_rt_mass(cube1) @ S
     K = system.K.toarray()
@@ -73,7 +78,8 @@ def test_tangential_K_symmetric(cube2, topo_cube2):
     lift = FEFunction("face", cube2, np.zeros(cube2.n_f))
     prob = TangentialProblem(CoefficientField.scalar(2.0), _zeros_v, _zeros_s,
                              _zeros_v, np.zeros(0))
-    K = assemble_tangential(prob, cube2, gb, lift).K
+    K = assemble_tangential(prob, cube2, gb, lift,
+                            _cocycles(cube2, topo_cube2)).K
     assert abs(K - K.T).max() <= 1e-12 * abs(K).max()
 
 
@@ -82,7 +88,8 @@ def test_tangential_zero_data_zero_rhs(cube1, topo_cube1):
     lift = FEFunction("face", cube1, np.zeros(cube1.n_f))
     prob = TangentialProblem(CoefficientField.identity(), _zeros_v, _zeros_s,
                              _zeros_v, np.zeros(0))
-    system = assemble_tangential(prob, cube1, gb, lift)
+    system = assemble_tangential(prob, cube1, gb, lift,
+                                 _cocycles(cube1, topo_cube1))
     assert np.abs(system.rhs).max() == 0.0
 
 
@@ -155,7 +162,8 @@ def test_galerkin_residual_after_solve(cube2, topo_cube2):
                         DivergenceData(g_h, np.zeros(0)))
     prob = TangentialProblem(CoefficientField.identity(), case.J, case.g,
                              case.a(), np.zeros(0))
-    system = assemble_tangential(prob, cube2, gb, lift)
+    system = assemble_tangential(prob, cube2, gb, lift,
+                                 _cocycles(cube2, topo_cube2))
     W = solve_spd(system, tol=1e-12)
     resid = np.abs(system.rhs - system.K @ W).max()
     assert resid <= 1e-10 * (1.0 + np.abs(system.rhs).max())
@@ -213,8 +221,9 @@ def test_scaling_equivariance(cube1, topo_cube1):
     a2 = case.a(CoefficientField.scalar(c))
     prob2 = TangentialProblem(CoefficientField.scalar(c), scaled_J, case.g,
                               a2, np.zeros(0))
-    s1 = assemble_tangential(prob1, cube1, gb, lift)
-    s2 = assemble_tangential(prob2, cube1, gb, lift)
+    H = _cocycles(cube1, topo_cube1)
+    s1 = assemble_tangential(prob1, cube1, gb, lift, H)
+    s2 = assemble_tangential(prob2, cube1, gb, lift, H)
     assert np.abs(s2.K.toarray() - c * s1.K.toarray()).max() <= \
         1e-12 * abs(s1.K).max() * c
     u1 = recover_solution("tangential", solve_spd(s1, tol=1e-12), gb, lift)
@@ -268,7 +277,8 @@ def test_lift_independence_tangential(cube2, topo_cube2):
                              case.a(), np.zeros(0))
     sols = []
     for lf in (lift, lift2):
-        s = assemble_tangential(prob, cube2, gb, lf)
+        s = assemble_tangential(prob, cube2, gb, lf,
+                                _cocycles(cube2, topo_cube2))
         sols.append(recover_solution("tangential",
                                      solve_spd(s, tol=1e-12), gb, lf))
     scale = 1.0 + np.abs(sols[0].u_h.coeffs).max()
