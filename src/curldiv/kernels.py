@@ -1,7 +1,9 @@
 """Element-loop kernels for assembly, evaluation and error quadrature.
 
 Each kernel is one vectorized numpy expression over all tets and
-quadrature points at once.
+quadrature points at once.  The per-tet geometry they take (barycentric
+gradients and signed 6*volume) is computed once per mesh, by
+``Mesh.tet_geometry``.
 
 Conventions: tets carry sorted vertex indices, so the local Whitney bases
 (edge pairs and face triples in lexicographic order) coincide with the
@@ -17,17 +19,22 @@ _EDGE_B = np.array([1, 2, 3, 2, 3, 3], dtype=np.int64)
 _FACE_V = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], dtype=np.int64)
 
 
+def tet_jacobian(vertices, tets):
+    """Edge vectors p1 - p0, p2 - p0, p3 - p0 as columns: (n_t, 3, 3)."""
+    p = vertices[tets]                       # (n_t, 4, 3)
+    return np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]],
+                    axis=2)
+
+
 def tet_geometry(vertices, tets):
     """Barycentric gradients (n_t, 4, 3) and signed 6*volume (n_t,)."""
-    p = vertices[tets]                       # (n_t, 4, 3)
-    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]],
-                 axis=2)                     # columns
+    J = tet_jacobian(vertices, tets)
     det = np.linalg.det(J)
     Jinv = np.linalg.inv(J)
     grads = np.empty((len(tets), 4, 3))
     grads[:, 1:] = Jinv
     grads[:, 0] = -Jinv.sum(axis=1)
-    return np.ascontiguousarray(grads), det
+    return grads, det
 
 
 def physical_points(vertices, tets, bary):
@@ -40,13 +47,15 @@ def physical_points(vertices, tets, bary):
 
 
 def edge_basis_values(grads, bary):
-    """Whitney edge functions at quadrature points: (n_t, nq, 6, 3)."""
-    la = bary[:, _EDGE_A]                    # (nq, 6)
-    lb = bary[:, _EDGE_B]
+    """Whitney edge functions at quadrature points: (n_t, nq, 6, 3).
+
+    ``bary`` holds points shared by every tet, (nq, 4), or points of each
+    tet, (n_t, nq, 4).
+    """
     ga = grads[:, _EDGE_A]                   # (n_t, 6, 3)
     gb = grads[:, _EDGE_B]
-    return (la[None, :, :, None] * gb[:, None] -
-            lb[None, :, :, None] * ga[:, None])
+    return (bary[..., _EDGE_A, None] * gb[:, None] -
+            bary[..., _EDGE_B, None] * ga[:, None])
 
 
 def rt_basis_values(grads, bary):

@@ -15,6 +15,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from . import kernels
+
 
 class MeshError(ValueError):
     pass
@@ -88,6 +90,11 @@ class Mesh:
         return np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
 
     @cached_property
+    def tet_geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """Barycentric gradients (n_t, 4, 3) and signed 6*volume (n_t,)."""
+        return kernels.tet_geometry(self.vertices, self.tets)
+
+    @cached_property
     def incidence(self) -> "IncidenceOperators":
         return derive_incidence(self)
 
@@ -124,11 +131,6 @@ class BoundaryStructure:
 
     def internal_components(self):
         return [r for r in range(len(self.components)) if r != self.external_index]
-
-
-def _signed_volume(p):
-    return np.linalg.det(np.stack([p[1] - p[0], p[2] - p[0], p[3] - p[0]],
-                                  axis=-1)) / 6.0
 
 
 def connected_components(n: int, u, v) -> np.ndarray:
@@ -186,7 +188,7 @@ def build_mesh(coords, tet_list) -> Mesh:
 
     lo, hi = vertices.min(axis=0), vertices.max(axis=0)
     diag = float(np.linalg.norm(hi - lo))
-    svol = _signed_volume(np.transpose(vertices[tets], (1, 0, 2)))
+    svol = np.linalg.det(kernels.tet_jacobian(vertices, tets)) / 6.0
     if np.any(np.abs(svol) < DEGENERACY_TOL * diag ** 3):
         bad = int(np.argmin(np.abs(svol)))
         raise MeshError(f"degenerate tet {bad}: volume below tolerance")

@@ -3,11 +3,13 @@
 Points are stored in barycentric coordinates, weights sum to the reference
 measure (1 for the unit segment, 1/2 for the unit triangle, 1/6 for the unit
 tetrahedron).  Every rule is checked against monomial integrals at
-construction time.
+construction time.  Rules are built once per process and shared, so their
+arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,6 +27,10 @@ class QuadratureRule:
     degree: int               # polynomial exactness
     points: np.ndarray        # (nq, d+1) barycentric coordinates
     weights: np.ndarray       # (nq,), sum = reference measure
+
+    def __post_init__(self):
+        self.points.setflags(write=False)
+        self.weights.setflags(write=False)
 
     @property
     def cartesian(self) -> np.ndarray:
@@ -148,6 +154,7 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+@functools.cache
 def make_quadrature(kind: str, degree: int) -> QuadratureRule:
     """Return a verified rule exact for polynomials up to ``degree``."""
     if kind not in _REF_MEASURE:
@@ -168,6 +175,7 @@ def make_quadrature(kind: str, degree: int) -> QuadratureRule:
     return rule
 
 
+@functools.cache
 def subdivided_tri_rule(degree: int, depth: int) -> QuadratureRule:
     """Composite triangle rule: uniform 4-way subdivision applied ``depth``
     times to a base rule.  Used for high-accuracy data validation integrals."""

@@ -36,8 +36,10 @@ from .topology import HomologyBasis, TreeCotree
 VOLUME_DEGREE = 2
 BOUNDARY_DEGREE = 3
 ERROR_DEGREE = 4
-# faces per block in the refined flux pass of validate_tangential
+# faces per block in the refined flux pass of validate_tangential, and the
+# residual above which it warns
 _VALIDATE_BLOCK = 512
+_VALIDATE_TOL = 1e-8
 
 
 class SolverError(RuntimeError):
@@ -116,7 +118,7 @@ def _reduced_operator(m: Mesh, kind: str, dofs: np.ndarray) -> sp.csc_matrix:
 def _global_mass(m: Mesh, coef: CoefficientField,
                  space: Space) -> sp.csr_matrix:
     rule = make_quadrature("tet", VOLUME_DEGREE)
-    grads, det = kernels.tet_geometry(m.vertices, m.tets)
+    grads, det = m.tet_geometry
     pts = kernels.physical_points(m.vertices, m.tets, rule.points)
     cvals = coef.at_quadrature(np.arange(m.n_t), pts)
     if space == Space.FACE:
@@ -150,28 +152,24 @@ def edge_mass_matrix(m: Mesh, coef: CoefficientField) -> sp.csr_matrix:
 def _edge_load(m: Mesh, fn) -> np.ndarray:
     """Global vector of integrals of fn against the edge basis."""
     rule = make_quadrature("tet", VOLUME_DEGREE)
-    grads, det = kernels.tet_geometry(m.vertices, m.tets)
+    grads, det = m.tet_geometry
     pts = kernels.physical_points(m.vertices, m.tets, rule.points)
     fvals = eval_field(fn, pts.reshape(-1, 3), vector=True)
     fvals = fvals.reshape(m.n_t, -1, 3)
     basis = kernels.edge_basis_values(grads, rule.points)
     local = kernels.local_vector_load(basis, det, rule.weights, fvals)
-    out = np.zeros(m.n_e)
-    np.add.at(out, m.tet_edges.ravel(), local.ravel())
-    return out
+    return np.bincount(m.tet_edges.ravel(), local.ravel(), minlength=m.n_e)
 
 
 def _nodal_load(m: Mesh, fn) -> np.ndarray:
     """Global vector of integrals of a scalar fn against P1 hat functions."""
     rule = make_quadrature("tet", VOLUME_DEGREE)
-    _, det = kernels.tet_geometry(m.vertices, m.tets)
+    _, det = m.tet_geometry
     pts = kernels.physical_points(m.vertices, m.tets, rule.points)
     gvals = eval_field(fn, pts.reshape(-1, 3), vector=False)
     gvals = gvals.reshape(m.n_t, -1)
     local = kernels.local_scalar_load(rule.points, det, rule.weights, gvals)
-    out = np.zeros(m.n_v)
-    np.add.at(out, m.tets.ravel(), local.ravel())
-    return out
+    return np.bincount(m.tets.ravel(), local.ravel(), minlength=m.n_v)
 
 
 def _eval_boundary(fn, points, normals, vector: bool) -> np.ndarray:
@@ -181,72 +179,46 @@ def _eval_boundary(fn, points, normals, vector: bool) -> np.ndarray:
     return eval_field(fn, points, vector)
 
 
-def _outward_normals(m: Mesh, faces: np.ndarray) -> np.ndarray:
-    return m.face_normals[faces] * m.boundary.face_sign[faces, None]
-
-
-def _boundary_face_geometry(m: Mesh, faces: np.ndarray, rule):
-    """Physical quad points, tet barycentric coords and owner data per face."""
-    b = m.boundary
-    owners = b.face_owner[faces]
-    fverts = m.vertices[m.faces[faces]]                 # (nbf, 3, 3)
-    pts = np.einsum("qi,fix->fqx", rule.points, fverts)  # (nbf, nq, 3)
-    grads, _ = kernels.tet_geometry(m.vertices, m.tets[owners])
-    p0 = m.vertices[m.tets[owners][:, 0]]               # (nbf, 3)
-    # lam(x) = e_0 + grads . (x - p0), affine on the owner tet
-    rel = pts - p0[:, None, :]
-    lam = np.einsum("fix,fqx->fqi", grads, rel)
-    lam[:, :, 0] += 1.0
-    return pts, lam, grads, owners
+def _boundary_quadrature(m: Mesh, fn, vector: bool):
+    """The boundary faces, the tri rule, its physical points (nbf, nq, 3),
+    the outward unit normals (nbf, 3), fn at the points and the 2*area
+    scale of each face (the tri weights sum to 1/2)."""
+    faces = m.boundary.boundary_faces
+    rule = make_quadrature("tri", BOUNDARY_DEGREE)
+    pts = np.einsum("qi,fix->fqx", rule.points, m.vertices[m.faces[faces]])
+    nbf, nq = pts.shape[:2]
+    nrm = m.face_normals[faces] * m.boundary.face_sign[faces, None]
+    nrm_q = np.broadcast_to(nrm[:, None, :], (nbf, nq, 3)).reshape(-1, 3)
+    vals = _eval_boundary(fn, pts.reshape(-1, 3), nrm_q, vector)
+    return (faces, rule, pts, nrm, vals.reshape(nbf, nq, *vals.shape[1:]),
+            2.0 * m.face_areas[faces])
 
 
 def _tangential_boundary_load(m: Mesh, a_fn) -> np.ndarray:
     """Integrals of the tangential field a against edge-basis traces."""
-    b = m.boundary
-    faces = np.asarray(b.boundary_faces, dtype=np.int64)
-    if len(faces) == 0:
-        return np.zeros(m.n_e)
-    rule = make_quadrature("tri", BOUNDARY_DEGREE)
-    pts, lam, grads, owners = _boundary_face_geometry(m, faces, rule)
-    nbf, nq = pts.shape[:2]
-    nrm = _outward_normals(m, faces)
-    nrm_q = np.broadcast_to(nrm[:, None, :], (nbf, nq, 3)).reshape(-1, 3)
-    avals = _eval_boundary(a_fn, pts.reshape(-1, 3), nrm_q, vector=True)
-    avals = avals.reshape(nbf, nq, 3)
+    faces, rule, pts, nrm, avals, scale = _boundary_quadrature(
+        m, a_fn, vector=True)
     # project a onto the tangent plane; normal component must not contribute
     avals = avals - np.einsum("fqx,fx->fq", avals, nrm)[:, :, None] * nrm[:, None, :]
-    # edge basis of the owner tet evaluated on the face
-    la = lam[:, :, kernels._EDGE_A]                     # (nbf, nq, 6)
-    lb = lam[:, :, kernels._EDGE_B]
-    ga = grads[:, kernels._EDGE_A]                      # (nbf, 6, 3)
-    gb = grads[:, kernels._EDGE_B]
-    wvals = (la[:, :, :, None] * gb[:, None] - lb[:, :, :, None] * ga[:, None])
-    scale = 2.0 * m.face_areas[faces]                   # tri weights sum to 1/2
+    # edge basis of the owner tet on the face, whose barycentric coords are
+    # lam(x) = e_0 + grads . (x - p0), affine on the owner tet
+    owners = m.boundary.face_owner[faces]
+    grads = m.tet_geometry[0][owners]                   # (nbf, 4, 3)
+    p0 = m.vertices[m.tets[owners, 0]]                  # (nbf, 3)
+    lam = np.einsum("fix,fqx->fqi", grads, pts - p0[:, None, :])
+    lam[:, :, 0] += 1.0
+    wvals = kernels.edge_basis_values(grads, lam)
     local = np.einsum("fqix,fqx,q,f->fi", wvals, avals, rule.weights, scale)
-    out = np.zeros(m.n_e)
-    np.add.at(out, m.tet_edges[owners].ravel(), local.ravel())
-    return out
+    return np.bincount(m.tet_edges[owners].ravel(), local.ravel(),
+                       minlength=m.n_e)
 
 
 def _scalar_boundary_load(m: Mesh, b_fn) -> np.ndarray:
     """Integrals of a scalar boundary field against P1 traces."""
-    b = m.boundary
-    faces = np.asarray(b.boundary_faces, dtype=np.int64)
-    if len(faces) == 0:
-        return np.zeros(m.n_v)
-    rule = make_quadrature("tri", BOUNDARY_DEGREE)
-    fverts = m.vertices[m.faces[faces]]
-    pts = np.einsum("qi,fix->fqx", rule.points, fverts)
-    nbf, nq = pts.shape[:2]
-    nrm = _outward_normals(m, faces)
-    nrm_q = np.broadcast_to(nrm[:, None, :], (nbf, nq, 3)).reshape(-1, 3)
-    bvals = _eval_boundary(b_fn, pts.reshape(-1, 3), nrm_q, vector=False)
-    bvals = bvals.reshape(nbf, nq)
-    scale = 2.0 * m.face_areas[faces]
+    faces, rule, _, _, bvals, scale = _boundary_quadrature(
+        m, b_fn, vector=False)
     local = np.einsum("fq,qi,q,f->fi", bvals, rule.points, rule.weights, scale)
-    out = np.zeros(m.n_v)
-    np.add.at(out, m.faces[faces].ravel(), local.ravel())
-    return out
+    return np.bincount(m.faces[faces].ravel(), local.ravel(), minlength=m.n_v)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +226,7 @@ def _scalar_boundary_load(m: Mesh, b_fn) -> np.ndarray:
 
 
 def validate_tangential(p: TangentialProblem, m: Mesh,
-                        b: BoundaryStructure, tol: float = 1e-8) -> dict:
+                        b: BoundaryStructure) -> dict:
     """Necessary-condition checks on tangential data; warnings, no failures.
 
     The divergence check integrates J.n over every face with a refined
@@ -282,7 +254,7 @@ def validate_tangential(p: TangentialProblem, m: Mesh,
     scale = 1.0 + np.abs(flux).max()
     div_resid = float(np.abs(m.incidence.D @ flux).max() / scale)
     report["div_check"] = div_resid
-    if div_resid > tol:
+    if div_resid > _VALIDATE_TOL:
         report["warnings"].append(
             f"J is not divergence free (face-flux residual {div_resid:.3e})")
 
@@ -308,7 +280,7 @@ def validate_tangential(p: TangentialProblem, m: Mesh,
     circ = np.einsum("feqx,fex,q->f", tang, tail - head, erule.weights)
     worst = float(np.abs(sign * flux[faces] - circ).max(initial=0.0))
     report["trace_check"] = worst
-    if worst > tol:
+    if worst > _VALIDATE_TOL:
         report["warnings"].append(
             f"J.n does not match the surface divergence of a "
             f"(worst face residual {worst:.3e})")
@@ -449,7 +421,7 @@ def error_norms(sol: Solution, exact_u, exact_diff) -> tuple[float, float]:
     """
     m = sol.u_h.mesh
     rule = make_quadrature("tet", ERROR_DEGREE)
-    grads, det = kernels.tet_geometry(m.vertices, m.tets)
+    grads, det = m.tet_geometry
     pts = kernels.physical_points(m.vertices, m.tets, rule.points)
     uex = eval_field(exact_u, pts.reshape(-1, 3), vector=True)
     uex = uex.reshape(m.n_t, -1, 3)

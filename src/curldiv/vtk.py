@@ -18,7 +18,7 @@ def _barycenter_values(u: FEFunction) -> np.ndarray:
     m = u.mesh
     if u.space == Space.CELL:
         return np.column_stack([u.coeffs, np.zeros((m.n_t, 2))])
-    grads, _ = kernels.tet_geometry(m.vertices, m.tets)
+    grads, _ = m.tet_geometry
     bary = np.full((1, 4), 0.25)
     if u.space == Space.FACE:
         basis = kernels.rt_basis_values(grads, bary)
@@ -31,30 +31,30 @@ def _barycenter_values(u: FEFunction) -> np.ndarray:
     return kernels.field_at_points(basis, local)[:, 0, :]
 
 
+def _rows(fmt: str, a: np.ndarray) -> str:
+    """One line of ``fmt`` per row of ``a``."""
+    return fmt * len(a) % tuple(a.ravel().tolist())
+
+
 def write_vtk(m: Mesh, u: FEFunction, path,
-              residual: np.ndarray | None = None,
-              field_name: str = "u_h") -> None:
+              residual: np.ndarray | None = None) -> None:
     vals = _barycenter_values(u)
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("curl-div solution\nASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {m.n_v} double\n")
-        for v in m.vertices:
-            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        fh.write(_rows("%.17g %.17g %.17g\n", m.vertices))
         fh.write(f"CELLS {m.n_t} {5 * m.n_t}\n")
-        for t in m.tets:
-            fh.write(f"4 {t[0]} {t[1]} {t[2]} {t[3]}\n")
+        fh.write(_rows("4 %d %d %d %d\n", m.tets))
         fh.write(f"CELL_TYPES {m.n_t}\n")
         fh.write("10\n" * m.n_t)                 # VTK_TETRA
         fh.write(f"CELL_DATA {m.n_t}\n")
-        fh.write(f"VECTORS {field_name} double\n")
-        for row in vals:
-            fh.write(f"{row[0]:.17g} {row[1]:.17g} {row[2]:.17g}\n")
+        fh.write("VECTORS u_h double\n")
+        fh.write(_rows("%.17g %.17g %.17g\n", vals))
         if residual is not None:
             fh.write("SCALARS residual double 1\nLOOKUP_TABLE default\n")
-            for r in np.asarray(residual, dtype=np.float64):
-                fh.write(f"{r:.17g}\n")
+            fh.write(_rows("%.17g\n", np.asarray(residual, dtype=np.float64)))
 
 
 def read_vtk_cell_count(path) -> int:

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from curldiv import (FEFunction, MshParseError, interpolate, read_gmsh,
-                     write_gmsh, write_vtk)
+from curldiv import (FEFunction, MeshError, MshParseError, build_mesh,
+                     interpolate, read_gmsh, write_gmsh, write_vtk)
 from curldiv.cli import main, parse_config, ConfigError
 from curldiv.meshes import (hollow_ball_mesh, single_tet_mesh,
                             structured_cube_mesh)
-from curldiv.vtk import read_vtk_cell_count
+from curldiv.mms import get_case
+from curldiv.vtk import _barycenter_values, read_vtk_cell_count
 
 MINIMAL_MSH = """$MeshFormat
 2.2 0 8
@@ -114,6 +115,49 @@ def test_vtk_constant_field(tmp_path):
     for ln in lines[start:start + m.n_t]:
         vals = [float(x) for x in ln.split()]
         assert np.allclose(vals, [1.0, 0.0, 0.0], atol=1e-12)
+
+
+def _write_vtk_per_row(m, u, path, residual=None):
+    """Reference writer: one formatted write per row."""
+    vals = _barycenter_values(u)
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write("curl-div solution\nASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {m.n_v} double\n")
+        for v in m.vertices:
+            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        fh.write(f"CELLS {m.n_t} {5 * m.n_t}\n")
+        for t in m.tets:
+            fh.write(f"4 {t[0]} {t[1]} {t[2]} {t[3]}\n")
+        fh.write(f"CELL_TYPES {m.n_t}\n")
+        fh.write("10\n" * m.n_t)
+        fh.write(f"CELL_DATA {m.n_t}\n")
+        fh.write("VECTORS u_h double\n")
+        for row in vals:
+            fh.write(f"{row[0]:.17g} {row[1]:.17g} {row[2]:.17g}\n")
+        if residual is not None:
+            fh.write("SCALARS residual double 1\nLOOKUP_TABLE default\n")
+            for r in np.asarray(residual, dtype=np.float64):
+                fh.write(f"{r:.17g}\n")
+
+
+@pytest.mark.parametrize("space", ["face", "edge"])
+@pytest.mark.parametrize("with_residual", [False, True])
+def test_vtk_bytes_match_per_row_writer(handle_cavity, tmp_path, space,
+                                        with_residual):
+    m = handle_cavity
+    u = interpolate(space, get_case("mms1").u, m)
+    residual = None
+    if with_residual:
+        rng = np.random.default_rng(0)
+        residual = (rng.standard_normal(m.n_t)
+                    * 10.0 ** rng.integers(-300, 300, m.n_t))
+        residual[:3] = [0.0, -0.0, np.inf]
+    write_vtk(m, u, tmp_path / "block.vtk", residual=residual)
+    _write_vtk_per_row(m, u, tmp_path / "row.vtk", residual=residual)
+    assert ((tmp_path / "block.vtk").read_bytes()
+            == (tmp_path / "row.vtk").read_bytes())
 
 
 def test_parse_config_validation():
@@ -308,3 +352,15 @@ def test_cli_alpha_beta_not_finite_exit_1(tmp_path, capsys, name, formulation,
                             formulation=formulation, **{name: [value]}) == 1
     assert f"{name} must be a flat list of finite numbers" in \
         capsys.readouterr().err
+
+
+def test_closed_complex_rejected(tmp_path, capsys):
+    """The five tets of the boundary of a 4-simplex: every face is shared
+    by two tets, so the complex has no boundary."""
+    coords = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0.3, 0.4, 0.45]]
+    tets = [[j for j in range(5) if j != i] for i in range(5)]
+    m = build_mesh(coords, tets)
+    with pytest.raises(MeshError, match="closed complex"):
+        m.boundary
+    assert _solve_exit_code(tmp_path, mesh=m) == 1
+    assert "closed complex" in capsys.readouterr().err

@@ -80,3 +80,13 @@ def test_barycentric_points_sum_to_one():
     for kind in ("tet", "tri", "edge"):
         rule = make_quadrature(kind, 2)
         assert np.allclose(rule.points.sum(axis=1), 1.0, atol=1e-14)
+
+
+def test_rules_built_once_and_read_only():
+    assert make_quadrature("tet", 2) is make_quadrature("tet", 2)
+    assert subdivided_tri_rule(4, 3) is subdivided_tri_rule(4, 3)
+    rule = make_quadrature("tri", 3)
+    with pytest.raises(ValueError):
+        rule.points[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights[0] = 0.0

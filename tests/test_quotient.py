@@ -26,7 +26,7 @@ TOL = 1e-12
 def _at_barycentres(sol) -> np.ndarray:
     """u_h at the barycentre of every tet, (n_t, 3)."""
     m = sol.u_h.mesh
-    grads, _ = kernels.tet_geometry(m.vertices, m.tets)
+    grads, _ = m.tet_geometry
     centre = np.full((1, 4), 0.25)
     if sol.kind == "tangential":
         basis = kernels.rt_basis_values(grads, centre)
