@@ -24,10 +24,9 @@ from .meshes import structured_cube_mesh
 from .mms import MMSError, discrete_alpha, discrete_beta, get_case
 from .msh import MshParseError, read_gmsh
 from .quadrature import QuadratureError
-from .solver import (NormalProblem, Solution, SolverError, TangentialProblem,
-                     assemble_normal, assemble_tangential, build_L_star,
-                     error_norms, recover_solution, solve_spd,
-                     validate_tangential)
+from .solver import (Solution, SolverError, assemble_normal,
+                     assemble_tangential, build_L_star, error_norms,
+                     recover_solution, solve_spd, validate_tangential)
 from .solver import build_N_star  # noqa: F401  perfbench/tracing.py wraps cli.build_N_star
 from .topology import (TopologyError, betti, build_boundary_first_tree,
                        domain_homology_basis, surface_cycle_basis)
@@ -139,8 +138,7 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
         alpha = discrete_alpha(case, m, b) if cfg.alpha is None else cfg.alpha
         if len(alpha) != b.p:
             raise ConfigError(f"alpha must have length p = {b.p}")
-        prob = TangentialProblem(eta=cfg.coefficient, J=case.J, g=case.g,
-                                 a=case.a(cfg.coefficient), alpha=alpha)
+        prob = case.tangential(coef)
         report["validation"] = validate_tangential(prob, m, b)
         g_h = interpolate("cell", case.g, m)
         lift = rt_potential(m, b, DivergenceData(g_h, alpha))
@@ -165,8 +163,7 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
         beta = discrete_beta(case, m, hb) if cfg.beta is None else cfg.beta
         if len(beta) != hb.g:
             raise ConfigError(f"beta must have length g = {hb.g}")
-        prob = NormalProblem(mu=cfg.coefficient, J=case.J, g=case.g,
-                             b=case.b(), beta=beta)
+        prob = case.normal(coef)
         J_h = clean_curl_data(m, b, interpolate("face", case.J, m))
         lift = nedelec_potential(m, tc, hb, CurlData(J_h, beta))
         dofs = build_L_star(m)
@@ -194,10 +191,7 @@ def solution_residual_field(sol: Solution) -> np.ndarray:
         return np.abs(m.incidence.D @ (sol.u_h.coeffs - sol.lift.coeffs)
                       ) / m.volumes
     curl = m.incidence.C @ (sol.u_h.coeffs - sol.lift.coeffs)
-    out = np.zeros(m.n_t)
-    np.add.at(out, np.repeat(np.arange(m.n_t), 4),
-              np.abs(curl[m.tet_faces]).ravel())
-    return out
+    return np.abs(curl[m.tet_faces]).sum(axis=1)
 
 
 def topology_report(m: Mesh) -> dict:

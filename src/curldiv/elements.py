@@ -3,7 +3,9 @@
 Spaces: nodal P1 ("lagrange"), Nedelec edge of degree 1 ("edge"),
 Raviart-Thomas of degree 1 ("face") and piecewise constants ("cell").
 Coefficients are the DOF functionals of the represented field: vertex
-value, edge tangential integral, face normal flux, cell value.
+value, edge tangential integral, face normal flux, cell value.  The
+material coefficient eta or mu of a problem (``CoefficientField``) is one
+positive scalar per tet.
 """
 
 from __future__ import annotations
@@ -60,13 +62,13 @@ def zero_function(space, mesh) -> FEFunction:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Symmetric 3x3 matrix coefficient (eta or mu), evaluable pointwise."""
-    kind: str                   # identity | scalar | per_region | analytic
-    value: object = None
+    """Coefficient eta or mu: one positive scalar on each tet."""
+    kind: str                   # identity | scalar | per_region
+    value: object               # float, or the (n_t,) values of per_region
 
     @staticmethod
     def identity() -> "CoefficientField":
-        return CoefficientField("identity")
+        return CoefficientField("identity", 1.0)
 
     @staticmethod
     def scalar(c: float) -> "CoefficientField":
@@ -84,27 +86,14 @@ class CoefficientField:
             raise ValueError("per-region coefficients must be positive")
         return CoefficientField("per_region", vals)
 
-    @staticmethod
-    def analytic(fn) -> "CoefficientField":
-        """fn(points (n, 3)) -> (n, 3, 3); symmetrized on evaluation."""
-        return CoefficientField("analytic", fn)
-
-    def at_quadrature(self, tet_ids, points) -> np.ndarray:
-        """Matrix values at (n_t, nq, 3) physical points -> (n_t, nq, 3, 3)."""
-        n_t, nq = points.shape[:2]
-        if self.kind == "identity":
-            out = np.broadcast_to(np.eye(3), (n_t, nq, 3, 3)).copy()
-        elif self.kind == "scalar":
-            out = np.broadcast_to(self.value * np.eye(3), (n_t, nq, 3, 3)).copy()
-        elif self.kind == "per_region":
-            vals = np.asarray(self.value)[tet_ids]
-            out = vals[:, None, None, None] * np.eye(3)[None, None]
-        elif self.kind == "analytic":
-            flat = self.value(points.reshape(-1, 3)).reshape(n_t, nq, 3, 3)
-            out = 0.5 * (flat + np.swapaxes(flat, -1, -2))
-        else:
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
-        return np.ascontiguousarray(out)
+    def per_tet(self, n_t: int) -> np.ndarray:
+        """The value on each of n_t tets: (n_t,)."""
+        if self.kind != "per_region":
+            return np.full(n_t, self.value)
+        if len(self.value) != n_t:
+            raise ElementError(f"per_region needs one value per tet ({n_t}), "
+                               f"got {len(self.value)}")
+        return self.value
 
 
 def eval_field(fn, points, vector: bool) -> np.ndarray:

@@ -81,11 +81,12 @@ def edge_curl_values(grads):
 
 
 # ---------------------------------------------------------------------------
-# local mass matrices: M[i, j] = sum_q w_q |det| basis_i . coef . basis_j
+# local mass matrices: M[i, j] = sum_q w_q |det| c basis_i . basis_j, with c
+# the coefficient of each tet, (n_t,)
 
 
-def local_mass(basis_vals, det, qw, coef):
-    cb = np.einsum("tqxy,tqjy->tqjx", coef, basis_vals)
+def local_mass(basis_vals, det, qw, c):
+    cb = c[:, None, None, None] * basis_vals
     M = np.einsum("tqix,tqjx,q->tij", basis_vals, cb, qw)
     return M * np.abs(det)[:, None, None]
 

@@ -9,7 +9,7 @@ Whitney bases line up with the global degrees of freedom without sign maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

@@ -1,8 +1,11 @@
 """Manufactured solution cases for the convergence harness.
 
-Each case fixes an exact field u together with its curl J and divergence g;
-the boundary data a = (eta u) x n and b = u.n are produced as normal-aware
-callables evaluated with the mesh's outward normals.  Flux and period data
+Each case fixes an exact field u together with its curl J and divergence
+g.  ``MMSCase.tangential`` and ``MMSCase.normal`` turn a case into the
+problem data for a constant coefficient c: J := c curl u and the boundary
+datum a = (c u) x n, or g := c div u and b = c u.n, both taking the
+mesh's outward normals as fn(points, normals).  A per-region coefficient
+has no manufactured solution and is rejected.  Flux and period data
 (alpha, beta) are computed discretely from the canonical interpolants so
 they are consistent on any fixture topology.
 
@@ -17,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import FEFunction, interpolate
+from .elements import CoefficientField, interpolate
 from .lifts import component_fluxes, cycle_period
 from .mesh import Mesh, BoundaryStructure
+from .solver import NormalProblem, TangentialProblem
 from .topology import HomologyBasis
 
 
@@ -32,10 +36,11 @@ class MMSError(ValueError):
     pass
 
 
-def normal_aware(fn):
-    """Mark a boundary callable as fn(points, normals)."""
-    fn.needs_normal = True
-    return fn
+def _constant(coef: CoefficientField) -> float:
+    if coef.kind == "per_region":
+        raise MMSError("a per-region coefficient has no manufactured "
+                       "solution; built-in cases take identity or scalar")
+    return coef.value
 
 
 @dataclass(frozen=True)
@@ -46,33 +51,18 @@ class MMSCase:
     g: object                       # div u
     description: str = ""
 
-    def a(self, eta=None):
-        """Tangential boundary datum (eta u) x n, normal-aware."""
-        u = self.u
+    def tangential(self, eta: CoefficientField) -> TangentialProblem:
+        """curl(eta u) = J and (eta u) x n = a for eta = c I."""
+        c, u, J = _constant(eta), self.u, self.J
+        return TangentialProblem(eta, J=lambda x: c * J(x),
+                                 a=lambda x, n: np.cross(c * u(x), n))
 
-        if eta is not None and eta.kind == "per_region":
-            raise MMSError("per-region eta has no pointwise boundary value")
-
-        @normal_aware
-        def a_fn(points, normals):
-            pts = np.asarray(points, dtype=np.float64)
-            vals = u(pts)
-            if eta is not None:
-                mats = eta.at_quadrature(np.zeros(1, dtype=np.int64),
-                                         pts[None])[0]
-                vals = np.einsum("qxy,qy->qx", mats, vals)
-            return np.cross(vals, normals)
-        return a_fn
-
-    def b(self):
-        """Normal boundary datum u.n, normal-aware (mu u.n uses mu=I cases)."""
-        u = self.u
-
-        @normal_aware
-        def b_fn(points, normals):
-            vals = u(np.asarray(points, dtype=np.float64))
-            return np.einsum("qx,qx->q", vals, normals)
-        return b_fn
+    def normal(self, mu: CoefficientField) -> NormalProblem:
+        """div(mu u) = g and mu u.n = b for mu = c I."""
+        c, u, g = _constant(mu), self.u, self.g
+        return NormalProblem(
+            mu, g=lambda x: c * g(x),
+            b=lambda x, n: c * np.einsum("qx,qx->q", u(x), n))
 
 
 REGISTRY: dict[str, MMSCase] = {}

@@ -3,7 +3,11 @@
 Tangential problem: curl(eta u) = J, div u = g, (eta u) x n = a on the
 boundary, prescribed component fluxes alpha.  Normal problem: curl u = J,
 div(mu u) = g, mu u . n = b, prescribed homology periods beta.  Both are
-solved by Jacobi-preconditioned conjugate gradients.
+solved by Jacobi-preconditioned conjugate gradients.  The coefficient is
+one positive scalar per tet, and the boundary data are callables
+fn(points, normals).  A problem object holds what its assembly reads
+(eta, J, a or mu, g, b); g and alpha, or J and beta, enter through the
+lift.
 
 Normal: u_h - lift lies in grad L*_h, G restricted to the vertex columns
 L*_h (every vertex but the last), and K = G^T M_mu G is positive definite.
@@ -48,26 +52,20 @@ class SolverError(RuntimeError):
 
 @dataclass
 class TangentialProblem:
+    """The data the tangential assembly reads; g and alpha reach the
+    solve through the lift (``DivergenceData``)."""
     eta: CoefficientField
-    J: object                       # analytic vector field
-    g: object                       # analytic scalar
-    a: object                       # analytic tangential boundary field
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
+    J: object                       # vector field, (n, 3) -> (n, 3)
+    a: object                       # tangential boundary datum a(x, n)
 
 
 @dataclass
 class NormalProblem:
+    """The data the normal assembly reads; J and beta reach the solve
+    through the lift (``CurlData``)."""
     mu: CoefficientField
-    J: object
-    g: object
-    b: object                       # analytic scalar boundary field
-    beta: np.ndarray
-
-    def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=np.float64)
+    g: object                       # scalar field, (n, 3) -> (n,)
+    b: object                       # scalar boundary datum b(x, n)
 
 
 @dataclass
@@ -119,8 +117,6 @@ def _global_mass(m: Mesh, coef: CoefficientField,
                  space: Space) -> sp.csr_matrix:
     rule = make_quadrature("tet", VOLUME_DEGREE)
     grads, det = m.tet_geometry
-    pts = kernels.physical_points(m.vertices, m.tets, rule.points)
-    cvals = coef.at_quadrature(np.arange(m.n_t), pts)
     if space == Space.FACE:
         basis = kernels.rt_basis_values(grads, rule.points)
         conn = m.tet_faces
@@ -129,7 +125,8 @@ def _global_mass(m: Mesh, coef: CoefficientField,
         basis = kernels.edge_basis_values(grads, rule.points)
         conn = m.tet_edges
         dim = m.n_e
-    local = kernels.local_mass(basis, det, rule.weights, cvals)
+    local = kernels.local_mass(basis, det, rule.weights,
+                               coef.per_tet(m.n_t))
     nb = conn.shape[1]
     rows = np.repeat(conn, nb, axis=1).ravel()
     cols = np.tile(conn, (1, nb)).ravel()
@@ -173,10 +170,8 @@ def _nodal_load(m: Mesh, fn) -> np.ndarray:
 
 
 def _eval_boundary(fn, points, normals, vector: bool) -> np.ndarray:
-    """Evaluate a boundary datum; normal-aware callables get the normals."""
-    if getattr(fn, "needs_normal", False):
-        return np.asarray(fn(points, normals), dtype=np.float64)
-    return eval_field(fn, points, vector)
+    """A boundary datum fn(points, normals) at (n, 3) points and normals."""
+    return eval_field(lambda x: fn(x, normals), points, vector)
 
 
 def _boundary_quadrature(m: Mesh, fn, vector: bool):

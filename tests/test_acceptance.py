@@ -31,6 +31,14 @@ def _zeros_s(p):
     return np.zeros(len(p))
 
 
+def _zeros_a(p, n):
+    return np.zeros((len(p), 3))
+
+
+def _zeros_b(p, n):
+    return np.zeros(len(p))
+
+
 def _cocycles(m, topo):
     return harmonic_cocycles(m, topo.tree, topo.homology)
 
@@ -114,16 +122,14 @@ def test_criterion_06_uniqueness_zero_data(request):
         gb = build_N_star(topo.tree, topo.homology)
         lift_t = FEFunction("face", m, np.zeros(m.n_f))
         prob_t = TangentialProblem(CoefficientField.identity(), _zeros_v,
-                                   _zeros_s, _zeros_v,
-                                   np.zeros(topo.boundary.p))
+                                   _zeros_a)
         W = solve_spd(assemble_tangential(prob_t, m, gb, lift_t,
                                           _cocycles(m, topo)))
         assert np.abs(W).max() <= 1e-10
         rb = build_L_star(m)
         lift_n = FEFunction("edge", m, np.zeros(m.n_e))
-        prob_n = NormalProblem(CoefficientField.identity(), _zeros_v,
-                               _zeros_s, _zeros_s,
-                               np.zeros(topo.homology.g))
+        prob_n = NormalProblem(CoefficientField.identity(), _zeros_s,
+                               _zeros_b)
         V = solve_spd(assemble_normal(prob_n, m, rb, lift_n))
         assert np.abs(V).max() <= 1e-10
     print("\nACCEPTANCE 6 (zero data gives zero coefficients on all "
@@ -139,13 +145,11 @@ def test_criterion_07_spd(request):
         rb = build_L_star(m)
         for coef in (CoefficientField.identity(), CoefficientField.scalar(2.5)):
             lift_t = FEFunction("face", m, np.zeros(m.n_f))
-            prob_t = TangentialProblem(coef, _zeros_v, _zeros_s, _zeros_v,
-                                       np.zeros(topo.boundary.p))
+            prob_t = TangentialProblem(coef, _zeros_v, _zeros_a)
             Kt = assemble_tangential(prob_t, m, gb, lift_t,
                                      _cocycles(m, topo)).K
             lift_n = FEFunction("edge", m, np.zeros(m.n_e))
-            prob_n = NormalProblem(coef, _zeros_v, _zeros_s, _zeros_s,
-                                   np.zeros(topo.homology.g))
+            prob_n = NormalProblem(coef, _zeros_s, _zeros_b)
             Kn = assemble_normal(prob_n, m, rb, lift_n).K
             for K in (Kt, Kn):
                 n = K.shape[0]
@@ -220,8 +224,7 @@ def test_criterion_09_lift_contracts(request, cube2, topo_cube2, torus,
     rng = np.random.default_rng(9)
     kernel = np.asarray(cube2.incidence.C @ rng.standard_normal(cube2.n_e))
     shifted = FEFunction("face", cube2, base.coeffs + kernel.ravel())
-    prob = TangentialProblem(CoefficientField.identity(), case.J, case.g,
-                             case.a(), np.zeros(0))
+    prob = case.tangential(CoefficientField.identity())
     probes = rng.uniform(0.1, 0.9, size=(10, 3))
     vals = []
     for lf in (base, shifted):

@@ -151,23 +151,15 @@ def test_coefficient_field_kinds():
         CoefficientField.scalar(-1.0)
     with pytest.raises(ValueError):
         CoefficientField.per_region(np.array([1.0, -2.0]))
-    ids = CoefficientField.identity()
-    pts = np.zeros((1, 2, 3))
-    out = ids.at_quadrature(np.array([0]), pts)
-    assert np.allclose(out[0, 0], np.eye(3))
-    sc = CoefficientField.scalar(2.5)
-    out = sc.at_quadrature(np.array([0]), pts)
-    assert np.allclose(out[0, 1], 2.5 * np.eye(3))
-
-    def asym(p):
-        M = np.zeros((len(p), 3, 3))
-        M[:] = np.eye(3)
-        M[:, 0, 1] = 1.0            # symmetrized to 0.5 off-diagonal
-        return M
-    an = CoefficientField.analytic(asym)
-    out = an.at_quadrature(np.array([0]), pts)
-    assert abs(out[0, 0, 0, 1] - 0.5) < 1e-15
-    assert abs(out[0, 0, 1, 0] - 0.5) < 1e-15
+    assert np.array_equal(CoefficientField.identity().per_tet(3),
+                          [1.0, 1.0, 1.0])
+    assert np.array_equal(CoefficientField.scalar(2.5).per_tet(2), [2.5, 2.5])
+    vals = np.array([1.0, 2.0, 3.0])
+    pr = CoefficientField.per_region(vals)
+    assert np.array_equal(pr.per_tet(3), vals)
+    for n_t in (1, 4):
+        with pytest.raises(ElementError, match="one value per tet"):
+            pr.per_tet(n_t)
 
 
 def test_wrong_coefficient_length_raises(tet1):

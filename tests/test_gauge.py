@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from curldiv import (AssembledSystem, CoefficientField, DivergenceData,
-                     FEFunction, TangentialProblem, assemble_tangential,
+                     FEFunction, assemble_tangential,
                      build_L_star, build_N_star, component_fluxes,
                      consistent_load, harmonic_cocycles, interpolate,
                      recover_solution, rt_potential, solve_spd)
@@ -200,10 +200,9 @@ def test_tangential_system_matches_sparse_reference(mesh, request):
     assert topo.homology.closing_edges.tolist() == closing
 
     case = get_case("mms1")
-    prob = TangentialProblem(CoefficientField.identity(), case.J, case.g,
-                             case.a(), np.full(b.p, 0.25))
+    prob = case.tangential(CoefficientField.identity())
     lift = rt_potential(m, b, DivergenceData(interpolate("cell", case.g, m),
-                                             prob.alpha))
+                                             np.full(b.p, 0.25)))
     dofs = _gauged(topo)
     H = harmonic_cocycles(m, topo.tree, topo.homology)
     system = assemble_tangential(prob, m, dofs, lift, H)

@@ -324,10 +324,14 @@ def test_cli_per_region_2d_values_exit_1(tmp_path, capsys):
 
 
 def test_cli_per_region_one_value_per_tet_solves(tmp_path, capsys):
+    # the right length passes the config checks, but no built-in case has a
+    # manufactured solution for a per-region coefficient
     cube = structured_cube_mesh(2)
     per_region = {"kind": "per_region", "values": [2.0] * cube.n_t}
-    assert _solve_exit_code(tmp_path, mesh=cube, formulation="normal",
-                            coefficient=per_region) == 0
+    for formulation in ("tangential", "normal"):
+        assert _solve_exit_code(tmp_path, mesh=cube, formulation=formulation,
+                                coefficient=per_region) == 1
+        assert "no manufactured solution" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [[[0.0]], 0.5], ids=["2d", "scalar"])

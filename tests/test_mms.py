@@ -37,10 +37,8 @@ def test_registration_rejects_inconsistent_case():
 
 def test_boundary_data_normal_aware():
     case = get_case("mms1")
-    a = case.a()
-    assert getattr(a, "needs_normal", False)
-    b = case.b()
-    assert getattr(b, "needs_normal", False)
+    a = case.tangential(CoefficientField.identity()).a
+    b = case.normal(CoefficientField.identity()).b
     pts = np.array([[0.5, 0.5, 1.0]])
     nrm = np.array([[0.0, 0.0, 1.0]])
     u = case.u(pts)[0]
@@ -50,17 +48,32 @@ def test_boundary_data_normal_aware():
 
 def test_a_with_scalar_eta():
     case = get_case("mms2")
-    a = case.a(CoefficientField.scalar(2.0))
+    prob = case.tangential(CoefficientField.scalar(2.0))
     pts = np.array([[0.5, 0.5, 1.0]])
     nrm = np.array([[0.0, 0.0, 1.0]])
     u = case.u(pts)[0]
-    assert np.allclose(a(pts, nrm)[0], np.cross(2.0 * u, nrm[0]), atol=1e-14)
+    assert np.allclose(prob.a(pts, nrm)[0], np.cross(2.0 * u, nrm[0]),
+                       atol=1e-14)
+    assert np.array_equal(prob.J(pts), 2.0 * case.J(pts))
+
+
+def test_normal_data_with_scalar_mu():
+    case = get_case("mms1")
+    prob = case.normal(CoefficientField.scalar(2.0))
+    pts = np.array([[0.5, 0.5, 1.0]])
+    nrm = np.array([[0.0, 0.0, 1.0]])
+    u = case.u(pts)[0]
+    assert abs(prob.b(pts, nrm)[0] - 2.0 * u @ nrm[0]) < 1e-14
+    assert np.array_equal(prob.g(pts), 2.0 * case.g(pts))
 
 
 def test_a_rejects_per_region_eta():
     case = get_case("mms2")
-    with pytest.raises(MMSError):
-        case.a(CoefficientField.per_region(np.array([1.0, 2.0])))
+    coef = CoefficientField.per_region(np.array([1.0, 2.0]))
+    with pytest.raises(MMSError, match="no manufactured solution"):
+        case.tangential(coef)
+    with pytest.raises(MMSError, match="no manufactured solution"):
+        case.normal(coef)
 
 
 def test_discrete_alpha_on_hollow(hollow, topo_hollow):

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curldiv import (CoefficientField, DivergenceData, TangentialProblem,
-                     assemble_tangential, build_mesh, build_N_star,
-                     consistent_load, harmonic_cocycles, interpolate, kernels,
+from curldiv import (CoefficientField, DivergenceData, assemble_tangential,
+                     build_mesh, build_N_star, consistent_load,
+                     harmonic_cocycles, interpolate, kernels,
                      recover_solution, rt_potential, solve_spd)
 from curldiv import cli
 from curldiv.meshes import structured_cube_mesh
@@ -91,10 +91,9 @@ def test_quotient_u_h_matches_gauged_reference(name, request):
                                                     tol=TOL), topo)
     case = get_case("mms1")
     b = topo.boundary
-    prob = TangentialProblem(CoefficientField.identity(), case.J, case.g,
-                             case.a(), discrete_alpha(case, m, b))
+    prob = case.tangential(CoefficientField.identity())
     lift = rt_potential(m, b, DivergenceData(interpolate("cell", case.g, m),
-                                             prob.alpha))
+                                             discrete_alpha(case, m, b)))
     dofs = build_N_star(topo.tree, topo.homology)
     system = assemble_tangential(prob, m, dofs, lift, harmonic_cocycles(
         m, topo.tree, topo.homology))
@@ -110,7 +109,8 @@ def test_consistent_load_annihilates_ker_C(handle_cavity, topo_handle_cavity):
     H = harmonic_cocycles(m, topo.tree, topo.homology)
     assert H.shape == (m.n_e, 1)
     assert np.abs(m.incidence.C @ H).max() == 0.0
-    F = _edge_load(m, case.J) + _tangential_boundary_load(m, case.a())
+    a = case.tangential(CoefficientField.identity()).a
+    F = _edge_load(m, case.J) + _tangential_boundary_load(m, a)
     Fc, raw = consistent_load(m, F, H)
     G = m.incidence.G
     assert np.abs(G.T @ Fc).max() <= 1e-13 * np.abs(F).max()

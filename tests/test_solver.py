@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from curldiv import (AssembledSystem, CoefficientField, CurlData,
-                     DivergenceData, FEFunction, NormalProblem, SolverError,
+                     DivergenceData, ElementError, FEFunction, NormalProblem,
+                     SolverError,
                      TangentialProblem, assemble_normal, assemble_tangential,
                      build_L_star, build_N_star, build_mesh, component_fluxes,
                      cycle_period, error_norms, harmonic_cocycles,
@@ -14,9 +15,10 @@ from curldiv import (AssembledSystem, CoefficientField, CurlData,
 from curldiv.cli import ProblemConfig, compute_topology, solve_on_mesh
 from curldiv.elements import eval_field
 from curldiv.meshes import structured_cube_mesh
-from curldiv.mms import get_case, normal_aware
+from curldiv.mms import get_case
 from curldiv.quadrature import make_quadrature, subdivided_tri_rule
-from curldiv.solver import _eval_boundary
+from curldiv.solver import (_eval_boundary, _scalar_boundary_load,
+                            _tangential_boundary_load)
 from fe_eval import eval_at_points
 
 
@@ -25,6 +27,14 @@ def _zeros_v(p):
 
 
 def _zeros_s(p):
+    return np.zeros(len(p))
+
+
+def _zeros_a(p, n):
+    return np.zeros((len(p), 3))
+
+
+def _zeros_b(p, n):
     return np.zeros(len(p))
 
 
@@ -63,8 +73,8 @@ def _oracle_rt_mass(m):
 def test_tangential_K_matches_dense_oracle(cube1, topo_cube1):
     gb = build_N_star(topo_cube1.tree, topo_cube1.homology)
     lift = FEFunction("face", cube1, np.zeros(cube1.n_f))
-    prob = TangentialProblem(CoefficientField.identity(), _zeros_v, _zeros_s,
-                             _zeros_v, np.zeros(0))
+    prob = TangentialProblem(CoefficientField.identity(), _zeros_v,
+                             _zeros_a)
     system = assemble_tangential(prob, cube1, gb, lift,
                                  _cocycles(cube1, topo_cube1))
     S = cube1.incidence.C.toarray()[:, gb]
@@ -76,8 +86,8 @@ def test_tangential_K_matches_dense_oracle(cube1, topo_cube1):
 def test_tangential_K_symmetric(cube2, topo_cube2):
     gb = build_N_star(topo_cube2.tree, topo_cube2.homology)
     lift = FEFunction("face", cube2, np.zeros(cube2.n_f))
-    prob = TangentialProblem(CoefficientField.scalar(2.0), _zeros_v, _zeros_s,
-                             _zeros_v, np.zeros(0))
+    prob = TangentialProblem(CoefficientField.scalar(2.0), _zeros_v,
+                             _zeros_a)
     K = assemble_tangential(prob, cube2, gb, lift,
                             _cocycles(cube2, topo_cube2)).K
     assert abs(K - K.T).max() <= 1e-12 * abs(K).max()
@@ -86,8 +96,8 @@ def test_tangential_K_symmetric(cube2, topo_cube2):
 def test_tangential_zero_data_zero_rhs(cube1, topo_cube1):
     gb = build_N_star(topo_cube1.tree, topo_cube1.homology)
     lift = FEFunction("face", cube1, np.zeros(cube1.n_f))
-    prob = TangentialProblem(CoefficientField.identity(), _zeros_v, _zeros_s,
-                             _zeros_v, np.zeros(0))
+    prob = TangentialProblem(CoefficientField.identity(), _zeros_v,
+                             _zeros_a)
     system = assemble_tangential(prob, cube1, gb, lift,
                                  _cocycles(cube1, topo_cube1))
     assert np.abs(system.rhs).max() == 0.0
@@ -97,8 +107,7 @@ def test_normal_single_tet_is_p1_stiffness(tet1):
     topo = compute_topology(tet1)
     rb = build_L_star(tet1)
     lift = FEFunction("edge", tet1, np.zeros(tet1.n_e))
-    prob = NormalProblem(CoefficientField.identity(), _zeros_v, _zeros_s,
-                         _zeros_s, np.zeros(0))
+    prob = NormalProblem(CoefficientField.identity(), _zeros_s, _zeros_b)
     K = assemble_normal(prob, tet1, rb, lift).K.toarray()
     verts = tet1.vertices[tet1.tets[0]]
     A = np.vstack([np.ones(4), verts.T])
@@ -111,8 +120,7 @@ def test_normal_single_tet_is_p1_stiffness(tet1):
 def test_normal_zero_data_zero_rhs(cube1):
     rb = build_L_star(cube1)
     lift = FEFunction("edge", cube1, np.zeros(cube1.n_e))
-    prob = NormalProblem(CoefficientField.identity(), _zeros_v, _zeros_s,
-                         _zeros_s, np.zeros(0))
+    prob = NormalProblem(CoefficientField.identity(), _zeros_s, _zeros_b)
     system = assemble_normal(prob, cube1, rb, lift)
     assert np.abs(system.rhs).max() == 0.0
 
@@ -160,8 +168,7 @@ def test_galerkin_residual_after_solve(cube2, topo_cube2):
     g_h = interpolate("cell", case.g, cube2)
     lift = rt_potential(cube2, topo_cube2.boundary,
                         DivergenceData(g_h, np.zeros(0)))
-    prob = TangentialProblem(CoefficientField.identity(), case.J, case.g,
-                             case.a(), np.zeros(0))
+    prob = case.tangential(CoefficientField.identity())
     system = assemble_tangential(prob, cube2, gb, lift,
                                  _cocycles(cube2, topo_cube2))
     W = solve_spd(system, tol=1e-12)
@@ -185,8 +192,7 @@ def test_recovered_solution_contracts(cube2, topo_cube2):
 def test_validate_smooth_data_passes(cube2, topo_cube2):
     from curldiv.mms import get_case
     case = get_case("mms1")
-    prob = TangentialProblem(CoefficientField.identity(), case.J, case.g,
-                             case.a(), np.zeros(0))
+    prob = case.tangential(CoefficientField.identity())
     rep = validate_tangential(prob, cube2, topo_cube2.boundary)
     assert rep["warnings"] == []
     assert rep["div_check"] <= 1e-8
@@ -197,8 +203,7 @@ def test_validate_smooth_data_passes(cube2, topo_cube2):
 def test_validate_flags_bad_divergence(cube1, topo_cube1):
     def Jbad(p):
         return np.column_stack([p[:, 0], np.zeros(len(p)), np.zeros(len(p))])
-    prob = TangentialProblem(CoefficientField.identity(), Jbad, _zeros_s,
-                             _zeros_v, np.zeros(0))
+    prob = TangentialProblem(CoefficientField.identity(), Jbad, _zeros_a)
     rep = validate_tangential(prob, cube1, topo_cube1.boundary)
     assert rep["div_check"] > 1e-8
     assert rep["warnings"]
@@ -213,14 +218,8 @@ def test_scaling_equivariance(cube1, topo_cube1):
     lift = rt_potential(cube1, topo_cube1.boundary,
                         DivergenceData(g_h, np.zeros(0)))
 
-    def scaled_J(p):
-        return c * case.J(p)
-    a1 = case.a()
-    prob1 = TangentialProblem(CoefficientField.identity(), case.J, case.g,
-                              a1, np.zeros(0))
-    a2 = case.a(CoefficientField.scalar(c))
-    prob2 = TangentialProblem(CoefficientField.scalar(c), scaled_J, case.g,
-                              a2, np.zeros(0))
+    prob1 = case.tangential(CoefficientField.identity())
+    prob2 = case.tangential(CoefficientField.scalar(c))
     H = _cocycles(cube1, topo_cube1)
     s1 = assemble_tangential(prob1, cube1, gb, lift, H)
     s2 = assemble_tangential(prob2, cube1, gb, lift, H)
@@ -273,8 +272,7 @@ def test_lift_independence_tangential(cube2, topo_cube2):
     z = rng.standard_normal(cube2.n_e)
     kernel = np.asarray(cube2.incidence.C @ z).ravel()
     lift2 = FEFunction("face", cube2, lift.coeffs + kernel)
-    prob = TangentialProblem(CoefficientField.identity(), case.J, case.g,
-                             case.a(), np.zeros(0))
+    prob = case.tangential(CoefficientField.identity())
     sols = []
     for lf in (lift, lift2):
         s = assemble_tangential(prob, cube2, gb, lf,
@@ -335,9 +333,8 @@ def _reference_validate(p, m, b, tol=1e-8):
 
 
 def _mms1_tangential(a=None):
-    case = get_case("mms1")
-    return TangentialProblem(CoefficientField.identity(), case.J, case.g,
-                             case.a() if a is None else a, np.zeros(0))
+    prob = get_case("mms1").tangential(CoefficientField.identity())
+    return prob if a is None else TangentialProblem(prob.eta, prob.J, a)
 
 
 @pytest.mark.parametrize("name", ["cube2", "torus", "hollow"])
@@ -367,9 +364,8 @@ def test_face_sign_matches_incidence(name, request):
 
 
 def test_validate_flags_wrong_tangential_datum(cube2):
-    a = get_case("mms1").a()
+    a = _mms1_tangential().a
 
-    @normal_aware
     def a_twice(points, normals):
         return 2.0 * a(points, normals)
     rep = validate_tangential(_mms1_tangential(a_twice), cube2, cube2.boundary)
@@ -390,3 +386,48 @@ def test_validate_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert (peak - base) / 2**20 < 40.0
+
+
+def _a_flat(points, normals):
+    return np.zeros(len(points))
+
+
+def _b_vector(points, normals):
+    return np.zeros((len(points), 3))
+
+
+@pytest.mark.parametrize("use", ["tangential_load", "scalar_load",
+                                 "validate"])
+def test_boundary_datum_of_wrong_shape_raises(cube2, use):
+    # every boundary datum goes through the shape check of eval_field
+    with pytest.raises(ElementError, match="expected"):
+        if use == "tangential_load":
+            _tangential_boundary_load(cube2, _a_flat)
+        elif use == "scalar_load":
+            _scalar_boundary_load(cube2, _b_vector)
+        else:
+            prob = TangentialProblem(CoefficientField.identity(), _zeros_v,
+                                     _a_flat)
+            validate_tangential(prob, cube2, cube2.boundary)
+
+
+def test_scalar_coefficient_mms_converges_like_identity():
+    # the built-in cases scale their data by a constant coefficient, so the
+    # solution is that of the identity and the MMS error falls at order 1
+    case = get_case("mms1")
+    graph = {"tangential": [], "normal": []}
+    for n in (2, 4, 8):
+        m = structured_cube_mesh(n)
+        topo = compute_topology(m)
+        for f, diff in (("tangential", case.g), ("normal", case.J)):
+            sol, rep = solve_on_mesh(m, ProblemConfig(
+                f, "mms1", coefficient=CoefficientField.scalar(2.5)), topo)
+            ref, _ = solve_on_mesh(m, ProblemConfig(f, "mms1"), topo)
+            assert rep["passed"]
+            assert rep.get("validation", {}).get("warnings", []) == []
+            u, u_ref = sol.u_h.coeffs, ref.u_h.coeffs
+            assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+            graph[f].append(error_norms(sol, case.u, diff)[1])
+    for f, errs in graph.items():
+        rates = np.log2(np.array(errs[:-1]) / errs[1:])     # h halves
+        assert rates.min() >= 0.85, (f, errs)
