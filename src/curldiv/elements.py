@@ -19,6 +19,12 @@ from . import kernels
 from .mesh import Mesh
 from .quadrature import make_quadrature
 
+# Degrees of the edge and face DOF functionals: C I_N u = I_RT curl u to
+# round-off for smooth u, so the normal u_h does not depend on the sigma_n.
+EDGE_DEGREE = 11
+FACE_DEGREE = 10
+_FACE_BLOCK = 512                   # faces per block of the flux pass
+
 
 class Space(str, Enum):
     LAGRANGE = "lagrange"
@@ -121,6 +127,22 @@ def differential(f: FEFunction) -> FEFunction:
     raise ElementError("piecewise constants have no differential here")
 
 
+def face_fluxes(fn, m: Mesh, faces: np.ndarray) -> np.ndarray:
+    """Flux of a vector field through each face in ``faces``, along the
+    face normal (p1 - p0) x (p2 - p0), by the degree FACE_DEGREE rule, in
+    blocks of faces so the point arrays stay small."""
+    rule = make_quadrature("tri", FACE_DEGREE)
+    flux = np.empty(len(faces))
+    for start in range(0, len(faces), _FACE_BLOCK):
+        blk = slice(start, start + _FACE_BLOCK)
+        fverts = m.vertices[m.faces[faces[blk]]]
+        vals = eval_field(fn, (rule.points @ fverts).reshape(-1, 3),
+                          vector=True).reshape(len(fverts), -1, 3)
+        nvec = np.cross(fverts[:, 1] - fverts[:, 0], fverts[:, 2] - fverts[:, 0])
+        flux[blk] = np.einsum("fqx,fx,q->f", vals, nvec, rule.weights)
+    return flux
+
+
 def interpolate(space, fn, m: Mesh) -> FEFunction:
     """Canonical interpolant: DOF functionals evaluated by quadrature."""
     space = Space(space)
@@ -128,7 +150,7 @@ def interpolate(space, fn, m: Mesh) -> FEFunction:
         vals = eval_field(fn, m.vertices, vector=False)
         return FEFunction(space, m, vals)
     if space == Space.EDGE:
-        rule = make_quadrature("edge", 3)
+        rule = make_quadrature("edge", EDGE_DEGREE)
         p = m.vertices[m.edges]                         # (n_e, 2, 3)
         pts = np.einsum("qi,eix->eqx", rule.points, p)
         vals = eval_field(fn, pts.reshape(-1, 3), vector=True)
@@ -137,14 +159,7 @@ def interpolate(space, fn, m: Mesh) -> FEFunction:
         dofs = np.einsum("eqx,ex,q->e", vals, tang, rule.weights)
         return FEFunction(space, m, dofs)
     if space == Space.FACE:
-        rule = make_quadrature("tri", 3)
-        p = m.vertices[m.faces]                         # (n_f, 3, 3)
-        pts = np.einsum("qi,fix->fqx", rule.points, p)
-        vals = eval_field(fn, pts.reshape(-1, 3), vector=True)
-        vals = vals.reshape(m.n_f, -1, 3)
-        nvec = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])  # 2*area*normal
-        dofs = np.einsum("fqx,fx,q->f", vals, nvec, rule.weights)
-        return FEFunction(space, m, dofs)
+        return FEFunction(space, m, face_fluxes(fn, m, np.arange(m.n_f)))
     rule = make_quadrature("tet", 2)
     pts = kernels.physical_points(m.vertices, m.tets, rule.points)
     vals = eval_field(fn, pts.reshape(-1, 3), vector=False).reshape(m.n_t, -1)

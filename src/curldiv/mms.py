@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import CoefficientField, interpolate
-from .lifts import component_fluxes, cycle_period
+from .elements import CoefficientField, face_fluxes, interpolate
+from .lifts import cycle_period
 from .mesh import Mesh, BoundaryStructure
 from .solver import NormalProblem, TangentialProblem
 from .topology import HomologyBasis
@@ -104,9 +104,9 @@ def get_case(name: str) -> MMSCase:
 
 def discrete_alpha(case: MMSCase, m: Mesh, b: BoundaryStructure) -> np.ndarray:
     """Fluxes of the RT interpolant of u through the internal components."""
-    u_I = interpolate("face", case.u, m)
-    fluxes = component_fluxes(m, b, u_I)
-    return np.array([fluxes[r] for r in b.internal_components()])
+    comps = [b.components[r] for r in b.internal_components()]
+    return np.array([b.face_sign[c] @ face_fluxes(case.u, m, c)
+                     for c in comps])
 
 
 def discrete_beta(case: MMSCase, m: Mesh, hb: HomologyBasis) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Points are stored in barycentric coordinates, weights sum to the reference
 measure (1 for the unit segment, 1/2 for the unit triangle, 1/6 for the unit
-tetrahedron).  Every rule is checked against monomial integrals at
+tetrahedron).  Tet rules go to degree 4.  Triangle rules to degree 4 are
+symmetric in the vertices; above that they are collapsed Gauss-Legendre
+rules, which are not.  Every rule is checked against monomial integrals at
 construction time.  Rules are built once per process and shared, so their
 arrays are read-only.
 """
@@ -40,8 +42,6 @@ class QuadratureRule:
 
 _REF_MEASURE = {"edge": 1.0, "tri": 0.5, "tet": 1.0 / 6.0}
 _DIM = {"edge": 1, "tri": 2, "tet": 3}
-
-MAX_DEGREE = 4
 
 
 def _tet_rule(degree):
@@ -109,8 +109,20 @@ def _tri_rule(degree):
         pts = np.array(pts)
         w = np.array(w)
     else:
-        raise QuadratureError(f"tri rule of degree {degree} not supported")
+        return _collapsed_tri_rule(degree)
     return pts, w * 0.5
+
+
+def _collapsed_tri_rule(degree):
+    """Gauss-Legendre on the unit square mapped onto the triangle by
+    (s, t) -> (s, t (1 - s)); the Jacobian 1 - s raises the degree in s by
+    one (Duffy, SIAM J. Numer. Anal. 19, 1982)."""
+    s, ws = _edge_rule(degree + 1)
+    t, wt = _edge_rule(degree)
+    x = np.repeat(s[:, 1], len(wt))
+    y = np.tile(t[:, 1], len(ws)) * (1.0 - x)
+    w = np.outer(ws * s[:, 0], wt).ravel()
+    return np.column_stack([1.0 - x - y, x, y]), w
 
 
 def _edge_rule(degree):
@@ -159,8 +171,6 @@ def make_quadrature(kind: str, degree: int) -> QuadratureRule:
     """Return a verified rule exact for polynomials up to ``degree``."""
     if kind not in _REF_MEASURE:
         raise QuadratureError(f"unknown simplex kind {kind!r}")
-    if kind != "edge" and degree > MAX_DEGREE:
-        raise QuadratureError(f"{kind} rule of degree {degree} not supported")
     if degree < 0:
         raise QuadratureError("degree must be non-negative")
     if kind == "edge":
@@ -174,23 +184,3 @@ def make_quadrature(kind: str, degree: int) -> QuadratureRule:
     _verify(rule)
     return rule
 
-
-@functools.cache
-def subdivided_tri_rule(degree: int, depth: int) -> QuadratureRule:
-    """Composite triangle rule: uniform 4-way subdivision applied ``depth``
-    times to a base rule.  Used for high-accuracy data validation integrals."""
-    base = make_quadrature("tri", degree)
-    tris = [np.eye(3)]
-    for _ in range(depth):
-        nxt = []
-        for t in tris:
-            m01 = 0.5 * (t[0] + t[1])
-            m12 = 0.5 * (t[1] + t[2])
-            m02 = 0.5 * (t[0] + t[2])
-            nxt += [np.array([t[0], m01, m02]), np.array([m01, t[1], m12]),
-                    np.array([m02, m12, t[2]]), np.array([m01, m12, m02])]
-        tris = nxt
-    scale = 1.0 / len(tris)
-    pts = np.vstack([base.points @ t for t in tris])
-    w = np.tile(base.weights * scale, len(tris))
-    return QuadratureRule("tri", degree, pts, w)

@@ -32,17 +32,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .elements import CoefficientField, FEFunction, Space, eval_field
+from .elements import (CoefficientField, FEFunction, Space, eval_field,
+                       interpolate)
 from .mesh import Mesh, BoundaryStructure
-from .quadrature import make_quadrature, subdivided_tri_rule
+from .quadrature import make_quadrature
 from .topology import HomologyBasis, TreeCotree
 
 VOLUME_DEGREE = 2
 BOUNDARY_DEGREE = 3
 ERROR_DEGREE = 4
-# faces per block in the refined flux pass of validate_tangential, and the
-# residual above which it warns
-_VALIDATE_BLOCK = 512
+# the residual above which validate_tangential warns
 _VALIDATE_TOL = 1e-8
 
 
@@ -224,28 +223,19 @@ def validate_tangential(p: TangentialProblem, m: Mesh,
                         b: BoundaryStructure) -> dict:
     """Necessary-condition checks on tangential data; warnings, no failures.
 
-    The divergence check integrates J.n over every face with a refined
-    rule, in blocks of faces so the point arrays stay small, and inspects
-    D.flux.  The trace check compares the outward flux of J through each
-    boundary face, taken from those same fluxes, with the circulation of
-    n x a around the face (Stokes on the face), all boundary faces at once.
-    The continuous compatibility against Neumann harmonic fields needs
-    basis fields this package never constructs, so it is reported as
-    unchecked.
+    The divergence check inspects D.flux, with the face fluxes of J those
+    of its RT interpolant, whose rule is fine enough to see div J and not
+    quadrature error.  The trace check compares the outward flux of J
+    through each boundary face, taken from those same fluxes, with the
+    circulation of n x a around the face (Stokes on the face), all boundary
+    faces at once.  The continuous compatibility against Neumann harmonic
+    fields needs basis fields this package never constructs, so it is
+    reported as unchecked.
     """
     report = {"warnings": [], "div_check": None, "trace_check": None,
               "unchecked": ["compatibility against Neumann harmonic fields "
                             "(requires harmonic basis; not constructed)"]}
-    # refined face fluxes so the check sees div J, not interpolation error
-    frule = subdivided_tri_rule(4, 3)
-    flux = np.empty(m.n_f)
-    for start in range(0, m.n_f, _VALIDATE_BLOCK):
-        blk = slice(start, start + _VALIDATE_BLOCK)
-        fverts = m.vertices[m.faces[blk]]
-        Jv = eval_field(p.J, (frule.points @ fverts).reshape(-1, 3),
-                        vector=True).reshape(len(fverts), -1, 3)
-        nvec = np.cross(fverts[:, 1] - fverts[:, 0], fverts[:, 2] - fverts[:, 0])
-        flux[blk] = np.einsum("fqx,fx,q->f", Jv, nvec, frule.weights)
+    flux = interpolate("face", p.J, m).coeffs
     scale = 1.0 + np.abs(flux).max()
     div_resid = float(np.abs(m.incidence.D @ flux).max() / scale)
     report["div_check"] = div_resid

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from curldiv import (hollow_ball_mesh, single_tet_mesh, solid_torus_mesh,

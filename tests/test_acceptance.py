@@ -7,7 +7,6 @@ reports the FAIL case.  Tolerances are fixed by the criteria themselves.
 import time
 
 import numpy as np
-import pytest
 
 from curldiv import (CoefficientField, CurlData, DivergenceData, FEFunction,
                      NormalProblem, TangentialProblem, assemble_normal,
@@ -15,8 +14,7 @@ from curldiv import (CoefficientField, CurlData, DivergenceData, FEFunction,
                      component_fluxes, cycle_period, differential, error_norms,
                      harmonic_cocycles, interpolate, nedelec_potential,
                      recover_solution, rt_potential, solve_spd)
-from curldiv.cli import (ProblemConfig, compute_topology, run_convergence,
-                         solve_on_mesh)
+from curldiv.cli import ProblemConfig, run_convergence, solve_on_mesh
 from curldiv.mms import get_case
 from fe_eval import eval_at_points
 

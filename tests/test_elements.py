@@ -4,6 +4,7 @@ import pytest
 from curldiv import (CoefficientField, ElementError, FEFunction, differential,
                      interpolate, zero_function)
 from curldiv.elements import eval_field
+from curldiv.mms import get_case
 from curldiv.quadrature import make_quadrature
 from fe_eval import eval_at_points, eval_fe
 
@@ -124,12 +125,21 @@ def test_commuting_div_interpolation(cube2):
     assert np.abs(lhs.coeffs - rhs.coeffs).max() < 1e-10
 
 
-def test_commuting_curl_interpolation(cube2):
-    def u(p):
+def test_commuting_curl_interpolation(cube2, torus):
+    # C I_N u = I_RT curl u: the curl data and the periods that the normal
+    # solve takes from one field agree
+    def grad_xyz(p):
         return np.column_stack([p[:, 1] * p[:, 2], p[:, 2] * p[:, 0],
                                 p[:, 0] * p[:, 1]])
-    lhs = differential(interpolate("edge", u, cube2))
-    assert np.abs(lhs.coeffs).max() < 1e-10   # analytic curl is zero
+
+    def zero(p):
+        return np.zeros((len(p), 3))
+    mms1 = get_case("mms1")
+    for m, u, curl_u in [(cube2, grad_xyz, zero), (cube2, mms1.u, mms1.J),
+                         (torus, mms1.u, mms1.J)]:
+        lhs = differential(interpolate("edge", u, m)).coeffs
+        rhs = interpolate("face", curl_u, m).coeffs
+        assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(rhs).max(), 1.0)
 
 
 def test_eval_outside_point_raises(tet1):

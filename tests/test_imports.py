@@ -1,4 +1,5 @@
-"""Static check: every name a module of the package imports is used.
+"""Static check: every name a module of the package or of its tests
+imports is used.
 
 No linter ships with the project, so this parses each module with ``ast``
 and fails on an imported name that the module never references, unless
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "curldiv"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "curldiv"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +48,8 @@ def test_unused_imports_detected():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_no_unused_imports_in_tests(module):
+    assert unused_imports((TESTS / module).read_text()) == []

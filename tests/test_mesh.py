@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curldiv import MeshError, build_mesh
-from curldiv.meshes import single_tet_mesh, structured_cube_mesh
+from curldiv.meshes import structured_cube_mesh
 
 
 def test_single_tet_counts(tet1):

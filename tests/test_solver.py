@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from curldiv import (AssembledSystem, CoefficientField, CurlData,
-                     DivergenceData, ElementError, FEFunction, NormalProblem,
-                     SolverError,
+from curldiv import (AssembledSystem, CoefficientField, DivergenceData,
+                     ElementError, FEFunction, NormalProblem, SolverError,
                      TangentialProblem, assemble_normal, assemble_tangential,
-                     build_L_star, build_N_star, build_mesh, component_fluxes,
-                     cycle_period, error_norms, harmonic_cocycles,
-                     interpolate, nedelec_potential, recover_solution,
+                     build_L_star, build_N_star, build_mesh, error_norms,
+                     harmonic_cocycles, interpolate, recover_solution,
                      rt_potential, solve_spd, validate_tangential)
 from curldiv.cli import ProblemConfig, compute_topology, solve_on_mesh
-from curldiv.elements import eval_field
+from curldiv.elements import FACE_DEGREE, eval_field
 from curldiv.meshes import structured_cube_mesh
 from curldiv.mms import get_case
-from curldiv.quadrature import make_quadrature, subdivided_tri_rule
+from curldiv.quadrature import make_quadrature
 from curldiv.solver import (_eval_boundary, _scalar_boundary_load,
                             _tangential_boundary_load)
 from fe_eval import eval_at_points
@@ -285,11 +283,12 @@ def test_lift_independence_tangential(cube2, topo_cube2):
 
 
 def _reference_validate(p, m, b, tol=1e-8):
-    """Face-by-face validator: one refined flux per face, then for each
-    boundary face a second flux and a Stokes circulation in a Python loop,
-    with the scalar D[owner, f] as outward sign."""
+    """Face-by-face validator: one flux per face by the face rule of the RT
+    interpolant, then for each boundary face a second flux and a Stokes
+    circulation in a Python loop, with the scalar D[owner, f] as outward
+    sign."""
     report = {"warnings": [], "div_check": None, "trace_check": None}
-    frule = subdivided_tri_rule(4, 3)
+    frule = make_quadrature("tri", FACE_DEGREE)
     fverts = m.vertices[m.faces]
     fpts = np.einsum("qi,fix->fqx", frule.points, fverts)
     Jv = eval_field(p.J, fpts.reshape(-1, 3), vector=True)
