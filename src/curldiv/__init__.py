@@ -14,8 +14,8 @@ from .meshes import (hollow_ball_mesh, single_tet_mesh, solid_torus_mesh,
 from .topology import (HomologyBasis, TopologyError, TreeCotree, betti,
                        build_boundary_first_tree, domain_homology_basis,
                        fundamental_cycle, surface_cycle_basis)
-from .elements import (CoefficientField, ElementError, FEFunction, Space,
-                       differential, interpolate, zero_function)
+from .elements import (ElementError, FEFunction, Space, differential,
+                       interpolate, zero_function)
 from .lifts import (CurlData, DivergenceData, LiftError, clean_curl_data,
                     component_fluxes, cycle_period, harmonic_cocycles,
                     nedelec_potential, rt_potential)

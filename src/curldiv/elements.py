@@ -3,9 +3,9 @@
 Spaces: nodal P1 ("lagrange"), Nedelec edge of degree 1 ("edge"),
 Raviart-Thomas of degree 1 ("face") and piecewise constants ("cell").
 Coefficients are the DOF functionals of the represented field: vertex
-value, edge tangential integral, face normal flux, cell value.  The
-material coefficient eta or mu of a problem (``CoefficientField``) is one
-positive scalar per tet.
+value, edge tangential integral, face normal flux, cell value; the edge
+and face functionals are taken by ``edge_integrals`` and ``face_fluxes``,
+on any subset of edges or faces.
 """
 
 from __future__ import annotations
@@ -66,42 +66,6 @@ def zero_function(space, mesh) -> FEFunction:
     return FEFunction(space, mesh, np.zeros(_SPACE_DIM[space](mesh)))
 
 
-@dataclass(frozen=True)
-class CoefficientField:
-    """Coefficient eta or mu: one positive scalar on each tet."""
-    kind: str                   # identity | scalar | per_region
-    value: object               # float, or the (n_t,) values of per_region
-
-    @staticmethod
-    def identity() -> "CoefficientField":
-        return CoefficientField("identity", 1.0)
-
-    @staticmethod
-    def scalar(c: float) -> "CoefficientField":
-        if not c > 0:
-            raise ValueError("scalar coefficient must be positive")
-        return CoefficientField("scalar", float(c))
-
-    @staticmethod
-    def per_region(values: np.ndarray) -> "CoefficientField":
-        """One positive scalar per tet (e.g. mapped from region tags)."""
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ValueError("per-region coefficients must be a flat list")
-        if not np.all(vals > 0):
-            raise ValueError("per-region coefficients must be positive")
-        return CoefficientField("per_region", vals)
-
-    def per_tet(self, n_t: int) -> np.ndarray:
-        """The value on each of n_t tets: (n_t,)."""
-        if self.kind != "per_region":
-            return np.full(n_t, self.value)
-        if len(self.value) != n_t:
-            raise ElementError(f"per_region needs one value per tet ({n_t}), "
-                               f"got {len(self.value)}")
-        return self.value
-
-
 def eval_field(fn, points, vector: bool) -> np.ndarray:
     """Evaluate a vectorized user field at an (n, 3) point array: fn must
     return (n, 3) values if ``vector``, else (n,)."""
@@ -127,6 +91,16 @@ def differential(f: FEFunction) -> FEFunction:
     raise ElementError("piecewise constants have no differential here")
 
 
+def edge_integrals(fn, m: Mesh, edges: np.ndarray) -> np.ndarray:
+    """Integral of the tangential part of a vector field along each edge in
+    ``edges``, along p1 - p0, by the degree EDGE_DEGREE rule."""
+    rule = make_quadrature("edge", EDGE_DEGREE)
+    p = m.vertices[m.edges[edges]]                      # (n, 2, 3)
+    pts = np.einsum("qi,eix->eqx", rule.points, p)
+    vals = eval_field(fn, pts.reshape(-1, 3), vector=True).reshape(pts.shape)
+    return np.einsum("eqx,ex,q->e", vals, p[:, 1] - p[:, 0], rule.weights)
+
+
 def face_fluxes(fn, m: Mesh, faces: np.ndarray) -> np.ndarray:
     """Flux of a vector field through each face in ``faces``, along the
     face normal (p1 - p0) x (p2 - p0), by the degree FACE_DEGREE rule, in
@@ -150,14 +124,7 @@ def interpolate(space, fn, m: Mesh) -> FEFunction:
         vals = eval_field(fn, m.vertices, vector=False)
         return FEFunction(space, m, vals)
     if space == Space.EDGE:
-        rule = make_quadrature("edge", EDGE_DEGREE)
-        p = m.vertices[m.edges]                         # (n_e, 2, 3)
-        pts = np.einsum("qi,eix->eqx", rule.points, p)
-        vals = eval_field(fn, pts.reshape(-1, 3), vector=True)
-        vals = vals.reshape(m.n_e, -1, 3)
-        tang = p[:, 1] - p[:, 0]
-        dofs = np.einsum("eqx,ex,q->e", vals, tang, rule.weights)
-        return FEFunction(space, m, dofs)
+        return FEFunction(space, m, edge_integrals(fn, m, np.arange(m.n_e)))
     if space == Space.FACE:
         return FEFunction(space, m, face_fluxes(fn, m, np.arange(m.n_f)))
     rule = make_quadrature("tet", 2)

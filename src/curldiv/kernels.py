@@ -82,11 +82,11 @@ def edge_curl_values(grads):
 
 # ---------------------------------------------------------------------------
 # local mass matrices: M[i, j] = sum_q w_q |det| c basis_i . basis_j, with c
-# the coefficient of each tet, (n_t,)
+# the constant coefficient, a float
 
 
 def local_mass(basis_vals, det, qw, c):
-    cb = c[:, None, None, None] * basis_vals
+    cb = c * basis_vals
     M = np.einsum("tqix,tqjx,q->tij", basis_vals, cb, qw)
     return M * np.abs(det)[:, None, None]
 

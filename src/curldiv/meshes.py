@@ -10,33 +10,27 @@ from .mesh import Mesh, build_mesh
 
 # Kuhn split of the unit cell: each tet follows a monotone vertex path
 # 000 -> 111, one per permutation of the axes, all sharing the body diagonal.
-_KUHN_PATHS = [np.cumsum(np.vstack([[0, 0, 0]] + [np.eye(3, dtype=int)[list(p)][i]
-               for i in range(3)]), axis=0)
-               for p in itertools.permutations(range(3))]
+_KUHN_PATHS = np.array([np.cumsum(np.vstack([[0, 0, 0]] + [
+    np.eye(3, dtype=int)[list(p)][i] for i in range(3)]), axis=0)
+    for p in itertools.permutations(range(3))])             # (6, 4, 3)
 
 
 def _grid_mesh(n: int, spacing: float, keep) -> Mesh:
-    """Tetrahedralize the cells (i, j, k) of an n^3 grid for which keep() is true."""
+    """Tetrahedralize the cells (i, j, k) of an n^3 grid for which keep() is
+    true.  Cells go in lexicographic order and vertices are numbered by
+    first appearance in the tets."""
     if n < 1:
         raise ValueError("grid resolution must be >= 1")
-    vid = {}
-    coords = []
-
-    def vertex(i, j, k):
-        key = (i, j, k)
-        if key not in vid:
-            vid[key] = len(coords)
-            coords.append((i * spacing, j * spacing, k * spacing))
-        return vid[key]
-
-    tets = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if not keep(i, j, k):
-            continue
-        base = np.array([i, j, k])
-        for path in _KUHN_PATHS:
-            tets.append([vertex(*(base + step)) for step in path])
-    return build_mesh(np.array(coords), tets)
+    cells = np.array([c for c in itertools.product(range(n), repeat=3)
+                      if keep(*c)], dtype=np.int64).reshape(-1, 3)
+    corners = (cells[:, None, None] + _KUHN_PATHS).reshape(-1, 3)
+    gid = (corners[:, 0] * (n + 1) + corners[:, 1]) * (n + 1) + corners[:, 2]
+    _, first, inv = np.unique(gid, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(len(order))
+    return build_mesh(corners[first[order]] * spacing,
+                      new_id[inv].reshape(-1, 4))
 
 
 def structured_cube_mesh(n: int) -> Mesh:

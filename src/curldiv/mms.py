@@ -4,10 +4,10 @@ Each case fixes an exact field u together with its curl J and divergence
 g.  ``MMSCase.tangential`` and ``MMSCase.normal`` turn a case into the
 problem data for a constant coefficient c: J := c curl u and the boundary
 datum a = (c u) x n, or g := c div u and b = c u.n, both taking the
-mesh's outward normals as fn(points, normals).  A per-region coefficient
-has no manufactured solution and is rejected.  Flux and period data
-(alpha, beta) are computed discretely from the canonical interpolants so
-they are consistent on any fixture topology.
+mesh's outward normals as fn(points, normals).  Flux and period data
+(alpha, beta) are the DOF functionals of u, taken only on the faces of the
+internal components and the edges of the sigma_n cycles, so they are
+consistent on any fixture topology.
 
 Every registered case is verified at registration time: curl and
 divergence are checked against central finite differences of u at random
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import CoefficientField, face_fluxes, interpolate
+from .elements import edge_integrals, face_fluxes
 from .lifts import cycle_period
 from .mesh import Mesh, BoundaryStructure
 from .solver import NormalProblem, TangentialProblem
@@ -36,13 +36,6 @@ class MMSError(ValueError):
     pass
 
 
-def _constant(coef: CoefficientField) -> float:
-    if coef.kind == "per_region":
-        raise MMSError("a per-region coefficient has no manufactured "
-                       "solution; built-in cases take identity or scalar")
-    return coef.value
-
-
 @dataclass(frozen=True)
 class MMSCase:
     name: str
@@ -51,17 +44,17 @@ class MMSCase:
     g: object                       # div u
     description: str = ""
 
-    def tangential(self, eta: CoefficientField) -> TangentialProblem:
-        """curl(eta u) = J and (eta u) x n = a for eta = c I."""
-        c, u, J = _constant(eta), self.u, self.J
-        return TangentialProblem(eta, J=lambda x: c * J(x),
+    def tangential(self, c: float) -> TangentialProblem:
+        """curl(c u) = J and (c u) x n = a for eta = c."""
+        u, J = self.u, self.J
+        return TangentialProblem(c, J=lambda x: c * J(x),
                                  a=lambda x, n: np.cross(c * u(x), n))
 
-    def normal(self, mu: CoefficientField) -> NormalProblem:
-        """div(mu u) = g and mu u.n = b for mu = c I."""
-        c, u, g = _constant(mu), self.u, self.g
+    def normal(self, c: float) -> NormalProblem:
+        """div(c u) = g and c u.n = b for mu = c."""
+        u, g = self.u, self.g
         return NormalProblem(
-            mu, g=lambda x: c * g(x),
+            c, g=lambda x: c * g(x),
             b=lambda x, n: c * np.einsum("qx,qx->q", u(x), n))
 
 
@@ -111,8 +104,11 @@ def discrete_alpha(case: MMSCase, m: Mesh, b: BoundaryStructure) -> np.ndarray:
 
 def discrete_beta(case: MMSCase, m: Mesh, hb: HomologyBasis) -> np.ndarray:
     """Periods of the Nedelec interpolant of u over the sigma_n cycles."""
-    u_I = interpolate("edge", case.u, m)
-    return np.array([cycle_period(cyc, u_I.coeffs) for cyc in hb.cycles])
+    u_I = np.zeros(m.n_e)
+    edges = np.array(sorted({int(e) for cyc in hb.cycles for e in cyc}),
+                     dtype=np.int64)
+    u_I[edges] = edge_integrals(case.u, m, edges)
+    return np.array([cycle_period(cyc, u_I) for cyc in hb.cycles])
 
 
 _PI = np.pi

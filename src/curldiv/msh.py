@@ -1,13 +1,15 @@
-"""Gmsh MSH 2.2 ASCII reader (tetrahedra, optional surface triangles).
+"""Gmsh MSH 2.2 ASCII reader and writer.
 
-Only what the solver needs: node coordinates, volume elements with their
-physical region tag, and boundary triangles with theirs.  Parse failures
-report the offending line number and section.
+Only what the solver needs: node coordinates and tetrahedra with their
+physical region tag.  Triangle records are checked for three nodes and
+skipped; other element types are skipped.  Parse failures (bad records,
+node ids declared twice or never) report the offending line number and
+section.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +24,6 @@ class MshParseError(RuntimeError):
 class GmshData:
     mesh: Mesh
     tet_tags: np.ndarray                     # physical region per tet
-    triangle_tags: dict = field(default_factory=dict)   # sorted tri -> tag
 
 
 class _Lines:
@@ -47,8 +48,7 @@ class _Lines:
 def read_gmsh(path) -> GmshData:
     ln = _Lines(path)
     nodes = {}
-    tets, tet_tags = [], []
-    tri_tags = {}
+    tets, tet_tags, tet_lines = [], [], []
     seen_nodes = seen_elements = False
     while ln.pos < len(ln.lines):
         line = ln.next("top level")
@@ -74,10 +74,15 @@ def read_gmsh(path) -> GmshData:
             for _ in range(n):
                 parts = ln.next("Nodes").split()
                 try:
-                    nodes[int(parts[0])] = [float(x) for x in parts[1:4]]
+                    nid = int(parts[0])
+                    x, y, z = map(float, parts[1:4])
                 except (ValueError, IndexError):
                     raise MshParseError(
                         f"line {ln.lineno}: bad node record") from None
+                if nid in nodes:
+                    raise MshParseError(
+                        f"line {ln.lineno}: node id {nid} declared twice")
+                nodes[nid] = [x, y, z]
             if ln.next("Nodes") != "$EndNodes":
                 raise MshParseError(f"line {ln.lineno}: missing $EndNodes")
         elif line == "$Elements":
@@ -104,12 +109,11 @@ def read_gmsh(path) -> GmshData:
                             f"line {ln.lineno}: tetrahedron needs 4 nodes")
                     tets.append(conn)
                     tet_tags.append(phys)
-                elif etype == 2:                    # triangle
-                    if len(conn) != 3:
-                        raise MshParseError(
-                            f"line {ln.lineno}: triangle needs 3 nodes")
-                    tri_tags[tuple(sorted(conn))] = phys
-                # other element types (points, lines) are ignored
+                    tet_lines.append(ln.lineno)
+                elif etype == 2 and len(conn) != 3:     # triangle
+                    raise MshParseError(
+                        f"line {ln.lineno}: triangle needs 3 nodes")
+                # triangles and other element types are skipped
             if ln.next("Elements") != "$EndElements":
                 raise MshParseError(f"line {ln.lineno}: missing $EndElements")
         elif line.startswith("$"):
@@ -125,12 +129,15 @@ def read_gmsh(path) -> GmshData:
     ids = sorted(nodes)
     remap = {i: k for k, i in enumerate(ids)}
     coords = np.array([nodes[i] for i in ids])
-    tet_arr = np.array([[remap[v] for v in t] for t in tets], dtype=np.int64)
+    try:
+        tet_arr = np.array([[remap[v] for v in t] for t in tets],
+                           dtype=np.int64)
+    except KeyError as exc:
+        k = next(k for k, t in enumerate(tets) if exc.args[0] in t)
+        raise MshParseError(f"line {tet_lines[k]}: tetrahedron names "
+                            f"undeclared node id {exc.args[0]}") from None
     mesh = build_mesh(coords, tet_arr)
-    tri_remapped = {tuple(sorted(remap[v] for v in tri)): tag
-                    for tri, tag in tri_tags.items()}
-    return GmshData(mesh=mesh, tet_tags=np.array(tet_tags, dtype=np.int64),
-                    triangle_tags=tri_remapped)
+    return GmshData(mesh=mesh, tet_tags=np.array(tet_tags, dtype=np.int64))
 
 
 def write_gmsh(path, vertices, tets, tet_tags=None) -> None:

@@ -4,7 +4,7 @@ Tangential problem: curl(eta u) = J, div u = g, (eta u) x n = a on the
 boundary, prescribed component fluxes alpha.  Normal problem: curl u = J,
 div(mu u) = g, mu u . n = b, prescribed homology periods beta.  Both are
 solved by Jacobi-preconditioned conjugate gradients.  The coefficient is
-one positive scalar per tet, and the boundary data are callables
+one positive, finite float, and the boundary data are callables
 fn(points, normals).  A problem object holds what its assembly reads
 (eta, J, a or mu, g, b); g and alpha, or J and beta, enter through the
 lift.
@@ -32,8 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import kernels
-from .elements import (CoefficientField, FEFunction, Space, eval_field,
-                       interpolate)
+from .elements import FEFunction, Space, eval_field, interpolate
 from .mesh import Mesh, BoundaryStructure
 from .quadrature import make_quadrature
 from .topology import HomologyBasis, TreeCotree
@@ -53,7 +52,7 @@ class SolverError(RuntimeError):
 class TangentialProblem:
     """The data the tangential assembly reads; g and alpha reach the
     solve through the lift (``DivergenceData``)."""
-    eta: CoefficientField
+    eta: float
     J: object                       # vector field, (n, 3) -> (n, 3)
     a: object                       # tangential boundary datum a(x, n)
 
@@ -62,7 +61,7 @@ class TangentialProblem:
 class NormalProblem:
     """The data the normal assembly reads; J and beta reach the solve
     through the lift (``CurlData``)."""
-    mu: CoefficientField
+    mu: float
     g: object                       # scalar field, (n, 3) -> (n,)
     b: object                       # scalar boundary datum b(x, n)
 
@@ -112,8 +111,9 @@ def _reduced_operator(m: Mesh, kind: str, dofs: np.ndarray) -> sp.csc_matrix:
 # global mass matrices
 
 
-def _global_mass(m: Mesh, coef: CoefficientField,
-                 space: Space) -> sp.csr_matrix:
+def _global_mass(m: Mesh, coef: float, space: Space) -> sp.csr_matrix:
+    if not (np.isfinite(coef) and coef > 0):
+        raise SolverError(f"coefficient must be finite and > 0, got {coef!r}")
     rule = make_quadrature("tet", VOLUME_DEGREE)
     grads, det = m.tet_geometry
     if space == Space.FACE:
@@ -124,8 +124,7 @@ def _global_mass(m: Mesh, coef: CoefficientField,
         basis = kernels.edge_basis_values(grads, rule.points)
         conn = m.tet_edges
         dim = m.n_e
-    local = kernels.local_mass(basis, det, rule.weights,
-                               coef.per_tet(m.n_t))
+    local = kernels.local_mass(basis, det, rule.weights, coef)
     nb = conn.shape[1]
     rows = np.repeat(conn, nb, axis=1).ravel()
     cols = np.tile(conn, (1, nb)).ravel()
@@ -133,11 +132,11 @@ def _global_mass(m: Mesh, coef: CoefficientField,
     return M.tocsr()
 
 
-def rt_mass_matrix(m: Mesh, coef: CoefficientField) -> sp.csr_matrix:
+def rt_mass_matrix(m: Mesh, coef: float) -> sp.csr_matrix:
     return _global_mass(m, coef, Space.FACE)
 
 
-def edge_mass_matrix(m: Mesh, coef: CoefficientField) -> sp.csr_matrix:
+def edge_mass_matrix(m: Mesh, coef: float) -> sp.csr_matrix:
     return _global_mass(m, coef, Space.EDGE)
 
 
@@ -289,7 +288,7 @@ def consistent_load(m: Mesh, F: np.ndarray,
     norm = np.linalg.norm(F)
     if norm == 0.0:
         return F, {"gradient": 0.0, "harmonic": 0.0}
-    M = edge_mass_matrix(m, CoefficientField.identity())
+    M = edge_mass_matrix(m, 1.0)
     G = _reduced_operator(m, "normal", build_L_star(m))
     A = (G.T @ M @ G).tocsr()
 

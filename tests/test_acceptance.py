@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from curldiv import (CoefficientField, CurlData, DivergenceData, FEFunction,
+from curldiv import (CurlData, DivergenceData, FEFunction,
                      NormalProblem, TangentialProblem, assemble_normal,
                      assemble_tangential, build_L_star, build_N_star,
                      component_fluxes, cycle_period, differential, error_norms,
@@ -119,14 +119,14 @@ def test_criterion_06_uniqueness_zero_data(request):
         topo = request.getfixturevalue(f"topo_{name}")
         gb = build_N_star(topo.tree, topo.homology)
         lift_t = FEFunction("face", m, np.zeros(m.n_f))
-        prob_t = TangentialProblem(CoefficientField.identity(), _zeros_v,
+        prob_t = TangentialProblem(1.0, _zeros_v,
                                    _zeros_a)
         W = solve_spd(assemble_tangential(prob_t, m, gb, lift_t,
                                           _cocycles(m, topo)))
         assert np.abs(W).max() <= 1e-10
         rb = build_L_star(m)
         lift_n = FEFunction("edge", m, np.zeros(m.n_e))
-        prob_n = NormalProblem(CoefficientField.identity(), _zeros_s,
+        prob_n = NormalProblem(1.0, _zeros_s,
                                _zeros_b)
         V = solve_spd(assemble_normal(prob_n, m, rb, lift_n))
         assert np.abs(V).max() <= 1e-10
@@ -141,7 +141,7 @@ def test_criterion_07_spd(request):
         topo = request.getfixturevalue(f"topo_{name}")
         gb = build_N_star(topo.tree, topo.homology)
         rb = build_L_star(m)
-        for coef in (CoefficientField.identity(), CoefficientField.scalar(2.5)):
+        for coef in (1.0, 2.5):
             lift_t = FEFunction("face", m, np.zeros(m.n_f))
             prob_t = TangentialProblem(coef, _zeros_v, _zeros_a)
             Kt = assemble_tangential(prob_t, m, gb, lift_t,
@@ -222,7 +222,7 @@ def test_criterion_09_lift_contracts(request, cube2, topo_cube2, torus,
     rng = np.random.default_rng(9)
     kernel = np.asarray(cube2.incidence.C @ rng.standard_normal(cube2.n_e))
     shifted = FEFunction("face", cube2, base.coeffs + kernel.ravel())
-    prob = case.tangential(CoefficientField.identity())
+    prob = case.tangential(1.0)
     probes = rng.uniform(0.1, 0.9, size=(10, 3))
     vals = []
     for lf in (base, shifted):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curldiv import (CoefficientField, ElementError, FEFunction, differential,
+from curldiv import (ElementError, FEFunction, differential,
                      interpolate, zero_function)
 from curldiv.elements import eval_field
 from curldiv.mms import get_case
@@ -154,22 +154,6 @@ def test_eval_roundtrip_rt(cube1):
     f = FEFunction("face", cube1, coeffs)
     for j in rng.choice(cube1.n_f, size=6, replace=False):
         assert abs(_face_dof_of(cube1, f, int(j)) - coeffs[j]) < 1e-12
-
-
-def test_coefficient_field_kinds():
-    with pytest.raises(ValueError):
-        CoefficientField.scalar(-1.0)
-    with pytest.raises(ValueError):
-        CoefficientField.per_region(np.array([1.0, -2.0]))
-    assert np.array_equal(CoefficientField.identity().per_tet(3),
-                          [1.0, 1.0, 1.0])
-    assert np.array_equal(CoefficientField.scalar(2.5).per_tet(2), [2.5, 2.5])
-    vals = np.array([1.0, 2.0, 3.0])
-    pr = CoefficientField.per_region(vals)
-    assert np.array_equal(pr.per_tet(3), vals)
-    for n_t in (1, 4):
-        with pytest.raises(ElementError, match="one value per tet"):
-            pr.per_tet(n_t)
 
 
 def test_wrong_coefficient_length_raises(tet1):

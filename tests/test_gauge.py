@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from curldiv import (AssembledSystem, CoefficientField, DivergenceData,
+from curldiv import (AssembledSystem, DivergenceData,
                      FEFunction, assemble_tangential,
                      build_L_star, build_N_star, component_fluxes,
                      consistent_load, harmonic_cocycles, interpolate,
@@ -200,7 +200,7 @@ def test_tangential_system_matches_sparse_reference(mesh, request):
     assert topo.homology.closing_edges.tolist() == closing
 
     case = get_case("mms1")
-    prob = case.tangential(CoefficientField.identity())
+    prob = case.tangential(1.0)
     lift = rt_potential(m, b, DivergenceData(interpolate("cell", case.g, m),
                                              np.full(b.p, 0.25)))
     dofs = _gauged(topo)

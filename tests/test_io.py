@@ -79,14 +79,45 @@ def test_no_tets_rejected(tmp_path):
         read_gmsh(p)
 
 
-def test_triangle_tags_collected(tmp_path):
+def test_triangle_element_reads_the_same_mesh(tmp_path):
     txt = MINIMAL_MSH.replace(
         "$Elements\n1\n1 4 2 7 1 1 2 3 4\n$EndElements",
         "$Elements\n2\n1 4 2 7 1 1 2 3 4\n2 2 2 5 1 1 2 3\n$EndElements")
-    p = tmp_path / "tri.msh"
+    p, q = tmp_path / "tri.msh", tmp_path / "tet.msh"
     p.write_text(txt)
-    data = read_gmsh(p)
-    assert data.triangle_tags == {(0, 1, 2): 5}
+    q.write_text(MINIMAL_MSH)
+    with_tri, tet_only = read_gmsh(p), read_gmsh(q)
+    assert np.array_equal(with_tri.mesh.vertices, tet_only.mesh.vertices)
+    assert np.array_equal(with_tri.mesh.tets, tet_only.mesh.tets)
+    assert with_tri.tet_tags.tolist() == [7]
+
+
+def test_triangle_with_wrong_node_count_rejected(tmp_path):
+    p = tmp_path / "tri.msh"
+    p.write_text(MINIMAL_MSH.replace(
+        "$Elements\n1\n1 4 2 7 1 1 2 3 4\n$EndElements",
+        "$Elements\n2\n1 4 2 7 1 1 2 3 4\n2 2 2 5 1 1 2\n$EndElements"))
+    with pytest.raises(MshParseError, match="line 14: triangle needs 3"):
+        read_gmsh(p)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("1 4 2 7 1 1 2 3 4", "1 4 2 7 1 1 2 3 9",
+     "line 13: tetrahedron names undeclared node id 9"),
+    ("2 1 0 0\n", "2 1 0\n", "line 7: bad node record"),
+    ("4 0 0 1\n", "3 0 0 1\n", "line 9: node id 3 declared twice"),
+], ids=["undeclared_node", "two_coordinates", "node_declared_twice"])
+def test_malformed_msh_exit_2(tmp_path, capsys, old, new, message):
+    p = tmp_path / "bad.msh"
+    p.write_text(MINIMAL_MSH.replace(old, new))
+    with pytest.raises(MshParseError, match=message):
+        read_gmsh(p)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"formulation": "tangential",
+                                    "case": "mms1"}))
+    assert main(["topology", "--mesh", str(p)]) == 2
+    assert main(["solve", "--mesh", str(p), "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_vtk_single_tet_zero_field(tmp_path):
@@ -169,8 +200,16 @@ def test_parse_config_validation():
                         "coefficient": {"kind": "scalar", "value": 2.0},
                         "tol": 1e-9})
     assert cfg.formulation == "normal"
-    assert cfg.coefficient.kind == "scalar"
+    assert cfg.coefficient == 2.0
+    for value in ("1e400", "-1e400", "NaN", "0.0"):
+        with pytest.raises(ConfigError, match="finite and > 0"):
+            parse_config(json.loads(
+                '{"formulation": "normal", "case": "mms1", '
+                f'"coefficient": {{"kind": "scalar", "value": {value}}}}}'))
     assert cfg.tol == 1e-9
+    assert parse_config({"formulation": "normal", "case": "mms1",
+                         "coefficient": {"kind": "identity"}}).coefficient \
+        == 1.0
 
 
 def test_cli_solve_roundtrip(tmp_path, capsys):
@@ -257,19 +296,28 @@ def test_cli_bug_is_not_a_data_failure(tmp_path, monkeypatch):
         main(["topology", "--mesh", str(mesh_path)])
 
 
-@pytest.mark.parametrize("coefficient", [{"kind": "scalar"},
-                                         {"kind": "scalar", "value": "x"},
-                                         {"kind": "scalar", "value": -1.0}])
-def test_cli_bad_coefficient_exit_1(tmp_path, coefficient):
-    m = single_tet_mesh()
-    mesh_path = tmp_path / "tet.msh"
-    write_gmsh(mesh_path, m.vertices, m.tets)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"formulation": "tangential",
-                                    "case": "mms1",
-                                    "coefficient": coefficient}))
-    assert main(["solve", "--mesh", str(mesh_path),
-                 "--config", str(cfg_path)]) == 1
+@pytest.mark.parametrize("coefficient", [
+    {"kind": "scalar"},
+    {"kind": "scalar", "value": "x"},
+    {"kind": "scalar", "value": -1.0},
+    {"kind": "scalar", "value": 0},
+    {"kind": "scalar", "value": 1e400},             # JSON 1e400 reads as inf
+    {"kind": "scalar", "value": float("nan")},
+    {"kind": "per_region", "values": [2.0]},
+])
+def test_cli_bad_coefficient_exit_1(tmp_path, capsys, monkeypatch,
+                                    coefficient):
+    # a ConfigError before any assembly, in both formulations
+    from curldiv import cli
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("the solve ran on a bad coefficient")
+    monkeypatch.setattr(cli, "solve_on_mesh", no_assembly)
+    for formulation in ("tangential", "normal"):
+        assert _solve_exit_code(tmp_path, mesh=structured_cube_mesh(2),
+                                formulation=formulation,
+                                coefficient=coefficient) == 1
+        assert "coefficient" in capsys.readouterr().err
 
 
 def _solve_exit_code(tmp_path, mesh=None, **config):
@@ -304,34 +352,6 @@ def test_cli_bad_tol_exit_1(tmp_path, capsys, tol):
 def test_cli_bad_output_exit_1(tmp_path, capsys, output):
     assert _solve_exit_code(tmp_path, output=output) == 1
     assert "output must be a file name or null" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("n_values", [2, 53], ids=["short", "long"])
-def test_cli_per_region_length_exit_1(tmp_path, capsys, n_values):
-    cube = structured_cube_mesh(2)                    # 48 tets
-    per_region = {"kind": "per_region", "values": [1.0] * n_values}
-    assert _solve_exit_code(tmp_path, mesh=cube, formulation="normal",
-                            coefficient=per_region) == 1
-    assert "one value per tet (48)" in capsys.readouterr().err
-
-
-def test_cli_per_region_2d_values_exit_1(tmp_path, capsys):
-    cube = structured_cube_mesh(2)
-    per_region = {"kind": "per_region", "values": [[1.0, 2.0]] * 24}
-    assert _solve_exit_code(tmp_path, mesh=cube, formulation="normal",
-                            coefficient=per_region) == 1
-    assert "must be a flat list" in capsys.readouterr().err
-
-
-def test_cli_per_region_one_value_per_tet_solves(tmp_path, capsys):
-    # the right length passes the config checks, but no built-in case has a
-    # manufactured solution for a per-region coefficient
-    cube = structured_cube_mesh(2)
-    per_region = {"kind": "per_region", "values": [2.0] * cube.n_t}
-    for formulation in ("tangential", "normal"):
-        assert _solve_exit_code(tmp_path, mesh=cube, formulation=formulation,
-                                coefficient=per_region) == 1
-        assert "no manufactured solution" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [[[0.0]], 0.5], ids=["2d", "scalar"])

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from curldiv import build_mesh, kernels, solver, write_vtk
 from curldiv.cli import (ProblemConfig, compute_topology,
                          solution_residual_field, solve_on_mesh)
-from curldiv.elements import CoefficientField, FEFunction, zero_function
+from curldiv.elements import FEFunction, zero_function
 from curldiv.mesh import LOCAL_EDGES
 from curldiv.mms import get_case
 from curldiv.quadrature import make_quadrature
@@ -108,8 +108,7 @@ def _reference_loads(m, J, g, a_fn, b_fn):
 def test_loads_match_add_at_reference_bitwise(name, request):
     m = request.getfixturevalue(name)
     case = get_case("mms1")
-    coef = CoefficientField.identity()
-    a_fn, b_fn = case.tangential(coef).a, case.normal(coef).b
+    a_fn, b_fn = case.tangential(1.0).a, case.normal(1.0).b
     loads = (solver._edge_load(m, case.J), solver._nodal_load(m, case.g),
              solver._tangential_boundary_load(m, a_fn),
              solver._scalar_boundary_load(m, b_fn))
@@ -123,11 +122,8 @@ def _tensor_mass(m, coef, space):
     (n_t, nq, 3, 3) array, contracted with the basis by a 3x3 einsum."""
     rule = make_quadrature("tet", solver.VOLUME_DEGREE)
     n_t, nq = m.n_t, len(rule.weights)
-    if coef.kind == "per_region":
-        tensor = coef.value[:, None, None, None] * np.eye(3)[None, None]
-    else:
-        tensor = coef.value * np.eye(3)
-    tensor = np.ascontiguousarray(np.broadcast_to(tensor, (n_t, nq, 3, 3)))
+    tensor = np.ascontiguousarray(np.broadcast_to(coef * np.eye(3),
+                                                  (n_t, nq, 3, 3)))
     grads, det = kernels.tet_geometry(m.vertices, m.tets)
     if space == "face":
         basis, conn, dim = (kernels.rt_basis_values(grads, rule.points),
@@ -145,14 +141,11 @@ def _tensor_mass(m, coef, space):
                          shape=(dim, dim)).tocsr()
 
 
-@pytest.mark.parametrize("kind", ["identity", "scalar", "per_region"])
+@pytest.mark.parametrize("kind", ["identity", "scalar"])
 @pytest.mark.parametrize("name", FIXTURES)
 def test_mass_matrices_match_tensor_coefficient_bitwise(name, kind, request):
     m = request.getfixturevalue(name)
-    coef = {"identity": CoefficientField.identity(),
-            "scalar": CoefficientField.scalar(2.5),
-            "per_region": CoefficientField.per_region(
-                np.random.default_rng(11).uniform(0.5, 3.0, m.n_t))}[kind]
+    coef = {"identity": 1.0, "scalar": 2.5}[kind]
     for space, got in (("face", solver.rt_mass_matrix(m, coef)),
                        ("edge", solver.edge_mass_matrix(m, coef))):
         want = _tensor_mass(m, coef, space)

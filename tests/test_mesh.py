@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from curldiv import MeshError, build_mesh
-from curldiv.meshes import structured_cube_mesh
+from curldiv import (MeshError, build_mesh, hollow_ball_mesh,
+                     solid_torus_mesh)
+from curldiv.meshes import _KUHN_PATHS, structured_cube_mesh
 
 
 def test_single_tet_counts(tet1):
@@ -221,3 +224,32 @@ def test_external_component_encloses_the_only_positive_volume(fixture,
     enclosed = np.array(enclosed)
     assert abs(enclosed.sum() - m.volumes.sum()) <= 1e-14
     assert np.flatnonzero(enclosed > 0).tolist() == [b.external_index]
+
+
+def _grid_mesh_loop(n, spacing, keep):
+    """Reference: a vertex dict filled cell by cell, in first appearance."""
+    vid, coords, tets = {}, [], []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if not keep(i, j, k):
+            continue
+        for path in _KUHN_PATHS:
+            tet = []
+            for key in map(tuple, path + (i, j, k)):
+                if key not in vid:
+                    vid[key] = len(coords)
+                    coords.append(tuple(x * spacing for x in key))
+                tet.append(vid[key])
+            tets.append(tet)
+    return build_mesh(np.array(coords), tets)
+
+
+@pytest.mark.parametrize("build, n, keep", [
+    *[(structured_cube_mesh, n, lambda i, j, k: True) for n in (1, 2, 3, 4)],
+    *[(solid_torus_mesh, n, lambda i, j, k, c=n // 2: (i, j) != (c, c))
+      for n in (3, 5)],
+    (hollow_ball_mesh, 3, lambda i, j, k: (i, j, k) != (1, 1, 1)),
+], ids=["cube1", "cube2", "cube3", "cube4", "torus3", "torus5", "hollow3"])
+def test_grid_mesh_matches_loop_reference(build, n, keep):
+    got, want = build(n), _grid_mesh_loop(n, 1.0 / n, keep)
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.tets, want.tets)

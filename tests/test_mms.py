@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curldiv import CoefficientField
+from curldiv import cycle_period, interpolate
 from curldiv.mms import (MMSCase, MMSError, REGISTRY, discrete_alpha,
                          discrete_beta, get_case, register)
 
@@ -37,8 +37,8 @@ def test_registration_rejects_inconsistent_case():
 
 def test_boundary_data_normal_aware():
     case = get_case("mms1")
-    a = case.tangential(CoefficientField.identity()).a
-    b = case.normal(CoefficientField.identity()).b
+    a = case.tangential(1.0).a
+    b = case.normal(1.0).b
     pts = np.array([[0.5, 0.5, 1.0]])
     nrm = np.array([[0.0, 0.0, 1.0]])
     u = case.u(pts)[0]
@@ -48,7 +48,7 @@ def test_boundary_data_normal_aware():
 
 def test_a_with_scalar_eta():
     case = get_case("mms2")
-    prob = case.tangential(CoefficientField.scalar(2.0))
+    prob = case.tangential(2.0)
     pts = np.array([[0.5, 0.5, 1.0]])
     nrm = np.array([[0.0, 0.0, 1.0]])
     u = case.u(pts)[0]
@@ -59,21 +59,12 @@ def test_a_with_scalar_eta():
 
 def test_normal_data_with_scalar_mu():
     case = get_case("mms1")
-    prob = case.normal(CoefficientField.scalar(2.0))
+    prob = case.normal(2.0)
     pts = np.array([[0.5, 0.5, 1.0]])
     nrm = np.array([[0.0, 0.0, 1.0]])
     u = case.u(pts)[0]
     assert abs(prob.b(pts, nrm)[0] - 2.0 * u @ nrm[0]) < 1e-14
     assert np.array_equal(prob.g(pts), 2.0 * case.g(pts))
-
-
-def test_a_rejects_per_region_eta():
-    case = get_case("mms2")
-    coef = CoefficientField.per_region(np.array([1.0, 2.0]))
-    with pytest.raises(MMSError, match="no manufactured solution"):
-        case.tangential(coef)
-    with pytest.raises(MMSError, match="no manufactured solution"):
-        case.normal(coef)
 
 
 def test_discrete_alpha_on_hollow(hollow, topo_hollow):
@@ -93,3 +84,17 @@ def test_discrete_beta_on_torus(torus, topo_torus):
 def test_discrete_alpha_empty_on_cube(cube1, topo_cube1):
     alpha = discrete_alpha(get_case("mms1"), cube1, topo_cube1.boundary)
     assert alpha.shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["torus", "genus2", "handle_cavity"])
+def test_discrete_beta_is_the_period_of_the_edge_interpolant(name, request):
+    # beta integrates u on the cycle edges only; the values are those of
+    # the interpolant on every edge, bit for bit
+    m = request.getfixturevalue(name)
+    hb = request.getfixturevalue(f"topo_{name}").homology
+    case = get_case("mms1")
+    u_I = interpolate("edge", case.u, m).coeffs
+    want = np.array([cycle_period(cyc, u_I) for cyc in hb.cycles])
+    assert len(want) == hb.g > 0
+    assert np.array_equal(discrete_beta(case, m, hb), want)
+

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curldiv import (CoefficientField, DivergenceData, assemble_tangential,
+from curldiv import (DivergenceData, assemble_tangential,
                      build_mesh, build_N_star, consistent_load,
                      harmonic_cocycles, interpolate, kernels,
                      recover_solution, rt_potential, solve_spd)
@@ -89,7 +89,7 @@ def test_quotient_u_h_matches_gauged_reference(name, request):
                                                     tol=TOL), topo)
     case = get_case("mms1")
     b = topo.boundary
-    prob = case.tangential(CoefficientField.identity())
+    prob = case.tangential(1.0)
     lift = rt_potential(m, b, DivergenceData(interpolate("cell", case.g, m),
                                              discrete_alpha(case, m, b)))
     dofs = build_N_star(topo.tree, topo.homology)
@@ -107,7 +107,7 @@ def test_consistent_load_annihilates_ker_C(handle_cavity, topo_handle_cavity):
     H = harmonic_cocycles(m, topo.tree, topo.homology)
     assert H.shape == (m.n_e, 1)
     assert np.abs(m.incidence.C @ H).max() == 0.0
-    a = case.tangential(CoefficientField.identity()).a
+    a = case.tangential(1.0).a
     F = _edge_load(m, case.J) + _tangential_boundary_load(m, a)
     Fc, raw = consistent_load(m, F, H)
     G = m.incidence.G

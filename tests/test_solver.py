@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from curldiv import (AssembledSystem, CoefficientField, DivergenceData,
+from curldiv import (AssembledSystem, DivergenceData,
                      ElementError, FEFunction, NormalProblem, SolverError,
                      TangentialProblem, assemble_normal, assemble_tangential,
-                     build_L_star, build_N_star, build_mesh, error_norms,
-                     harmonic_cocycles, interpolate, recover_solution,
+                     build_L_star, build_N_star, build_mesh,
+                     edge_mass_matrix, error_norms, harmonic_cocycles,
+                     interpolate, recover_solution, rt_mass_matrix,
                      rt_potential, solve_spd, validate_tangential)
 from curldiv.cli import ProblemConfig, compute_topology, solve_on_mesh
 from curldiv.elements import FACE_DEGREE, eval_field
@@ -71,7 +72,7 @@ def _oracle_rt_mass(m):
 def test_tangential_K_matches_dense_oracle(cube1, topo_cube1):
     gb = build_N_star(topo_cube1.tree, topo_cube1.homology)
     lift = FEFunction("face", cube1, np.zeros(cube1.n_f))
-    prob = TangentialProblem(CoefficientField.identity(), _zeros_v,
+    prob = TangentialProblem(1.0, _zeros_v,
                              _zeros_a)
     system = assemble_tangential(prob, cube1, gb, lift,
                                  _cocycles(cube1, topo_cube1))
@@ -84,7 +85,7 @@ def test_tangential_K_matches_dense_oracle(cube1, topo_cube1):
 def test_tangential_K_symmetric(cube2, topo_cube2):
     gb = build_N_star(topo_cube2.tree, topo_cube2.homology)
     lift = FEFunction("face", cube2, np.zeros(cube2.n_f))
-    prob = TangentialProblem(CoefficientField.scalar(2.0), _zeros_v,
+    prob = TangentialProblem(2.0, _zeros_v,
                              _zeros_a)
     K = assemble_tangential(prob, cube2, gb, lift,
                             _cocycles(cube2, topo_cube2)).K
@@ -94,7 +95,7 @@ def test_tangential_K_symmetric(cube2, topo_cube2):
 def test_tangential_zero_data_zero_rhs(cube1, topo_cube1):
     gb = build_N_star(topo_cube1.tree, topo_cube1.homology)
     lift = FEFunction("face", cube1, np.zeros(cube1.n_f))
-    prob = TangentialProblem(CoefficientField.identity(), _zeros_v,
+    prob = TangentialProblem(1.0, _zeros_v,
                              _zeros_a)
     system = assemble_tangential(prob, cube1, gb, lift,
                                  _cocycles(cube1, topo_cube1))
@@ -105,7 +106,7 @@ def test_normal_single_tet_is_p1_stiffness(tet1):
     topo = compute_topology(tet1)
     rb = build_L_star(tet1)
     lift = FEFunction("edge", tet1, np.zeros(tet1.n_e))
-    prob = NormalProblem(CoefficientField.identity(), _zeros_s, _zeros_b)
+    prob = NormalProblem(1.0, _zeros_s, _zeros_b)
     K = assemble_normal(prob, tet1, rb, lift).K.toarray()
     verts = tet1.vertices[tet1.tets[0]]
     A = np.vstack([np.ones(4), verts.T])
@@ -118,7 +119,7 @@ def test_normal_single_tet_is_p1_stiffness(tet1):
 def test_normal_zero_data_zero_rhs(cube1):
     rb = build_L_star(cube1)
     lift = FEFunction("edge", cube1, np.zeros(cube1.n_e))
-    prob = NormalProblem(CoefficientField.identity(), _zeros_s, _zeros_b)
+    prob = NormalProblem(1.0, _zeros_s, _zeros_b)
     system = assemble_normal(prob, cube1, rb, lift)
     assert np.abs(system.rhs).max() == 0.0
 
@@ -166,7 +167,7 @@ def test_galerkin_residual_after_solve(cube2, topo_cube2):
     g_h = interpolate("cell", case.g, cube2)
     lift = rt_potential(cube2, topo_cube2.boundary,
                         DivergenceData(g_h, np.zeros(0)))
-    prob = case.tangential(CoefficientField.identity())
+    prob = case.tangential(1.0)
     system = assemble_tangential(prob, cube2, gb, lift,
                                  _cocycles(cube2, topo_cube2))
     W = solve_spd(system, tol=1e-12)
@@ -190,7 +191,7 @@ def test_recovered_solution_contracts(cube2, topo_cube2):
 def test_validate_smooth_data_passes(cube2, topo_cube2):
     from curldiv.mms import get_case
     case = get_case("mms1")
-    prob = case.tangential(CoefficientField.identity())
+    prob = case.tangential(1.0)
     rep = validate_tangential(prob, cube2, topo_cube2.boundary)
     assert rep["warnings"] == []
     assert rep["div_check"] <= 1e-8
@@ -201,7 +202,7 @@ def test_validate_smooth_data_passes(cube2, topo_cube2):
 def test_validate_flags_bad_divergence(cube1, topo_cube1):
     def Jbad(p):
         return np.column_stack([p[:, 0], np.zeros(len(p)), np.zeros(len(p))])
-    prob = TangentialProblem(CoefficientField.identity(), Jbad, _zeros_a)
+    prob = TangentialProblem(1.0, Jbad, _zeros_a)
     rep = validate_tangential(prob, cube1, topo_cube1.boundary)
     assert rep["div_check"] > 1e-8
     assert rep["warnings"]
@@ -216,8 +217,8 @@ def test_scaling_equivariance(cube1, topo_cube1):
     lift = rt_potential(cube1, topo_cube1.boundary,
                         DivergenceData(g_h, np.zeros(0)))
 
-    prob1 = case.tangential(CoefficientField.identity())
-    prob2 = case.tangential(CoefficientField.scalar(c))
+    prob1 = case.tangential(1.0)
+    prob2 = case.tangential(c)
     H = _cocycles(cube1, topo_cube1)
     s1 = assemble_tangential(prob1, cube1, gb, lift, H)
     s2 = assemble_tangential(prob2, cube1, gb, lift, H)
@@ -270,7 +271,7 @@ def test_lift_independence_tangential(cube2, topo_cube2):
     z = rng.standard_normal(cube2.n_e)
     kernel = np.asarray(cube2.incidence.C @ z).ravel()
     lift2 = FEFunction("face", cube2, lift.coeffs + kernel)
-    prob = case.tangential(CoefficientField.identity())
+    prob = case.tangential(1.0)
     sols = []
     for lf in (lift, lift2):
         s = assemble_tangential(prob, cube2, gb, lf,
@@ -332,7 +333,7 @@ def _reference_validate(p, m, b, tol=1e-8):
 
 
 def _mms1_tangential(a=None):
-    prob = get_case("mms1").tangential(CoefficientField.identity())
+    prob = get_case("mms1").tangential(1.0)
     return prob if a is None else TangentialProblem(prob.eta, prob.J, a)
 
 
@@ -405,7 +406,7 @@ def test_boundary_datum_of_wrong_shape_raises(cube2, use):
         elif use == "scalar_load":
             _scalar_boundary_load(cube2, _b_vector)
         else:
-            prob = TangentialProblem(CoefficientField.identity(), _zeros_v,
+            prob = TangentialProblem(1.0, _zeros_v,
                                      _a_flat)
             validate_tangential(prob, cube2, cube2.boundary)
 
@@ -420,7 +421,7 @@ def test_scalar_coefficient_mms_converges_like_identity():
         topo = compute_topology(m)
         for f, diff in (("tangential", case.g), ("normal", case.J)):
             sol, rep = solve_on_mesh(m, ProblemConfig(
-                f, "mms1", coefficient=CoefficientField.scalar(2.5)), topo)
+                f, "mms1", coefficient=2.5), topo)
             ref, _ = solve_on_mesh(m, ProblemConfig(f, "mms1"), topo)
             assert rep["passed"]
             assert rep.get("validation", {}).get("warnings", []) == []
@@ -430,3 +431,23 @@ def test_scalar_coefficient_mms_converges_like_identity():
     for f, errs in graph.items():
         rates = np.log2(np.array(errs[:-1]) / errs[1:])     # h halves
         assert rates.min() >= 0.85, (f, errs)
+
+
+@pytest.mark.parametrize("name", ["cube2", "torus", "handle_cavity"])
+def test_curl_data_defect_reported(name, request):
+    # the clean_curl_data correction of I_RT J is at round-off for smooth J,
+    # and exactly 0.0 when I_RT J = 0
+    m = request.getfixturevalue(name)
+    topo = request.getfixturevalue(f"topo_{name}")
+    _, rep = solve_on_mesh(m, ProblemConfig("normal", "mms1"), topo)
+    assert 0.0 <= rep["checks"]["curl_data_defect"] <= 1e-12
+    _, rep = solve_on_mesh(m, ProblemConfig("normal", "constant"), topo)
+    assert rep["checks"]["curl_data_defect"] == 0.0
+
+
+@pytest.mark.parametrize("coef", [0.0, -1.0, float("inf"), float("nan")])
+def test_mass_matrix_rejects_bad_coefficient(cube1, coef):
+    with pytest.raises(SolverError, match="finite and > 0"):
+        rt_mass_matrix(cube1, coef)
+    with pytest.raises(SolverError, match="finite and > 0"):
+        edge_mass_matrix(cube1, coef)
