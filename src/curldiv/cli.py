@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -68,9 +68,17 @@ class ProblemConfig:
     output: str | None = None
 
 
+_CONFIG_KEYS = tuple(f.name for f in fields(ProblemConfig))
+_COEFFICIENT_KEYS = {"identity": ("kind",), "scalar": ("kind", "value")}
+
+
 def parse_config(data: dict) -> ProblemConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(data) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}; "
+                          f"known keys: {', '.join(_CONFIG_KEYS)}")
     form = data.get("formulation")
     if form not in ("tangential", "normal"):
         raise ConfigError(
@@ -82,8 +90,18 @@ def parse_config(data: dict) -> ProblemConfig:
     if not isinstance(cspec, dict):
         raise ConfigError(f"coefficient must be a JSON object, got {cspec!r}")
     kind = cspec.get("kind", "identity")
-    if kind not in ("identity", "scalar"):
+    if not isinstance(kind, str) or kind not in _COEFFICIENT_KEYS:
         raise ConfigError(f"unknown coefficient kind {kind!r}")
+    unknown = sorted(set(cspec) - set(_COEFFICIENT_KEYS[kind]))
+    if unknown:
+        raise ConfigError(f"unknown coefficient key {unknown[0]!r} for kind "
+                          f"{kind!r}")
+    # JSON true and false are not numbers, though float() takes them
+    if type(cspec.get("value")) is bool:
+        raise ConfigError(f"coefficient value must be a number, got "
+                          f"{cspec['value']!r}")
+    if type(data.get("tol")) is bool:
+        raise ConfigError(f"tol must be finite and > 0, got {data['tol']!r}")
     maxit = data.get("maxit")
     if maxit is not None and (type(maxit) is not int or maxit < 1):
         raise ConfigError(f"maxit must be a positive integer, got {maxit!r}")
@@ -110,7 +128,8 @@ def parse_config(data: dict) -> ProblemConfig:
         raise ConfigError(f"tol must be finite and > 0, got {cfg.tol!r}")
     for name, value in (("alpha", cfg.alpha), ("beta", cfg.beta)):
         if value is not None and (value.ndim != 1
-                                  or not np.all(np.isfinite(value))):
+                                  or not np.all(np.isfinite(value))
+                                  or any(type(x) is bool for x in data[name])):
             raise ConfigError(f"{name} must be a flat list of finite "
                               f"numbers, got {data[name]!r}")
     return cfg
@@ -194,7 +213,7 @@ def solution_residual_field(sol: Solution) -> np.ndarray:
 def topology_report(m: Mesh) -> dict:
     topo = compute_topology(m)
     b, tc, hb = topo.boundary, topo.tree, topo.homology
-    b0, b1, b2 = betti(m)
+    b0, b1, b2 = betti(m, hb.rank_C)
     return {
         "n_v": m.n_v, "n_e": m.n_e, "n_f": m.n_f, "n_t": m.n_t,
         "p": b.p, "g": hb.g,

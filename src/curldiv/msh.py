@@ -2,18 +2,22 @@
 
 Only what the solver needs: node coordinates and tetrahedra with their
 physical region tag.  Triangle records are checked for three nodes and
-skipped; other element types are skipped.  Parse failures (bad records,
-node ids declared twice or never) report the offending line number and
-section.
+skipped; other element types are skipped.  The records of a $Nodes or
+$Elements block are parsed in bulk, one ``np.loadtxt`` per group of records
+with the same token count; ``#`` is a token like any other, not a comment.
+Parse failures (bad records, node ids declared twice or never) report the
+offending line number and section.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mesh import Mesh, build_mesh
+from .vtk import _rows
 
 
 class MshParseError(RuntimeError):
@@ -40,16 +44,124 @@ class _Lines:
         self.pos += 1
         return line
 
+    def block(self, n):
+        """The next n lines, or as many as are left, and the number of the
+        first."""
+        first = self.pos + 1
+        lines = self.lines[self.pos:self.pos + max(n, 0)]
+        self.pos += len(lines)
+        return lines, first
+
     @property
     def lineno(self):
         return self.pos
 
 
+_NODE = np.dtype([("id", np.int64), ("x", np.float64, 3)])
+
+
+def _node_rows(lines, ntok):
+    # a node record is its id and three coordinates; later tokens are ignored
+    return np.loadtxt(lines, dtype=_NODE, comments=None, usecols=range(4),
+                      ndmin=1)
+
+
+def _element_rows(lines, ntok):
+    # the element id (token 0) is not read
+    return np.loadtxt(lines, dtype=np.int64, comments=None,
+                      usecols=range(1, ntok), ndmin=2)
+
+
+def _records(block, min_tokens, parse):
+    """Parse a block's records in groups of equal token count: the block
+    positions and the rows of each group, and the position of the first
+    record with fewer than ``min_tokens`` tokens or that does not parse
+    (``len(block)`` if there is none)."""
+    ntok = np.fromiter(map(len, map(str.split, block)), dtype=np.int64,
+                       count=len(block))
+    groups, bad = [], [len(block)]
+    with warnings.catch_warnings():
+        # numpy releases that parse an integer such as "1.5" or "1e0"
+        # through a float only warn, and drop the warning by default; as an
+        # error it makes np.loadtxt raise ValueError
+        warnings.simplefilter("error", DeprecationWarning)
+        for c in np.unique(ntok).tolist():
+            pos = np.flatnonzero(ntok == c)
+            if c < min_tokens:
+                bad.append(pos[0])
+                continue
+            lines = [block[i] for i in pos]
+            try:
+                groups.append((pos, c, parse(lines, c)))
+            except ValueError:
+                # name the first record of the group that fails on its own
+                for i, line in zip(pos, lines):
+                    try:
+                        parse([line], c)
+                    except ValueError:
+                        bad.append(i)
+                        break
+    return groups, int(min(bad))
+
+
+def _nodes(block, first, declared):
+    """The node records of one $Nodes block whose first record is on line
+    ``first``; ``declared`` holds the ids of earlier blocks."""
+    groups, bad = _records(block, 4, _node_rows)
+    if bad < len(block):
+        _nodes(block[:bad], first, declared)    # a duplicate comes first
+        raise MshParseError(f"line {first + bad}: bad node record")
+    rows = np.empty(len(block), dtype=_NODE)
+    for pos, _, r in groups:
+        rows[pos] = r
+    ids = np.concatenate([declared, rows["id"]])
+    once = np.zeros(len(ids), dtype=bool)
+    once[np.unique(ids, return_index=True)[1]] = True
+    if not once.all():
+        k = int(np.argmin(once))
+        raise MshParseError(f"line {first + k - len(declared)}: "
+                            f"node id {ids[k]} declared twice")
+    return rows
+
+
+def _elements(block, first):
+    """Node ids, physical tags and line numbers of the tetrahedra of one
+    $Elements block whose first record is on line ``first``, in file order."""
+    groups, bad = _records(block, 3, _element_rows)
+    if bad < len(block):
+        _elements(block[:bad], first)           # an earlier error first
+        raise MshParseError(f"line {first + bad}: bad element record")
+    errors = []
+    tets = [(np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.int64),
+             np.zeros(0, dtype=np.int64))]
+    for pos, c, A in groups:                    # A[:, j] is token j + 1
+        etype, ntags = A[:, 0], A[:, 1]
+        n_nodes = c - 3 - np.clip(ntags, 0, c - 3)  # tokens after the tags
+        for what, wrong in (
+                ("bad element record", ntags < 0),
+                ("tetrahedron needs 4 nodes", (etype == 4) & (n_nodes != 4)),
+                ("triangle needs 3 nodes", (etype == 2) & (n_nodes != 3))):
+            if wrong.any():
+                errors.append((pos[np.argmax(wrong)], what))
+        tet = etype == 4
+        if tet.any():
+            # the physical tag is the first tag: with 4 nodes, a record
+            # has tags iff it has more than 7 tokens
+            phys = A[tet, 2] if c > 7 else np.zeros(np.count_nonzero(tet),
+                                                    dtype=np.int64)
+            tets.append((pos[tet], A[tet, -4:], phys))
+    if errors:
+        at, what = min(errors)
+        raise MshParseError(f"line {first + at}: {what}")
+    pos, conn, phys = (np.concatenate(x) for x in zip(*tets))
+    order = np.argsort(pos)
+    return conn[order], phys[order], first + pos[order]
+
+
 def read_gmsh(path) -> GmshData:
     ln = _Lines(path)
-    nodes = {}
+    nodes = np.zeros(0, dtype=_NODE)
     tets, tet_tags, tet_lines = [], [], []
-    seen_nodes = seen_elements = False
     while ln.pos < len(ln.lines):
         line = ln.next("top level")
         if line == "$MeshFormat":
@@ -65,55 +177,25 @@ def read_gmsh(path) -> GmshData:
                 raise MshParseError(
                     f"line {ln.lineno}: missing $EndMeshFormat")
         elif line == "$Nodes":
-            seen_nodes = True
             try:
                 n = int(ln.next("Nodes"))
             except ValueError:
                 raise MshParseError(
                     f"line {ln.lineno}: bad node count in $Nodes") from None
-            for _ in range(n):
-                parts = ln.next("Nodes").split()
-                try:
-                    nid = int(parts[0])
-                    x, y, z = map(float, parts[1:4])
-                except (ValueError, IndexError):
-                    raise MshParseError(
-                        f"line {ln.lineno}: bad node record") from None
-                if nid in nodes:
-                    raise MshParseError(
-                        f"line {ln.lineno}: node id {nid} declared twice")
-                nodes[nid] = [x, y, z]
+            block, first = ln.block(n)
+            nodes = np.concatenate([nodes, _nodes(block, first, nodes["id"])])
             if ln.next("Nodes") != "$EndNodes":
                 raise MshParseError(f"line {ln.lineno}: missing $EndNodes")
         elif line == "$Elements":
-            seen_elements = True
             try:
                 n = int(ln.next("Elements"))
             except ValueError:
                 raise MshParseError(
                     f"line {ln.lineno}: bad element count") from None
-            for _ in range(n):
-                parts = ln.next("Elements").split()
-                try:
-                    etype = int(parts[1])
-                    ntags = int(parts[2])
-                    tags = [int(x) for x in parts[3:3 + ntags]]
-                    conn = [int(x) for x in parts[3 + ntags:]]
-                except (ValueError, IndexError):
-                    raise MshParseError(
-                        f"line {ln.lineno}: bad element record") from None
-                phys = tags[0] if tags else 0
-                if etype == 4:                      # tetrahedron
-                    if len(conn) != 4:
-                        raise MshParseError(
-                            f"line {ln.lineno}: tetrahedron needs 4 nodes")
-                    tets.append(conn)
-                    tet_tags.append(phys)
-                    tet_lines.append(ln.lineno)
-                elif etype == 2 and len(conn) != 3:     # triangle
-                    raise MshParseError(
-                        f"line {ln.lineno}: triangle needs 3 nodes")
-                # triangles and other element types are skipped
+            block, first = ln.block(n)
+            for out, x in zip((tets, tet_tags, tet_lines),
+                              _elements(block, first)):
+                out.append(x)
             if ln.next("Elements") != "$EndElements":
                 raise MshParseError(f"line {ln.lineno}: missing $EndElements")
         elif line.startswith("$"):
@@ -121,23 +203,23 @@ def read_gmsh(path) -> GmshData:
             end = "$End" + line[1:]
             while ln.next(line) != end:
                 pass
-    if not seen_nodes or not nodes:
+    if not len(nodes):
         raise MshParseError("no $Nodes section found")
-    if not seen_elements or not tets:
+    tets = np.concatenate(tets or [np.zeros((0, 4), dtype=np.int64)])
+    if not len(tets):
         raise MshParseError("no tetrahedra found in $Elements")
 
-    ids = sorted(nodes)
-    remap = {i: k for k, i in enumerate(ids)}
-    coords = np.array([nodes[i] for i in ids])
-    try:
-        tet_arr = np.array([[remap[v] for v in t] for t in tets],
-                           dtype=np.int64)
-    except KeyError as exc:
-        k = next(k for k, t in enumerate(tets) if exc.args[0] in t)
-        raise MshParseError(f"line {tet_lines[k]}: tetrahedron names "
-                            f"undeclared node id {exc.args[0]}") from None
-    mesh = build_mesh(coords, tet_arr)
-    return GmshData(mesh=mesh, tet_tags=np.array(tet_tags, dtype=np.int64))
+    order = np.argsort(nodes["id"])
+    ids, coords = nodes["id"][order], nodes["x"][order]
+    at = np.minimum(np.searchsorted(ids, tets), len(ids) - 1)
+    undeclared = (ids[at] != tets).ravel()
+    if undeclared.any():
+        k = int(np.argmax(undeclared))
+        raise MshParseError(f"line {np.concatenate(tet_lines)[k // 4]}: "
+                            "tetrahedron names undeclared node id "
+                            f"{tets.ravel()[k]}")
+    mesh = build_mesh(coords, at)
+    return GmshData(mesh=mesh, tet_tags=np.concatenate(tet_tags))
 
 
 def write_gmsh(path, vertices, tets, tet_tags=None) -> None:
@@ -146,14 +228,15 @@ def write_gmsh(path, vertices, tets, tet_tags=None) -> None:
     tets = np.asarray(tets, dtype=np.int64)
     if tet_tags is None:
         tet_tags = np.ones(len(tets), dtype=np.int64)
+    tet_tags = np.asarray(tet_tags, dtype=np.int64)
     with open(path, "w") as fh:
         fh.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
         fh.write(f"$Nodes\n{len(vertices)}\n")
-        for i, v in enumerate(vertices):
-            fh.write(f"{i + 1} {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        # ids as float64 are exact below 2^53
+        fh.write(_rows("%d %.17g %.17g %.17g\n", np.column_stack(
+            [np.arange(1, len(vertices) + 1), vertices])))
         fh.write("$EndNodes\n")
         fh.write(f"$Elements\n{len(tets)}\n")
-        for i, (t, tag) in enumerate(zip(tets, tet_tags)):
-            fh.write(f"{i + 1} 4 2 {tag} {tag} "
-                     f"{t[0] + 1} {t[1] + 1} {t[2] + 1} {t[3] + 1}\n")
+        fh.write(_rows("%d 4 2 %d %d %d %d %d %d\n", np.column_stack(
+            [np.arange(1, len(tets) + 1), tet_tags, tet_tags, tets + 1])))
         fh.write("$EndElements\n")

@@ -5,8 +5,9 @@ boundary component.  Surface cycles are fundamental cycles of boundary
 cotree edges whose classes are independent in H1 of the boundary; domain
 generators are the subset of those that survive in H1 of the domain.
 
-Both selections and the Betti numbers come from one face sweep (Webb &
-Forghani, IEEE Trans. Magn. 1989) from the tree edges, gauged to zero.
+Both selections, and the rank of C behind the Betti numbers, come from a
+face sweep (Webb & Forghani, IEEE Trans. Magn. 1989) from the tree edges,
+gauged to zero.
 Carried modulo a large prime, it gives the tree-gauged cocycles exactly as
 T ker(R): T holds each edge's value in terms of the k edges left free at
 stalls, R the k-column residuals of the faces it did not use.  A surface
@@ -177,6 +178,7 @@ class SurfaceCycleBasis:
 class HomologyBasis:
     cycles: list                    # g domain generators, dict edge -> coeff
     closing_edges: np.ndarray       # (g,) closing edge of each, coeff +1
+    rank_C: int                     # rank of the curl incidence operator
 
     @property
     def g(self) -> int:
@@ -327,43 +329,38 @@ def surface_cycle_basis(m: Mesh, b: BoundaryStructure,
 def domain_homology_basis(m: Mesh, tc: TreeCotree,
                           scb: SurfaceCycleBasis) -> HomologyBasis:
     """Domain generators sigma_n: the first g surface cycles, in order, that
-    stay independent in H1 of the domain."""
+    stay independent in H1 of the domain, and rank C from the same sweep."""
     g = 1 + m.boundary.p - m.euler_characteristic
     if g < 0 or 2 * g != len(scb.cycles):
         raise TopologyError(
             f"inconsistent ranks: domain g = {g} but surface rank = "
             f"{len(scb.cycles)}")
-    if g == 0:
-        return HomologyBasis(cycles=[], closing_edges=scb.closing_edges)
-
     known = np.zeros(m.n_e, dtype=bool)
     known[tc.tree_edges] = True
-    W, _ = _cocycles(m.incidence.C, known)
+    W, rank_C = _cocycles(m.incidence.C, known)
     selected = _independent(W[scb.closing_edges], g)
     if len(selected) != g:
         raise TopologyError(
             f"only {len(selected)} of {g} surface cycles survive in the "
             "domain; mesh or topology bug")
     return HomologyBasis(cycles=[dict(scb.cycles[q]) for q in selected],
-                         closing_edges=scb.closing_edges[selected])
+                         closing_edges=scb.closing_edges[selected],
+                         rank_C=rank_C)
 
 
-def betti(m: Mesh):
+def betti(m: Mesh, rank_C: int):
     """Betti numbers (b0, b1, b2) from ranks of the incidence operators.
 
     rank G = n_v - 1, as build_mesh rejects disconnected complexes; rank C
-    comes from the face sweep; rank D is n_t less the dual components (tets
+    is ``HomologyBasis.rank_C``, from the face sweep of
+    domain_homology_basis (the rank does not depend on the spanning tree
+    that gauges the sweep); rank D is n_t less the dual components (tets
     joined through shared faces) that touch no boundary face.
     """
-    inc = m.incidence
-    order, arc = _bfs(m.n_v, *m.edges.T, 0)
-    known = np.zeros(m.n_e, dtype=bool)
-    known[arc[order[1:]]] = True
-    _, rC = _cocycles(inc.C, known)
-    _, t0, t1 = _dual_arcs(inc.D)
+    _, t0, t1 = _dual_arcs(m.incidence.D)
     label = connected_components(m.n_t, t0, t1)
     # a tet with fewer than four interior faces has a boundary face
     on_boundary = label[np.bincount(np.r_[t0, t1], minlength=m.n_t) < 4]
     rD = m.n_t - len(np.unique(label)) + len(np.unique(on_boundary))
     rG = m.n_v - 1
-    return (m.n_v - rG, m.n_e - rG - rC, m.n_f - rC - rD)
+    return (m.n_v - rG, m.n_e - rG - rank_C, m.n_f - rank_C - rD)

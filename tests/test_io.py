@@ -210,6 +210,17 @@ def test_parse_config_validation():
     assert parse_config({"formulation": "normal", "case": "mms1",
                          "coefficient": {"kind": "identity"}}).coefficient \
         == 1.0
+    # each of these used to solve with coefficient 1.0 or tolerance 1.0
+    for data, message in (
+            ({"coeficient": {"kind": "scalar", "value": 2.5}},
+             "unknown config key 'coeficient'"),
+            ({"coefficient": {"kind": "identity", "value": 3.0}},
+             "unknown coefficient key 'value' for kind 'identity'"),
+            ({"coefficient": {"kind": "scalar", "value": True}},
+             "coefficient value must be a number, got True"),
+            ({"tol": True}, "tol must be finite and > 0, got True")):
+        with pytest.raises(ConfigError, match=message):
+            parse_config({"formulation": "normal", "case": "mms1", **data})
 
 
 def test_cli_solve_roundtrip(tmp_path, capsys):
@@ -255,6 +266,13 @@ def test_cli_bad_config_exit_1(tmp_path, capsys):
                                     "case": "mms1"}))
     rc = main(["solve", "--mesh", str(mesh_path), "--config", str(cfg_path)])
     assert rc == 1
+    # a misspelt key used to solve with the default in its place
+    cfg_path.write_text(json.dumps({"formulation": "tangential",
+                                    "case": "mms1", "coeficient": {
+                                        "kind": "scalar", "value": 2.5}}))
+    rc = main(["solve", "--mesh", str(mesh_path), "--config", str(cfg_path)])
+    assert rc == 1
+    assert "unknown config key 'coeficient'" in capsys.readouterr().err
 
 
 def test_cli_convergence(tmp_path, capsys):
@@ -304,6 +322,10 @@ def test_cli_bug_is_not_a_data_failure(tmp_path, monkeypatch):
     {"kind": "scalar", "value": 1e400},             # JSON 1e400 reads as inf
     {"kind": "scalar", "value": float("nan")},
     {"kind": "per_region", "values": [2.0]},
+    {"kind": "identity", "value": 3.0},
+    {"kind": "scalar", "value": True},
+    {"kind": "scalar", "value": 2.5, "valeu": 3.0},
+    {"kind": ["scalar"], "value": 2.5},
 ])
 def test_cli_bad_coefficient_exit_1(tmp_path, capsys, monkeypatch,
                                     coefficient):
@@ -342,7 +364,7 @@ def test_cli_bad_maxit_exit_1(tmp_path, capsys, maxit):
     assert "maxit must be a positive integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", [-1, 0, float("inf"), float("nan")])
+@pytest.mark.parametrize("tol", [-1, 0, float("inf"), float("nan"), True])
 def test_cli_bad_tol_exit_1(tmp_path, capsys, tol):
     assert _solve_exit_code(tmp_path, tol=tol) == 1
     assert "tol must be finite and > 0" in capsys.readouterr().err
@@ -366,12 +388,13 @@ def test_cli_alpha_beta_not_flat_exit_1(tmp_path, capsys, name, formulation,
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
 @pytest.mark.parametrize("name, formulation", [("alpha", "tangential"),
                                                ("beta", "normal")])
 def test_cli_alpha_beta_not_finite_exit_1(tmp_path, capsys, name, formulation,
                                           value):
-    # a NaN alpha ran CG to its iteration limit before failing
+    # a NaN alpha ran CG to its iteration limit before failing, and
+    # [true] was read as [1.0]
     assert _solve_exit_code(tmp_path, mesh=hollow_ball_mesh(),
                             formulation=formulation, **{name: [value]}) == 1
     assert f"{name} must be a flat list of finite numbers" in \

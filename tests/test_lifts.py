@@ -225,7 +225,8 @@ def test_nedelec_fits_circulations_the_sweep_leaves(torus, topo_torus,
         return lstsq(A, b, **kwargs)
     monkeypatch.setattr(lifts.np.linalg, "lstsq", counted)
     no_periods = HomologyBasis(cycles=[],
-                               closing_edges=np.zeros(0, dtype=np.int64))
+                               closing_edges=np.zeros(0, dtype=np.int64),
+                               rank_C=topo_torus.homology.rank_C)
     a = np.random.default_rng(0).standard_normal(torus.n_e)
     J = torus.incidence.C @ a
     u = nedelec_potential(torus, topo_torus.tree, no_periods,
@@ -317,7 +318,7 @@ def test_topology_and_lift_invariant_under_renumbering(seed, which):
         5, 0.2, lambda i, j, k: not (j == 2 and i in (1, 3))))[which]
     m = _renumbered(base, seed)
     topo = compute_topology(m)
-    assert betti(m) == betti(base)
+    assert betti(m, topo.homology.rank_C) == (1, which + 1, 0)
     assert (topo.boundary.p, topo.homology.g) == (0, which + 1)
     calls = []
     lstsq = lifts.np.linalg.lstsq

@@ -3,12 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from curldiv import betti
-from curldiv.cli import compute_topology
-from curldiv.topology import (_PRIME, TopologyError, _cocycles, _echelon,
-                              _face_sweep, _independent, _kernel,
-                              build_boundary_first_tree, chain_boundary,
-                              fundamental_cycle, surface_cycle_basis)
+from hypothesis import given, settings, strategies as st
+
+from curldiv import betti, build_mesh, topology
+from curldiv.cli import compute_topology, topology_report
+from curldiv.mesh import connected_components
+from curldiv.topology import (_PRIME, TopologyError, _bfs, _cocycles,
+                              _dual_arcs, _echelon, _face_sweep, _independent,
+                              _kernel, build_boundary_first_tree,
+                              chain_boundary, fundamental_cycle,
+                              surface_cycle_basis)
 
 
 class _RowBasis:
@@ -167,15 +171,16 @@ def test_cube_homology_trivial(topo_cube1):
     assert len(hb.closing_edges) == 0
 
 
-def test_betti_numbers(cube1, torus, hollow):
-    assert betti(cube1) == (1, 0, 0)
-    assert betti(torus) == (1, 1, 0)
-    assert betti(hollow) == (1, 0, 1)
+def test_betti_numbers(cube1, torus, hollow, topo_cube1, topo_torus,
+                       topo_hollow):
+    assert betti(cube1, topo_cube1.homology.rank_C) == (1, 0, 0)
+    assert betti(torus, topo_torus.homology.rank_C) == (1, 1, 0)
+    assert betti(hollow, topo_hollow.homology.rank_C) == (1, 0, 1)
 
 
 def test_betti_matches_euler_and_genus(torus, hollow, topo_torus, topo_hollow):
     for m, topo in ((torus, topo_torus), (hollow, topo_hollow)):
-        _, b1, b2 = betti(m)
+        _, b1, b2 = betti(m, topo.homology.rank_C)
         assert b1 == topo.homology.g
         assert b2 == topo.boundary.p
 
@@ -270,8 +275,80 @@ def test_betti_matches_modular_ranks(mesh, expected, request):
     m = request.getfixturevalue(mesh)
     inc = m.incidence
     rG, rC, rD = (_modular_rank(x) for x in (inc.G, inc.C, inc.D))
-    assert betti(m) == (m.n_v - rG, m.n_e - rG - rC, m.n_f - rC - rD)
-    assert betti(m) == expected
+    rank_C = compute_topology(m).homology.rank_C
+    assert rank_C == rC
+    assert betti(m, rank_C) == (m.n_v - rG, m.n_e - rG - rC, m.n_f - rC - rD)
+    assert betti(m, rank_C) == expected
+
+
+# ---------------------------------------------------------------------------
+# reference: betti with rank C from its own sweep, gauged on a BFS spanning
+# tree of the vertex graph, which the rank of the homology sweep replaced
+
+
+def _reference_betti(m):
+    inc = m.incidence
+    order, arc = _bfs(m.n_v, *m.edges.T, 0)
+    known = np.zeros(m.n_e, dtype=bool)
+    known[arc[order[1:]]] = True
+    _, rC = _cocycles(inc.C, known)
+    _, t0, t1 = _dual_arcs(inc.D)
+    label = connected_components(m.n_t, t0, t1)
+    on_boundary = label[np.bincount(np.r_[t0, t1], minlength=m.n_t) < 4]
+    rD = m.n_t - len(np.unique(label)) + len(np.unique(on_boundary))
+    rG = m.n_v - 1
+    return (m.n_v - rG, m.n_e - rG - rC, m.n_f - rC - rD)
+
+
+@pytest.mark.parametrize("mesh,fixture", TOPOLOGY_FIXTURES)
+def test_report_betti_matches_bfs_tree_reference(mesh, fixture, request):
+    m = request.getfixturevalue(mesh)
+    assert topology_report(m)["betti"] == list(_reference_betti(m))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.integers(0, 5))
+def test_report_betti_matches_reference_under_renumbering(seed, which):
+    from curldiv.meshes import _grid_mesh, hollow_ball_mesh, solid_torus_mesh
+    base = (lambda: _grid_mesh(2, 0.5, lambda i, j, k: True),
+            solid_torus_mesh, hollow_ball_mesh,
+            lambda: _grid_mesh(5, 0.2, lambda i, j, k: not (
+                j == 2 and i in (1, 3))),
+            lambda: _grid_mesh(5, 0.2, lambda i, j, k: not (
+                (i, j) == (3, 3) or (i, j, k) == (1, 1, 2))),
+            lambda: solid_torus_mesh(5))[which]()
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(base.n_v)
+    vertices = np.empty_like(base.vertices)
+    vertices[perm] = base.vertices
+    m = build_mesh(vertices, perm[base.tets][rng.permutation(base.n_t)])
+    assert topology_report(m)["betti"] == list(_reference_betti(m))
+
+
+@pytest.mark.parametrize("mesh,fixture", [("cube1", "topo_cube1"),
+                                          ("torus", "topo_torus"),
+                                          ("hollow", "topo_hollow")])
+def test_homology_rank_C_is_echelon_rank(mesh, fixture, request):
+    m = request.getfixturevalue(mesh)
+    rank_C = request.getfixturevalue(fixture).homology.rank_C
+    assert rank_C == len(_echelon(m.incidence.C.toarray())[1])
+
+
+@pytest.mark.parametrize("mesh,sweeps", [("cube1", 1), ("torus", 2)])
+def test_topology_report_sweeps_C(mesh, sweeps, request, monkeypatch):
+    # the surface cycles sweep each boundary of genus > 0, the homology
+    # sweeps C once, and betti takes rank C from it
+    m = request.getfixturevalue(mesh)
+    calls = []
+    sweep = topology._face_sweep
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return sweep(*args, **kwargs)
+    monkeypatch.setattr(topology, "_face_sweep", counted)
+    topology_report(m)
+    assert len(calls) == sweeps
+    assert calls[-1] == m.incidence.C.shape
 
 
 def test_stalled_sweep_rank_is_exact(torus, topo_torus):
