@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp  # noqa: F401  perfbench/tracing.py wraps lifts.sp.linalg.lsqr
 
 from .elements import FEFunction, Space
-from .mesh import Mesh, BoundaryStructure
+from .mesh import FACE_EDGE_SIGN, Mesh, BoundaryStructure
 from .topology import HomologyBasis, TreeCotree, _bfs, _dual_arcs, _face_sweep
 
 
@@ -29,6 +28,17 @@ class LiftError(ValueError):
 
 
 RESIDUAL_TOL = 1e-10
+
+
+def __getattr__(name):
+    # perfbench/tracing.py wraps lifts.sp.linalg.lsqr, which no code calls,
+    # and looks lifts.sp up when its tracer is built; scipy loads only then.
+    # Drop with that wrapper at the next benchmark change (the FOUND line
+    # on lifts.sp in CHANGES.md).
+    if name == "sp":
+        import scipy.sparse
+        return scipy.sparse
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -76,13 +86,14 @@ def rt_potential(m: Mesh, b: BoundaryStructure, dd: DivergenceData) -> FEFunctio
         flux[comp] = b.face_sign[comp] * share     # outward flux = D * coeff
 
     # a dual tree always has a leaf, so the sweep over the tets never stalls
-    interior, t0, t1 = _dual_arcs(inc.D)
+    interior, t0, t1 = _dual_arcs(m)
     order, arc = _bfs(m.n_t, t0, t1, 0)
     if len(order) != m.n_t:
         raise LiftError("dual graph is disconnected; singular sweep")
     known = np.ones(m.n_f, dtype=bool)
     known[interior[arc[order[1:]]]] = False
-    flux = _face_sweep(inc.D, known, flux, cell_int)[0][:, 0]
+    flux = _face_sweep(m.tet_faces, m.tet_face_sign, known, flux,
+                       cell_int)[0][:, 0]
 
     u = FEFunction(Space.FACE, m, flux)
     resid = np.abs(inc.D @ flux - cell_int).max()
@@ -123,7 +134,7 @@ def nedelec_potential(m: Mesh, tc: TreeCotree, hb: HomologyBasis,
     known = np.zeros(m.n_e, dtype=bool)
     known[tc.tree_edges] = True
     known[hb.closing_edges] = True
-    X, R = _face_sweep(inc.C, known, circ, J)
+    X, R = _face_sweep(m.face_edges, FACE_EDGE_SIGN, known, circ, J)
     circ = X[:, 0]
     if X.shape[1] > 1:
         # circulations the sweep left free: the face equations it used hold

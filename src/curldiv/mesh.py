@@ -5,17 +5,23 @@ stored as [a, b] with a < b (tangent from a to b), each face as [a, b, c]
 with a < b < c (normal by the right-hand rule on that cycle).  Tetrahedra
 are stored with sorted vertex indices plus a +-1 orientation sign so local
 Whitney bases line up with the global degrees of freedom without sign maps.
+C and D are tables of signed ids per row, ``face_edges`` and ``tet_faces``,
+which the sweeps read; ``incidence`` builds G, C and D as sparse matrices,
+with scipy, for the linear algebra of the solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kernels
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class MeshError(ValueError):
@@ -26,10 +32,15 @@ class MeshError(ValueError):
 # lexicographic order so local numbering matches the global convention.
 LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 LOCAL_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+# local edges [a, b], [a, c], [b, c] of each local face [a, b, c]
+_LOCAL_FACE_EDGES = ((0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5))
 # index of the vertex omitted by each local face
 _OMITTED = (3, 2, 1, 0)
 # D entry of each local face of a positively oriented sorted tet
 _LOCAL_FACE_SIGN = np.array([(-1) ** k for k in _OMITTED], dtype=np.int64)
+# C entry of each edge of a face in ``Mesh.face_edges`` order: the cycle
+# a->b->c->a runs along [a, b] and [b, c] and against [a, c]
+FACE_EDGE_SIGN = np.array([1, -1, 1], dtype=np.int64)
 
 DEGENERACY_TOL = 1e-14
 
@@ -72,6 +83,21 @@ class Mesh:
                                + np.maximum(u, v))
 
     @cached_property
+    def face_edges(self) -> np.ndarray:
+        """(n_f, 3) ids of the edges [a, b], [a, c], [b, c] of each face
+        [a, b, c], ascending: the rows of C, with signs FACE_EDGE_SIGN."""
+        fe = np.empty((self.n_f, 3), dtype=np.int64)
+        fe[self.tet_faces.ravel()] = self.tet_edges[:, _LOCAL_FACE_EDGES
+                                                    ].reshape(-1, 3)
+        return fe
+
+    @cached_property
+    def tet_face_sign(self) -> np.ndarray:
+        """(n_t, 4) D entry of each face of ``tet_faces``: +1 iff the face
+        normal points out of the tet.  With ``tet_faces`` the rows of D."""
+        return self.tet_orient[:, None] * _LOCAL_FACE_SIGN
+
+    @cached_property
     def face_areas(self) -> np.ndarray:
         p = self.vertices[self.faces]
         return 0.5 * np.linalg.norm(
@@ -96,6 +122,8 @@ class Mesh:
 
     @cached_property
     def incidence(self) -> "IncidenceOperators":
+        """G, C and D as sparse matrices, for linear algebra; the sweeps
+        read the tables ``face_edges`` and ``tet_faces`` instead."""
         return derive_incidence(self)
 
     @cached_property
@@ -217,24 +245,22 @@ def build_mesh(coords, tet_list) -> Mesh:
 
 def derive_incidence(m: Mesh) -> IncidenceOperators:
     """Signed incidence matrices G, C, D with C.G = 0 and D.C = 0 exactly."""
+    import scipy.sparse as sp           # only the solve path needs scipy
+
     n_e = m.n_e
     rows = np.repeat(np.arange(n_e), 2)
     cols = m.edges.ravel()
     data = np.tile(np.array([-1, 1], dtype=np.int64), n_e)
     G = sp.csr_matrix((data, (rows, cols)), shape=(n_e, m.n_v))
 
-    # face cycle a->b->c->a: +1 on [a,b] and [b,c], -1 on [a,c]
     n_f = m.n_f
     crows = np.repeat(np.arange(n_f), 3)
-    ccols = m.edge_ids(m.faces[:, [0, 1, 0]], m.faces[:, [1, 2, 2]]).ravel()
-    cdata = np.tile(np.array([1, 1, -1], dtype=np.int64), n_f)
-    C = sp.csr_matrix((cdata, (crows, ccols)), shape=(n_f, n_e))
+    cdata = np.tile(FACE_EDGE_SIGN, n_f)
+    C = sp.csr_matrix((cdata, (crows, m.face_edges.ravel())), shape=(n_f, n_e))
 
-    # D sign: +1 iff the face normal points out of the tet
     drows = np.repeat(np.arange(m.n_t), 4)
-    dcols = m.tet_faces.ravel()
-    ddata = (m.tet_orient[:, None] * _LOCAL_FACE_SIGN[None, :]).ravel()
-    D = sp.csr_matrix((ddata, (drows, dcols)), shape=(m.n_t, m.n_f))
+    D = sp.csr_matrix((m.tet_face_sign.ravel(), (drows, m.tet_faces.ravel())),
+                      shape=(m.n_t, m.n_f))
     return IncidenceOperators(G=G, C=C, D=D)
 
 
@@ -249,12 +275,11 @@ def extract_boundary(m: Mesh) -> BoundaryStructure:
     owner = np.full(m.n_f, -1, dtype=np.int64)
     owner[bfaces] = tet_of
     sign = np.zeros(m.n_f, dtype=np.int64)
-    sign[bfaces] = m.tet_orient[tet_of] * _LOCAL_FACE_SIGN[local]
+    sign[bfaces] = m.tet_face_sign[tet_of, local]
     bfaces = np.sort(bfaces)
 
     # closed-surface check: each boundary edge borders exactly two faces
-    fa, fb, fc = m.faces[bfaces].T
-    face_edges = m.edge_ids(np.c_[fa, fb, fa], np.c_[fb, fc, fc])
+    face_edges = m.face_edges[bfaces]
     count = np.bincount(face_edges.ravel(), minlength=m.n_e)
     bad = np.flatnonzero((count != 0) & (count != 2))
     if len(bad):

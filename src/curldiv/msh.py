@@ -211,7 +211,12 @@ def read_gmsh(path) -> GmshData:
 
     order = np.argsort(nodes["id"])
     ids, coords = nodes["id"][order], nodes["x"][order]
-    at = np.minimum(np.searchsorted(ids, tets), len(ids) - 1)
+    # searching sorted keys is several times faster than unsorted ones
+    flat = tets.ravel()
+    by_id = np.argsort(flat)
+    at = np.empty_like(flat)
+    at[by_id] = np.minimum(np.searchsorted(ids, flat[by_id]), len(ids) - 1)
+    at = at.reshape(tets.shape)
     undeclared = (ids[at] != tets).ravel()
     if undeclared.any():
         k = int(np.argmax(undeclared))

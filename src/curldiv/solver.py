@@ -27,15 +27,18 @@ the reference of the topology and the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kernels
 from .elements import FEFunction, Space, eval_field, interpolate
 from .mesh import Mesh, BoundaryStructure
 from .quadrature import make_quadrature
 from .topology import HomologyBasis, TreeCotree
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 VOLUME_DEGREE = 2
 BOUNDARY_DEGREE = 3
@@ -112,6 +115,8 @@ def _reduced_operator(m: Mesh, kind: str, dofs: np.ndarray) -> sp.csc_matrix:
 
 
 def _global_mass(m: Mesh, coef: float, space: Space) -> sp.csr_matrix:
+    import scipy.sparse as sp           # only the solve path needs scipy
+
     if not (np.isfinite(coef) and coef > 0):
         raise SolverError(f"coefficient must be finite and > 0, got {coef!r}")
     rule = make_quadrature("tet", VOLUME_DEGREE)

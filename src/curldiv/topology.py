@@ -17,6 +17,8 @@ row of T ker(R) is.  What the sweep leaves, ker R and the rows independent
 of the rows before them, goes through one dense reduced row echelon form
 modulo p, ``_echelon``.  Both lifts run the same sweep in floating point,
 the Nedelec lift over the faces of C and the RT lift over the tets of D.
+The sweep reads C and D as the tables of the mesh, ``face_edges`` and
+``tet_faces`` with their signs, and needs no sparse matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, BoundaryStructure, connected_components
+from .mesh import (FACE_EDGE_SIGN, Mesh, BoundaryStructure,
+                   connected_components)
 
 
 class TopologyError(ValueError):
@@ -76,9 +79,12 @@ def _ranges(ptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
 
 
-def _face_sweep(C, known: np.ndarray, x0=None, rhs=None, p: int | None = None):
-    """Sweep the equations C x = rhs, rows of w +-1 entries each (w = 3
-    for the faces of C, 4 for the tets of D).
+def _face_sweep(fe: np.ndarray, fs, known: np.ndarray, x0=None, rhs=None,
+                p: int | None = None):
+    """Sweep the equations sum_i fs[r, i] x[fe[r, i]] = rhs[r], rows of w
+    +-1 entries each: the faces of C (``Mesh.face_edges`` and
+    FACE_EDGE_SIGN, w = 3) or the tets of D (``Mesh.tet_faces`` and
+    ``Mesh.tet_face_sign``, w = 4).  ``fs`` may be one row of signs for all.
 
     ``known`` marks the edges ``x0`` gives (zero if omitted) and every edge
     no row touches.  Each round resolves every row with one unknown edge,
@@ -89,9 +95,8 @@ def _face_sweep(C, known: np.ndarray, x0=None, rhs=None, p: int | None = None):
     arithmetic is exact modulo p, otherwise float64.
     """
     n_e = len(known)
-    w = C.nnz // C.shape[0]
-    fe = C.indices.reshape(-1, w)
-    fs = C.data.reshape(-1, w)
+    w = fe.shape[1]
+    fs = np.broadcast_to(fs, fe.shape)
     # the rows touching each edge, grouped by edge
     by_edge = np.argsort(fe.ravel(), kind="stable") // w
     ptr = np.concatenate([[0], np.cumsum(np.bincount(fe.ravel(), minlength=n_e))])
@@ -139,10 +144,11 @@ def _face_sweep(C, known: np.ndarray, x0=None, rhs=None, p: int | None = None):
     return X, (R % p if p else R)
 
 
-def _cocycles(C, known: np.ndarray):
-    """Basis W (n_e, d) mod p of {x : C x = 0, x = 0 on known edges}, and
-    rank C if ``known`` is a spanning tree plus the edges C does not touch."""
-    X, R = _face_sweep(C, known, p=_PRIME)
+def _cocycles(face_edges: np.ndarray, known: np.ndarray):
+    """Basis W (n_e, d) mod p of {x : C x = 0, x = 0 on known edges}, C
+    the rows of the faces ``face_edges``, and rank C if ``known`` is a
+    spanning tree plus the edges C does not touch."""
+    X, R = _face_sweep(face_edges, FACE_EDGE_SIGN, known, p=_PRIME)
     T = X[:, 1:]
     K = _kernel(R[:, 1:])
     W = np.zeros((len(T), len(K)), dtype=np.int64)
@@ -220,12 +226,16 @@ def _bfs(n: int, u, v, root: int):
     return np.concatenate(order), parent
 
 
-def _dual_arcs(D):
-    """The interior faces and the two tets each one joins, from D's columns."""
-    D = D.tocsc()
-    interior = np.flatnonzero(np.diff(D.indptr) == 2)
-    at = D.indptr[interior]
-    return interior, D.indices[at], D.indices[at + 1]
+def _dual_arcs(m: Mesh):
+    """The interior faces, ascending, and the two tets each one joins,
+    the lower first."""
+    flat = m.tet_faces.ravel()
+    count = np.bincount(flat, minlength=m.n_f)
+    by_face = np.argsort(flat) // 4         # the tets of each face, grouped
+    interior = np.flatnonzero(count == 2)
+    at = (np.cumsum(count) - count)[interior]
+    t0, t1 = by_face[at], by_face[at + 1]
+    return interior, np.minimum(t0, t1), np.maximum(t0, t1)
 
 
 def build_boundary_first_tree(m: Mesh, b: BoundaryStructure) -> TreeCotree:
@@ -296,8 +306,6 @@ def fundamental_cycle(m: Mesh, parent, edge_id: int) -> dict:
 def surface_cycle_basis(m: Mesh, b: BoundaryStructure,
                         tc: TreeCotree) -> SurfaceCycleBasis:
     """Select 2g boundary cycles independent in H1 of the boundary surface."""
-    C = m.incidence.C
-
     cycles = []
     closing = []
     for r, comp in enumerate(b.components):
@@ -311,7 +319,7 @@ def surface_cycle_basis(m: Mesh, b: BoundaryStructure,
         known[b.component_edges[r]] = False
         tree = tc.boundary_parent[b.component_vertices[r]]
         known[tree[tree >= 0]] = True
-        W, _ = _cocycles(C[comp], known)
+        W, _ = _cocycles(m.face_edges[comp], known)
         candidates = tc.cotree_edges[np.isin(tc.cotree_edges,
                                              b.component_edges[r])]
         picked = candidates[_independent(W[candidates], need)]
@@ -337,7 +345,7 @@ def domain_homology_basis(m: Mesh, tc: TreeCotree,
             f"{len(scb.cycles)}")
     known = np.zeros(m.n_e, dtype=bool)
     known[tc.tree_edges] = True
-    W, rank_C = _cocycles(m.incidence.C, known)
+    W, rank_C = _cocycles(m.face_edges, known)
     selected = _independent(W[scb.closing_edges], g)
     if len(selected) != g:
         raise TopologyError(
@@ -357,7 +365,7 @@ def betti(m: Mesh, rank_C: int):
     that gauges the sweep); rank D is n_t less the dual components (tets
     joined through shared faces) that touch no boundary face.
     """
-    _, t0, t1 = _dual_arcs(m.incidence.D)
+    _, t0, t1 = _dual_arcs(m)
     label = connected_components(m.n_t, t0, t1)
     # a tet with fewer than four interior faces has a boundary face
     on_boundary = label[np.bincount(np.r_[t0, t1], minlength=m.n_t) < 4]

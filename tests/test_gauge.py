@@ -150,7 +150,7 @@ def _reference_homology(m, topo):
     g = len(scb.cycles) // 2
     known = np.zeros(m.n_e, dtype=bool)
     known[tc.tree_edges] = True
-    W, _ = _cocycles(m.incidence.C, known)
+    W, _ = _cocycles(m.face_edges, known)
     selected = _independent(W[scb.closing_edges], g)
     assert len(selected) == g
     A = np.zeros((g, 2 * g), dtype=np.int64)

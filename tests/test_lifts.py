@@ -296,7 +296,7 @@ def test_rt_sweep_matches_reference(mesh, request):
     g = rng.standard_normal(m.n_t)
     alpha = rng.standard_normal(b.p)
     tree, expected = _reference_rt(m, b, g * m.volumes, alpha)
-    interior, t0, t1 = _dual_arcs(m.incidence.D)
+    interior, t0, t1 = _dual_arcs(m)
     order, arc = _bfs(m.n_t, t0, t1, 0)
     assert set(interior[arc[order[1:]]].tolist()) == tree
     u = rt_potential(m, b, DivergenceData(FEFunction("cell", m, g), alpha))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from curldiv import betti, build_mesh, topology
 from curldiv.cli import compute_topology, topology_report
-from curldiv.mesh import connected_components
+from curldiv.mesh import FACE_EDGE_SIGN, connected_components
 from curldiv.topology import (_PRIME, TopologyError, _bfs, _cocycles,
                               _dual_arcs, _echelon, _face_sweep, _independent,
                               _kernel, build_boundary_first_tree,
@@ -287,12 +287,11 @@ def test_betti_matches_modular_ranks(mesh, expected, request):
 
 
 def _reference_betti(m):
-    inc = m.incidence
     order, arc = _bfs(m.n_v, *m.edges.T, 0)
     known = np.zeros(m.n_e, dtype=bool)
     known[arc[order[1:]]] = True
-    _, rC = _cocycles(inc.C, known)
-    _, t0, t1 = _dual_arcs(inc.D)
+    _, rC = _cocycles(m.face_edges, known)
+    _, t0, t1 = _dual_arcs(m)
     label = connected_components(m.n_t, t0, t1)
     on_boundary = label[np.bincount(np.r_[t0, t1], minlength=m.n_t) < 4]
     rD = m.n_t - len(np.unique(label)) + len(np.unique(on_boundary))
@@ -306,9 +305,8 @@ def test_report_betti_matches_bfs_tree_reference(mesh, fixture, request):
     assert topology_report(m)["betti"] == list(_reference_betti(m))
 
 
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), which=st.integers(0, 5))
-def test_report_betti_matches_reference_under_renumbering(seed, which):
+def _renumbered(seed, which):
+    """One of six meshes with its vertices and tets in a random order."""
     from curldiv.meshes import _grid_mesh, hollow_ball_mesh, solid_torus_mesh
     base = (lambda: _grid_mesh(2, 0.5, lambda i, j, k: True),
             solid_torus_mesh, hollow_ball_mesh,
@@ -321,8 +319,67 @@ def test_report_betti_matches_reference_under_renumbering(seed, which):
     perm = rng.permutation(base.n_v)
     vertices = np.empty_like(base.vertices)
     vertices[perm] = base.vertices
-    m = build_mesh(vertices, perm[base.tets][rng.permutation(base.n_t)])
+    return build_mesh(vertices, perm[base.tets][rng.permutation(base.n_t)])
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.integers(0, 5))
+def test_report_betti_matches_reference_under_renumbering(seed, which):
+    m = _renumbered(seed, which)
     assert topology_report(m)["betti"] == list(_reference_betti(m))
+
+
+# ---------------------------------------------------------------------------
+# reference: C as the sparse matrix of the face cycles, built from edge
+# lookups, and the dual arcs from the columns of D, which the tables
+# ``face_edges`` and ``tet_faces`` replaced as the input of the sweeps
+
+
+def _reference_C(m):
+    import scipy.sparse as sp
+    f = m.faces
+    cols = m.edge_ids(f[:, [0, 1, 0]], f[:, [1, 2, 2]]).ravel()
+    data = np.tile([1, 1, -1], m.n_f)
+    return sp.csr_matrix((data, (np.repeat(np.arange(m.n_f), 3), cols)),
+                         shape=(m.n_f, m.n_e))
+
+
+def _reference_dual_arcs(D):
+    """The interior faces and the two tets each one joins, from D's columns."""
+    D = D.tocsc()
+    interior = np.flatnonzero(np.diff(D.indptr) == 2)
+    at = D.indptr[interior]
+    return interior, D.indices[at], D.indices[at + 1]
+
+
+def _check_tables(m):
+    C, D = _reference_C(m), m.incidence.D
+    assert C.has_sorted_indices and D.has_sorted_indices
+    for key in ("indptr", "indices", "data"):
+        got = getattr(m.incidence.C, key)
+        assert got.dtype == getattr(C, key).dtype
+        assert np.array_equal(got, getattr(C, key))
+    # one row of the table per row of the matrix, in the same order
+    assert np.array_equal(C.indptr, 3 * np.arange(m.n_f + 1))
+    assert np.array_equal(m.face_edges, C.indices.reshape(-1, 3))
+    assert np.array_equal(np.broadcast_to(FACE_EDGE_SIGN, (m.n_f, 3)),
+                          C.data.reshape(-1, 3))
+    assert np.array_equal(D.indptr, 4 * np.arange(m.n_t + 1))
+    assert np.array_equal(m.tet_faces, D.indices.reshape(-1, 4))
+    assert np.array_equal(m.tet_face_sign, D.data.reshape(-1, 4))
+    for got, want in zip(_dual_arcs(m), _reference_dual_arcs(D)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mesh", [m for m, _ in TOPOLOGY_FIXTURES])
+def test_tables_are_the_rows_of_C_and_D(mesh, request):
+    _check_tables(request.getfixturevalue(mesh))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.integers(0, 5))
+def test_tables_are_the_rows_of_C_and_D_under_renumbering(seed, which):
+    _check_tables(_renumbered(seed, which))
 
 
 @pytest.mark.parametrize("mesh,fixture", [("cube1", "topo_cube1"),
@@ -348,7 +405,7 @@ def test_topology_report_sweeps_C(mesh, sweeps, request, monkeypatch):
     monkeypatch.setattr(topology, "_face_sweep", counted)
     topology_report(m)
     assert len(calls) == sweeps
-    assert calls[-1] == m.incidence.C.shape
+    assert calls[-1] == (m.n_f, 3)
 
 
 def test_stalled_sweep_rank_is_exact(torus, topo_torus):
@@ -357,9 +414,9 @@ def test_stalled_sweep_rank_is_exact(torus, topo_torus):
     C = torus.incidence.C
     known = np.zeros(torus.n_e, dtype=bool)
     known[topo_torus.tree.tree_edges] = True
-    X, R = _face_sweep(C, known, p=_PRIME)
+    X, R = _face_sweep(torus.face_edges, FACE_EDGE_SIGN, known, p=_PRIME)
     assert X.shape[1] - 1 >= 1
-    W, rank = _cocycles(C, known)
+    W, rank = _cocycles(torus.face_edges, known)
     assert rank == _modular_rank(C)
     assert W.shape[1] == 1
     assert not np.any((C @ W) % _PRIME)
