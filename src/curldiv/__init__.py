@@ -21,9 +21,8 @@ from .lifts import (CurlData, DivergenceData, LiftError, clean_curl_data,
                     nedelec_potential, rt_potential)
 from .solver import (AssembledSystem, NormalProblem, Solution, SolverError,
                      TangentialProblem, assemble_normal, assemble_tangential,
-                     build_L_star, build_N_star, consistent_load,
-                     edge_mass_matrix, error_norms, recover_solution,
-                     rt_mass_matrix, solve_spd, validate_tangential)
+                     build_L_star, build_N_star, consistent_load, error_norms,
+                     recover_solution, solve_spd, validate_tangential)
 from .mms import MMSCase, MMSError, REGISTRY, discrete_alpha, discrete_beta, get_case
 from .msh import GmshData, MshParseError, read_gmsh, write_gmsh
 from .vtk import write_vtk

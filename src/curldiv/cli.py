@@ -25,9 +25,9 @@ from .mms import MMSError, discrete_alpha, discrete_beta, get_case
 from .msh import MshParseError, read_gmsh
 from .quadrature import QuadratureError
 from .solver import (Solution, SolverError, assemble_normal,
-                     assemble_tangential, build_L_star, error_norms,
-                     recover_solution, solve_spd, validate_tangential)
-from .solver import build_N_star  # noqa: F401  perfbench/tracing.py wraps cli.build_N_star
+                     assemble_tangential, error_norms, recover_solution,
+                     solve_spd, validate_tangential)
+from .solver import build_L_star, build_N_star  # noqa: F401  perfbench/tracing.py wraps both names in cli
 from .topology import (TopologyError, betti, build_boundary_first_tree,
                        domain_homology_basis, surface_cycle_basis)
 from .vtk import write_vtk
@@ -153,12 +153,10 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
         report["validation"] = validate_tangential(prob, m, b)
         g_h = interpolate("cell", case.g, m)
         lift = rt_potential(m, b, DivergenceData(g_h, alpha))
-        # the quotient space: every edge, the load made consistent
-        dofs = np.arange(m.n_e)
-        system = assemble_tangential(prob, m, dofs, lift,
+        system = assemble_tangential(prob, m, lift,
                                      harmonic_cocycles(m, tc, hb))
         coeffs = solve_spd(system, tol=cfg.tol, maxit=cfg.maxit)
-        sol = recover_solution("tangential", coeffs, dofs, lift)
+        sol = recover_solution(coeffs, lift)
         div_resid = float(np.abs(
             m.incidence.D @ sol.u_h.coeffs - g_h.coeffs * m.volumes).max())
         fluxes = component_fluxes(m, b, sol.u_h)
@@ -178,10 +176,9 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
         J_I = interpolate("face", case.J, m)
         J_h = clean_curl_data(m, b, J_I)
         lift = nedelec_potential(m, tc, hb, CurlData(J_h, beta))
-        dofs = build_L_star(m)
-        system = assemble_normal(prob, m, dofs, lift)
+        system = assemble_normal(prob, m, lift)
         coeffs = solve_spd(system, tol=cfg.tol, maxit=cfg.maxit)
-        sol = recover_solution("normal", coeffs, dofs, lift)
+        sol = recover_solution(coeffs, lift)
         curl_resid = float(np.abs(
             m.incidence.C @ sol.u_h.coeffs - J_h.coeffs).max())
         per_err = float(max(
@@ -282,10 +279,6 @@ def format_convergence_table(report: dict) -> str:
 # entry point
 
 
-def _load_mesh(path) -> Mesh:
-    return read_gmsh(path).mesh
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="curldiv",
@@ -308,7 +301,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         if args.command == "topology":
-            m = _load_mesh(args.mesh)
+            m = read_gmsh(args.mesh).mesh
             print(json.dumps(topology_report(m), indent=2))
             return 0
         if args.command == "convergence":
@@ -319,8 +312,8 @@ def main(argv=None) -> int:
                     json.dump(rep, fh, indent=2)
             return 0
         # solve
-        m = _load_mesh(args.mesh)
-        with open(args.config) as fh:
+        m = read_gmsh(args.mesh).mesh
+        with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(json.load(fh))
         if args.out:
             cfg.output = args.out
@@ -330,7 +323,8 @@ def main(argv=None) -> int:
                       residual=solution_residual_field(sol))
         print(json.dumps(report, indent=2, default=float))
         return 0 if report["passed"] else 1
-    except (OSError, MshParseError, json.JSONDecodeError) as exc:
+    except (OSError, MshParseError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MeshError, TopologyError, LiftError, SolverError, ElementError,

@@ -81,13 +81,12 @@ def edge_curl_values(grads):
 
 
 # ---------------------------------------------------------------------------
-# local mass matrices: M[i, j] = sum_q w_q |det| c basis_i . basis_j, with c
-# the constant coefficient, a float
+# local mass matrices: M[i, j] = sum_q w_q |det| basis_i . basis_j, with the
+# unit coefficient; the assembly scales the global matrix
 
 
-def local_mass(basis_vals, det, qw, c):
-    cb = c * basis_vals
-    M = np.einsum("tqix,tqjx,q->tij", basis_vals, cb, qw)
+def local_mass(basis_vals, det, qw):
+    M = np.einsum("tqix,tqjx,q->tij", basis_vals, basis_vals, qw)
     return M * np.abs(det)[:, None, None]
 
 

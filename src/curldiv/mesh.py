@@ -7,7 +7,8 @@ are stored with sorted vertex indices plus a +-1 orientation sign so local
 Whitney bases line up with the global degrees of freedom without sign maps.
 C and D are tables of signed ids per row, ``face_edges`` and ``tet_faces``,
 which the sweeps read; ``incidence`` builds G, C and D as sparse matrices,
-with scipy, for the linear algebra of the solve.
+with scipy, for the linear algebra of the solve, as are the unit mass
+matrices ``rt_mass`` and ``edge_mass``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernels
+from .quadrature import make_quadrature
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -43,6 +45,7 @@ _LOCAL_FACE_SIGN = np.array([(-1) ** k for k in _OMITTED], dtype=np.int64)
 FACE_EDGE_SIGN = np.array([1, -1, 1], dtype=np.int64)
 
 DEGENERACY_TOL = 1e-14
+MASS_DEGREE = 2             # tet rule exact for the mass of linear fields
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,16 @@ class Mesh:
         """G, C and D as sparse matrices, for linear algebra; the sweeps
         read the tables ``face_edges`` and ``tet_faces`` instead."""
         return derive_incidence(self)
+
+    @cached_property
+    def rt_mass(self) -> "sp.csr_matrix":
+        """The Raviart-Thomas mass matrix, unit coefficient, read-only."""
+        return _global_mass(self, "face")
+
+    @cached_property
+    def edge_mass(self) -> "sp.csr_matrix":
+        """The Nedelec mass matrix, unit coefficient, read-only."""
+        return _global_mass(self, "edge")
 
     @cached_property
     def boundary(self) -> "BoundaryStructure":
@@ -262,6 +275,28 @@ def derive_incidence(m: Mesh) -> IncidenceOperators:
     D = sp.csr_matrix((m.tet_face_sign.ravel(), (drows, m.tet_faces.ravel())),
                       shape=(m.n_t, m.n_f))
     return IncidenceOperators(G=G, C=C, D=D)
+
+
+def _global_mass(m: Mesh, space: str) -> sp.csr_matrix:
+    """The unit mass matrix of the RT ("face") or Nedelec ("edge") basis."""
+    import scipy.sparse as sp           # only the solve path needs scipy
+
+    rule = make_quadrature("tet", MASS_DEGREE)
+    grads, det = m.tet_geometry
+    if space == "face":
+        basis = kernels.rt_basis_values(grads, rule.points)
+        conn, dim = m.tet_faces, m.n_f
+    else:
+        basis = kernels.edge_basis_values(grads, rule.points)
+        conn, dim = m.tet_edges, m.n_e
+    local = kernels.local_mass(basis, det, rule.weights)
+    nb = conn.shape[1]
+    rows = np.repeat(conn, nb, axis=1).ravel()
+    cols = np.tile(conn, (1, nb)).ravel()
+    M = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(dim, dim)).tocsr()
+    for a in (M.data, M.indices, M.indptr):
+        a.setflags(write=False)
+    return M
 
 
 def extract_boundary(m: Mesh) -> BoundaryStructure:

@@ -32,8 +32,11 @@ class GmshData:
 
 class _Lines:
     def __init__(self, path):
-        with open(path, "r") as fh:
-            self.lines = fh.read().splitlines()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                self.lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise MshParseError(f"not a UTF-8 text file: {exc}") from None
         self.pos = 0
 
     def next(self, section):

@@ -3,16 +3,17 @@
 Tangential problem: curl(eta u) = J, div u = g, (eta u) x n = a on the
 boundary, prescribed component fluxes alpha.  Normal problem: curl u = J,
 div(mu u) = g, mu u . n = b, prescribed homology periods beta.  Both are
-solved by Jacobi-preconditioned conjugate gradients.  The coefficient is
-one positive, finite float, and the boundary data are callables
-fn(points, normals).  A problem object holds what its assembly reads
-(eta, J, a or mu, g, b); g and alpha, or J and beta, enter through the
-lift.
+solved by Jacobi-preconditioned conjugate gradients.  The coefficient,
+one positive, finite float checked when a problem is made, scales the
+unit mass matrices M_f = ``Mesh.rt_mass`` and M_e = ``Mesh.edge_mass``.
+The boundary data are callables fn(points, normals).  A problem holds
+what its assembly reads (eta, J, a or mu, g, b); g and alpha, or J and
+beta, enter through the lift, whose space names the formulation.
 
 Normal: u_h - lift lies in grad L*_h, G restricted to the vertex columns
-L*_h (every vertex but the last), and K = G^T M_mu G is positive definite.
+L*_h (every vertex but the last), and K = G^T mu M_e G is positive definite.
 
-Tangential: u_h = C x + lift over all edges, with K = C^T M_eta C
+Tangential: u_h = C x + lift over all edges, with K = C^T eta M_f C
 semidefinite on the quotient space N_h / ker C.  CG converges on it
 because the load is made consistent first: the edge load F loses its
 M_e-projection onto ker C, the gradients plus the g harmonic cocycles
@@ -20,8 +21,8 @@ M_e-projection onto ker C, the gradients plus the g harmonic cocycles
 the basis of ker C, so u_h does not depend on the vertex numbering, and
 the curl of every CG iterate lies in W0h.  The tree-cotree gauged basis
 N*_h (the cotree less the g closing edges of the domain generators
-sigma_n) gives the same u_h as a positive definite system; it stays as
-the reference of the topology and the tests.
+sigma_n) gives the same u_h from the principal submatrix of K and rhs on
+N*_h, which is positive definite; the tests keep it as the reference.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ class SolverError(RuntimeError):
     pass
 
 
+def _check_coefficient(coef: float) -> None:
+    if not (np.isfinite(coef) and coef > 0):
+        raise SolverError(f"coefficient must be finite and > 0, got {coef!r}")
+
+
 @dataclass
 class TangentialProblem:
     """The data the tangential assembly reads; g and alpha reach the
@@ -58,6 +64,9 @@ class TangentialProblem:
     eta: float
     J: object                       # vector field, (n, 3) -> (n, 3)
     a: object                       # tangential boundary datum a(x, n)
+
+    def __post_init__(self):
+        _check_coefficient(self.eta)
 
 
 @dataclass
@@ -67,6 +76,9 @@ class NormalProblem:
     mu: float
     g: object                       # scalar field, (n, 3) -> (n,)
     b: object                       # scalar boundary datum b(x, n)
+
+    def __post_init__(self):
+        _check_coefficient(self.mu)
 
 
 @dataclass
@@ -98,51 +110,9 @@ def build_L_star(m: Mesh) -> np.ndarray:
     return np.arange(m.n_v - 1)
 
 
-def _reduced_operator(m: Mesh, kind: str, dofs: np.ndarray) -> sp.csc_matrix:
-    """C (tangential) or G (normal) restricted to the basis columns dofs."""
-    if kind == "tangential":
-        op = m.incidence.C
-    elif kind == "normal":
-        op = m.incidence.G
-    else:
-        raise SolverError(f"unknown formulation {kind!r}")
-    # slice CSC columns: slicing CSR columns reorders the sums of K
-    return op.tocsc()[:, dofs]
-
-
-# ---------------------------------------------------------------------------
-# global mass matrices
-
-
-def _global_mass(m: Mesh, coef: float, space: Space) -> sp.csr_matrix:
-    import scipy.sparse as sp           # only the solve path needs scipy
-
-    if not (np.isfinite(coef) and coef > 0):
-        raise SolverError(f"coefficient must be finite and > 0, got {coef!r}")
-    rule = make_quadrature("tet", VOLUME_DEGREE)
-    grads, det = m.tet_geometry
-    if space == Space.FACE:
-        basis = kernels.rt_basis_values(grads, rule.points)
-        conn = m.tet_faces
-        dim = m.n_f
-    else:
-        basis = kernels.edge_basis_values(grads, rule.points)
-        conn = m.tet_edges
-        dim = m.n_e
-    local = kernels.local_mass(basis, det, rule.weights, coef)
-    nb = conn.shape[1]
-    rows = np.repeat(conn, nb, axis=1).ravel()
-    cols = np.tile(conn, (1, nb)).ravel()
-    M = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(dim, dim))
-    return M.tocsr()
-
-
-def rt_mass_matrix(m: Mesh, coef: float) -> sp.csr_matrix:
-    return _global_mass(m, coef, Space.FACE)
-
-
-def edge_mass_matrix(m: Mesh, coef: float) -> sp.csr_matrix:
-    return _global_mass(m, coef, Space.EDGE)
+def _gradients(m: Mesh) -> sp.csc_matrix:
+    """G[:, L*_h]; CSC, as is C, since CSR sums K in another order."""
+    return m.incidence.G.tocsc()[:, build_L_star(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +254,7 @@ def consistent_load(m: Mesh, F: np.ndarray,
                     cocycles: np.ndarray) -> tuple[np.ndarray, dict]:
     """F - M_e Z (Z^T M_e Z)^-1 Z^T F, Z = [G[:, L*_h], H] spanning ker C.
 
-    M_e is the Nedelec mass with the identity coefficient and H the
+    M_e is the Nedelec mass with the unit coefficient and H the
     (n_e, g) cocycles.  The gradient part is one Jacobi-CG solve with
     G^T M_e G; H is made M_e-orthogonal to the gradients, one solve per
     column, then its part is one g x g solve.  Also returns |G^T F| and
@@ -293,8 +263,8 @@ def consistent_load(m: Mesh, F: np.ndarray,
     norm = np.linalg.norm(F)
     if norm == 0.0:
         return F, {"gradient": 0.0, "harmonic": 0.0}
-    M = edge_mass_matrix(m, 1.0)
-    G = _reduced_operator(m, "normal", build_L_star(m))
+    M = m.edge_mass
+    G = _gradients(m)
     A = (G.T @ M @ G).tocsr()
 
     def grad_part(v):
@@ -311,36 +281,31 @@ def consistent_load(m: Mesh, F: np.ndarray,
                 "harmonic": float(np.linalg.norm(HtF) / norm)}
 
 
-def assemble_tangential(p: TangentialProblem, m: Mesh, dofs: np.ndarray,
-                        lift: FEFunction,
+def assemble_tangential(p: TangentialProblem, m: Mesh, lift: FEFunction,
                         cocycles: np.ndarray) -> AssembledSystem:
-    """K = S^T M_eta S and rhs = F[dofs] - S^T M_eta lift, S = C[:, dofs],
-    with F the consistent load against ker C (``consistent_load``).
-
-    All edges as dofs give the quotient-space system of the solve; the
-    gauged dofs of ``build_N_star`` give its positive definite reference.
-    """
+    """K = C^T eta M_f C and rhs = F - C^T eta M_f lift over all edges,
+    with F the consistent load against ker C (``consistent_load``)."""
     if lift.space != Space.FACE:
         raise SolverError("tangential lift must be an RT function")
-    S = _reduced_operator(m, "tangential", dofs)
-    M = rt_mass_matrix(m, p.eta)
+    S = m.incidence.C.tocsc()
+    M = p.eta * m.rt_mass
     K = (S.T @ M @ S).tocsr()
     F, compat = consistent_load(
         m, _edge_load(m, p.J) + _tangential_boundary_load(m, p.a), cocycles)
-    rhs = F[dofs] - S.T @ (M @ lift.coeffs)
+    rhs = F - S.T @ (M @ lift.coeffs)
     return AssembledSystem(K=K, rhs=rhs, load_compatibility=compat)
 
 
-def assemble_normal(p: NormalProblem, m: Mesh, dofs: np.ndarray,
+def assemble_normal(p: NormalProblem, m: Mesh,
                     lift: FEFunction) -> AssembledSystem:
-    """K = G^T M_mu G and rhs = (b - g)[dofs] - G^T M_mu lift, G = G[:, dofs]."""
+    """K = G^T mu M_e G and rhs = (b - g) - G^T mu M_e lift, G = G[:, L*_h]."""
     if lift.space != Space.EDGE:
         raise SolverError("normal lift must be a Nedelec function")
-    G = _reduced_operator(m, "normal", dofs)            # (n_e, n_v - 1)
-    M = edge_mass_matrix(m, p.mu)
+    G = _gradients(m)                                   # (n_e, n_v - 1)
+    M = p.mu * m.edge_mass
     K = (G.T @ M @ G).tocsr()
-    rhs = (_scalar_boundary_load(m, p.b) - _nodal_load(m, p.g))[dofs]
-    rhs -= G.T @ (M @ lift.coeffs)
+    rhs = _scalar_boundary_load(m, p.b) - _nodal_load(m, p.g)
+    rhs = rhs[build_L_star(m)] - G.T @ (M @ lift.coeffs)
     return AssembledSystem(K=K, rhs=rhs)
 
 
@@ -394,12 +359,16 @@ def solve_spd(s: AssembledSystem, tol: float = 1e-10,
 # solution recovery and error norms
 
 
-def recover_solution(kind: str, coeffs: np.ndarray, dofs: np.ndarray,
-                     lift: FEFunction) -> Solution:
-    """u_h = lift + C[:, dofs] coeffs (tangential) or G[:, dofs] coeffs."""
-    S = _reduced_operator(lift.mesh, kind, dofs)
+def recover_solution(coeffs: np.ndarray, lift: FEFunction) -> Solution:
+    """u_h = lift + C coeffs for an RT lift (tangential), or
+    lift + G[:, L*_h] coeffs for a Nedelec lift (normal)."""
+    m = lift.mesh
+    if lift.space == Space.FACE:
+        kind, S = "tangential", m.incidence.C.tocsc()
+    else:
+        kind, S = "normal", _gradients(m)
     return Solution(kind=kind, lift=lift, u_h=FEFunction(
-        lift.space, lift.mesh, S @ coeffs + lift.coeffs))
+        lift.space, m, S @ coeffs + lift.coeffs))
 
 
 def error_norms(sol: Solution, exact_u, exact_diff) -> tuple[float, float]:

@@ -10,13 +10,13 @@ import numpy as np
 
 from curldiv import (CurlData, DivergenceData, FEFunction,
                      NormalProblem, TangentialProblem, assemble_normal,
-                     assemble_tangential, build_L_star, build_N_star,
-                     component_fluxes, cycle_period, differential, error_norms,
-                     harmonic_cocycles, interpolate, nedelec_potential,
-                     recover_solution, rt_potential, solve_spd)
+                     build_N_star, component_fluxes, cycle_period,
+                     differential, error_norms, interpolate,
+                     nedelec_potential, rt_potential, solve_spd)
 from curldiv.cli import ProblemConfig, run_convergence, solve_on_mesh
 from curldiv.mms import get_case
 from fe_eval import eval_at_points
+from gauged import gauged_solve, gauged_system
 
 FIXTURES = ["cube1", "torus", "hollow"]
 
@@ -35,10 +35,6 @@ def _zeros_a(p, n):
 
 def _zeros_b(p, n):
     return np.zeros(len(p))
-
-
-def _cocycles(m, topo):
-    return harmonic_cocycles(m, topo.tree, topo.homology)
 
 
 def test_criterion_01_convergence_tangential():
@@ -117,18 +113,15 @@ def test_criterion_06_uniqueness_zero_data(request):
     for name in FIXTURES:
         m = request.getfixturevalue(name)
         topo = request.getfixturevalue(f"topo_{name}")
-        gb = build_N_star(topo.tree, topo.homology)
         lift_t = FEFunction("face", m, np.zeros(m.n_f))
         prob_t = TangentialProblem(1.0, _zeros_v,
                                    _zeros_a)
-        W = solve_spd(assemble_tangential(prob_t, m, gb, lift_t,
-                                          _cocycles(m, topo)))
+        W = solve_spd(gauged_system(prob_t, m, topo, lift_t)[1])
         assert np.abs(W).max() <= 1e-10
-        rb = build_L_star(m)
         lift_n = FEFunction("edge", m, np.zeros(m.n_e))
         prob_n = NormalProblem(1.0, _zeros_s,
                                _zeros_b)
-        V = solve_spd(assemble_normal(prob_n, m, rb, lift_n))
+        V = solve_spd(assemble_normal(prob_n, m, lift_n))
         assert np.abs(V).max() <= 1e-10
     print("\nACCEPTANCE 6 (zero data gives zero coefficients on all "
           "fixtures): PASS")
@@ -139,16 +132,13 @@ def test_criterion_07_spd(request):
     for name in ("cube2", "torus"):
         m = request.getfixturevalue(name)
         topo = request.getfixturevalue(f"topo_{name}")
-        gb = build_N_star(topo.tree, topo.homology)
-        rb = build_L_star(m)
         for coef in (1.0, 2.5):
             lift_t = FEFunction("face", m, np.zeros(m.n_f))
             prob_t = TangentialProblem(coef, _zeros_v, _zeros_a)
-            Kt = assemble_tangential(prob_t, m, gb, lift_t,
-                                     _cocycles(m, topo)).K
+            Kt = gauged_system(prob_t, m, topo, lift_t)[1].K
             lift_n = FEFunction("edge", m, np.zeros(m.n_e))
             prob_n = NormalProblem(coef, _zeros_s, _zeros_b)
-            Kn = assemble_normal(prob_n, m, rb, lift_n).K
+            Kn = assemble_normal(prob_n, m, lift_n).K
             for K in (Kt, Kn):
                 n = K.shape[0]
                 for _ in range(100):
@@ -215,7 +205,6 @@ def test_criterion_09_lift_contracts(request, cube2, topo_cube2, torus,
     per = cycle_period(topo_torus.homology.cycles[0], nlift.coeffs)
     assert abs(per - 2.0) <= 1e-10 * 3.0
     # end-to-end invariance under lift replacement by lift + kernel element
-    gb = build_N_star(topo_cube2.tree, topo_cube2.homology)
     g_h2 = interpolate("cell", case.g, cube2)
     base = rt_potential(cube2, topo_cube2.boundary,
                         DivergenceData(g_h2, np.zeros(0)))
@@ -226,9 +215,7 @@ def test_criterion_09_lift_contracts(request, cube2, topo_cube2, torus,
     probes = rng.uniform(0.1, 0.9, size=(10, 3))
     vals = []
     for lf in (base, shifted):
-        s = assemble_tangential(prob, cube2, gb, lf,
-                                _cocycles(cube2, topo_cube2))
-        sol = recover_solution("tangential", solve_spd(s, tol=1e-12), gb, lf)
+        sol = gauged_solve(prob, cube2, topo_cube2, lf, tol=1e-12)
         vals.append(eval_at_points(sol.u_h, probes))
     pscale = 1.0 + np.abs(vals[0]).max()
     assert np.abs(vals[0] - vals[1]).max() <= 1e-8 * pscale

@@ -120,6 +120,30 @@ def test_malformed_msh_exit_2(tmp_path, capsys, old, new, message):
     assert message in capsys.readouterr().err
 
 
+def test_non_utf8_msh_exit_2(tmp_path, capsys):
+    # used to end in an uncaught UnicodeDecodeError traceback
+    data = np.random.default_rng(0).bytes(300)
+    with pytest.raises(UnicodeDecodeError):
+        data.decode("utf-8")
+    p = tmp_path / "random.msh"
+    p.write_bytes(data)
+    with pytest.raises(MshParseError, match="not a UTF-8 text file"):
+        read_gmsh(p)
+    assert main(["topology", "--mesh", str(p)]) == 2
+    assert "error: not a UTF-8 text file" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exit_2(tmp_path, capsys):
+    m = single_tet_mesh()
+    mesh_path = tmp_path / "tet.msh"
+    write_gmsh(mesh_path, m.vertices, m.tets)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"formulation": "tangential", "case": "mms\xff"}')
+    assert main(["solve", "--mesh", str(mesh_path),
+                 "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_vtk_single_tet_zero_field(tmp_path):
     m = single_tet_mesh()
     u = FEFunction("face", m, np.zeros(m.n_f))

@@ -6,11 +6,9 @@ import scipy.sparse as sp
 
 from curldiv import (AssembledSystem, DivergenceData,
                      ElementError, FEFunction, NormalProblem, SolverError,
-                     TangentialProblem, assemble_normal, assemble_tangential,
-                     build_L_star, build_N_star, build_mesh,
-                     edge_mass_matrix, error_norms, harmonic_cocycles,
-                     interpolate, recover_solution, rt_mass_matrix,
-                     rt_potential, solve_spd, validate_tangential)
+                     TangentialProblem, assemble_normal, build_L_star,
+                     build_mesh, cli, error_norms, interpolate, rt_potential,
+                     solve_spd, solver, validate_tangential)
 from curldiv.cli import ProblemConfig, compute_topology, solve_on_mesh
 from curldiv.elements import FACE_DEGREE, eval_field
 from curldiv.meshes import structured_cube_mesh
@@ -19,6 +17,7 @@ from curldiv.quadrature import make_quadrature
 from curldiv.solver import (_eval_boundary, _scalar_boundary_load,
                             _tangential_boundary_load)
 from fe_eval import eval_at_points
+from gauged import gauged_solution, gauged_solve, gauged_system
 
 
 def _zeros_v(p):
@@ -35,10 +34,6 @@ def _zeros_a(p, n):
 
 def _zeros_b(p, n):
     return np.zeros(len(p))
-
-
-def _cocycles(m, topo):
-    return harmonic_cocycles(m, topo.tree, topo.homology)
 
 
 def _oracle_rt_mass(m):
@@ -70,12 +65,10 @@ def _oracle_rt_mass(m):
 
 
 def test_tangential_K_matches_dense_oracle(cube1, topo_cube1):
-    gb = build_N_star(topo_cube1.tree, topo_cube1.homology)
     lift = FEFunction("face", cube1, np.zeros(cube1.n_f))
     prob = TangentialProblem(1.0, _zeros_v,
                              _zeros_a)
-    system = assemble_tangential(prob, cube1, gb, lift,
-                                 _cocycles(cube1, topo_cube1))
+    gb, system = gauged_system(prob, cube1, topo_cube1, lift)
     S = cube1.incidence.C.toarray()[:, gb]
     K_oracle = S.T @ _oracle_rt_mass(cube1) @ S
     K = system.K.toarray()
@@ -83,31 +76,26 @@ def test_tangential_K_matches_dense_oracle(cube1, topo_cube1):
 
 
 def test_tangential_K_symmetric(cube2, topo_cube2):
-    gb = build_N_star(topo_cube2.tree, topo_cube2.homology)
     lift = FEFunction("face", cube2, np.zeros(cube2.n_f))
     prob = TangentialProblem(2.0, _zeros_v,
                              _zeros_a)
-    K = assemble_tangential(prob, cube2, gb, lift,
-                            _cocycles(cube2, topo_cube2)).K
+    K = gauged_system(prob, cube2, topo_cube2, lift)[1].K
     assert abs(K - K.T).max() <= 1e-12 * abs(K).max()
 
 
 def test_tangential_zero_data_zero_rhs(cube1, topo_cube1):
-    gb = build_N_star(topo_cube1.tree, topo_cube1.homology)
     lift = FEFunction("face", cube1, np.zeros(cube1.n_f))
     prob = TangentialProblem(1.0, _zeros_v,
                              _zeros_a)
-    system = assemble_tangential(prob, cube1, gb, lift,
-                                 _cocycles(cube1, topo_cube1))
+    system = gauged_system(prob, cube1, topo_cube1, lift)[1]
     assert np.abs(system.rhs).max() == 0.0
 
 
 def test_normal_single_tet_is_p1_stiffness(tet1):
-    topo = compute_topology(tet1)
     rb = build_L_star(tet1)
     lift = FEFunction("edge", tet1, np.zeros(tet1.n_e))
     prob = NormalProblem(1.0, _zeros_s, _zeros_b)
-    K = assemble_normal(prob, tet1, rb, lift).K.toarray()
+    K = assemble_normal(prob, tet1, lift).K.toarray()
     verts = tet1.vertices[tet1.tets[0]]
     A = np.vstack([np.ones(4), verts.T])
     grads = np.linalg.inv(A)[:, 1:]
@@ -117,10 +105,9 @@ def test_normal_single_tet_is_p1_stiffness(tet1):
 
 
 def test_normal_zero_data_zero_rhs(cube1):
-    rb = build_L_star(cube1)
     lift = FEFunction("edge", cube1, np.zeros(cube1.n_e))
     prob = NormalProblem(1.0, _zeros_s, _zeros_b)
-    system = assemble_normal(prob, cube1, rb, lift)
+    system = assemble_normal(prob, cube1, lift)
     assert np.abs(system.rhs).max() == 0.0
 
 
@@ -163,13 +150,11 @@ def test_galerkin_residual_after_solve(cube2, topo_cube2):
     # the residual equation rhs - K.W = 0 holds for every test function
     from curldiv.mms import get_case
     case = get_case("mms1")
-    gb = build_N_star(topo_cube2.tree, topo_cube2.homology)
     g_h = interpolate("cell", case.g, cube2)
     lift = rt_potential(cube2, topo_cube2.boundary,
                         DivergenceData(g_h, np.zeros(0)))
     prob = case.tangential(1.0)
-    system = assemble_tangential(prob, cube2, gb, lift,
-                                 _cocycles(cube2, topo_cube2))
+    system = gauged_system(prob, cube2, topo_cube2, lift)[1]
     W = solve_spd(system, tol=1e-12)
     resid = np.abs(system.rhs - system.K @ W).max()
     assert resid <= 1e-10 * (1.0 + np.abs(system.rhs).max())
@@ -212,20 +197,16 @@ def test_scaling_equivariance(cube1, topo_cube1):
     from curldiv.mms import get_case
     case = get_case("mms2")
     c = 3.0
-    gb = build_N_star(topo_cube1.tree, topo_cube1.homology)
     g_h = interpolate("cell", case.g, cube1)
     lift = rt_potential(cube1, topo_cube1.boundary,
                         DivergenceData(g_h, np.zeros(0)))
 
-    prob1 = case.tangential(1.0)
-    prob2 = case.tangential(c)
-    H = _cocycles(cube1, topo_cube1)
-    s1 = assemble_tangential(prob1, cube1, gb, lift, H)
-    s2 = assemble_tangential(prob2, cube1, gb, lift, H)
+    gb, s1 = gauged_system(case.tangential(1.0), cube1, topo_cube1, lift)
+    _, s2 = gauged_system(case.tangential(c), cube1, topo_cube1, lift)
     assert np.abs(s2.K.toarray() - c * s1.K.toarray()).max() <= \
         1e-12 * abs(s1.K).max() * c
-    u1 = recover_solution("tangential", solve_spd(s1, tol=1e-12), gb, lift)
-    u2 = recover_solution("tangential", solve_spd(s2, tol=1e-12), gb, lift)
+    u1 = gauged_solution(cube1, gb, solve_spd(s1, tol=1e-12), lift)
+    u2 = gauged_solution(cube1, gb, solve_spd(s2, tol=1e-12), lift)
     scale = np.abs(u1.u_h.coeffs).max()
     assert np.abs(u1.u_h.coeffs - u2.u_h.coeffs).max() <= 1e-8 * scale
 
@@ -263,7 +244,6 @@ def test_lift_independence_tangential(cube2, topo_cube2):
     # adding a curl field to the lift leaves the recovered solution unchanged
     from curldiv.mms import get_case
     case = get_case("mms2")
-    gb = build_N_star(topo_cube2.tree, topo_cube2.homology)
     g_h = interpolate("cell", case.g, cube2)
     lift = rt_potential(cube2, topo_cube2.boundary,
                         DivergenceData(g_h, np.zeros(0)))
@@ -272,12 +252,8 @@ def test_lift_independence_tangential(cube2, topo_cube2):
     kernel = np.asarray(cube2.incidence.C @ z).ravel()
     lift2 = FEFunction("face", cube2, lift.coeffs + kernel)
     prob = case.tangential(1.0)
-    sols = []
-    for lf in (lift, lift2):
-        s = assemble_tangential(prob, cube2, gb, lf,
-                                _cocycles(cube2, topo_cube2))
-        sols.append(recover_solution("tangential",
-                                     solve_spd(s, tol=1e-12), gb, lf))
+    sols = [gauged_solve(prob, cube2, topo_cube2, lf, tol=1e-12)
+            for lf in (lift, lift2)]
     scale = 1.0 + np.abs(sols[0].u_h.coeffs).max()
     diff = np.abs(sols[0].u_h.coeffs - sols[1].u_h.coeffs).max()
     assert diff <= 1e-8 * scale
@@ -446,8 +422,18 @@ def test_curl_data_defect_reported(name, request):
 
 
 @pytest.mark.parametrize("coef", [0.0, -1.0, float("inf"), float("nan")])
-def test_mass_matrix_rejects_bad_coefficient(cube1, coef):
+def test_bad_coefficient_rejected_before_cg(cube1, topo_cube1, monkeypatch,
+                                            coef):
+    # one check, when the problem is made: no lift, assembly or CG runs
+    def no_cg(*args, **kwargs):
+        raise AssertionError("CG ran on a bad coefficient")
+    monkeypatch.setattr(solver, "solve_spd", no_cg)
+    monkeypatch.setattr(cli, "solve_spd", no_cg)
+    for f in ("tangential", "normal"):
+        with pytest.raises(SolverError, match="finite and > 0"):
+            solve_on_mesh(cube1, ProblemConfig(f, "mms1", coefficient=coef),
+                          topo_cube1)
     with pytest.raises(SolverError, match="finite and > 0"):
-        rt_mass_matrix(cube1, coef)
+        TangentialProblem(coef, _zeros_v, _zeros_a)
     with pytest.raises(SolverError, match="finite and > 0"):
-        edge_mass_matrix(cube1, coef)
+        NormalProblem(coef, _zeros_s, _zeros_b)
