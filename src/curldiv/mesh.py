@@ -9,6 +9,11 @@ C and D are tables of signed ids per row, ``face_edges`` and ``tet_faces``,
 which the sweeps read; ``incidence`` builds G, C and D as sparse matrices,
 with scipy, for the linear algebra of the solve, as are the unit mass
 matrices ``rt_mass`` and ``edge_mass``.
+
+``build_mesh`` numbers each level by sorting one int64 key per simplex,
+from the ids of the level below: a*n_v + b for edge [a, b], id([a, b])*n_v
++ c for face [a, b, c] and id([a, b, c])*n_v + d for tet [a, b, c, d].  The
+keys stay below n_v**2, n_e*n_v and n_f*n_v: int64 while each is < 2**31.
 """
 
 from __future__ import annotations
@@ -78,12 +83,6 @@ class Mesh:
     @property
     def euler_characteristic(self) -> int:
         return self.n_v - self.n_e + self.n_f - self.n_t
-
-    def edge_ids(self, u, v) -> np.ndarray:
-        """Ids of the edges joining vertices u and v (arrays, either order)."""
-        keys = self.edges[:, 0] * self.n_v + self.edges[:, 1]
-        return np.searchsorted(keys, np.minimum(u, v) * self.n_v
-                               + np.maximum(u, v))
 
     @cached_property
     def face_edges(self) -> np.ndarray:
@@ -189,43 +188,57 @@ def connected_components(n: int, u, v) -> np.ndarray:
         label = new
 
 
-def _number_rows(keys: np.ndarray):
-    """The distinct rows of an integer array in lexicographic order, the
-    number of each row among them, the first row with each and its count."""
-    order = np.lexsort(keys.T[::-1])         # stable: ties keep row order
-    ranked = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    number = np.empty(len(keys), dtype=np.int64)
+def _number_keys(keys: np.ndarray):
+    """The distinct keys ascending, the number of each key among them, in
+    the shape of ``keys``, and the count of each."""
+    flat = keys.ravel()
+    order = np.argsort(flat)
+    ranked = flat[order]
+    new = np.ones(len(flat), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    number = np.empty(len(flat), dtype=np.int64)
     number[order] = np.cumsum(new) - 1
-    starts = np.flatnonzero(new)
-    return ranked[new], number, order[starts], np.diff(starts, append=len(keys))
+    return ranked[new], number.reshape(keys.shape), np.bincount(number)
 
 
 def build_mesh(coords, tet_list) -> Mesh:
     """Assemble the oriented complex from vertex coordinates and tet tuples."""
-    vertices = np.asarray(coords, dtype=np.float64)
+    vertices = np.asarray(coords)
+    if vertices.dtype.kind not in "iuf":
+        raise MeshError("vertex coordinates must be real numbers")
+    vertices = vertices.astype(np.float64, copy=False)
     if vertices.ndim != 2 or vertices.shape[1] != 3:
         raise MeshError("coords must be an (n_v, 3) array")
     if not np.all(np.isfinite(vertices)):
         raise MeshError("vertex coordinates must be finite")
-    tets_in = np.asarray(tet_list, dtype=np.int64)
+    tets_in = np.asarray(tet_list)
     if tets_in.ndim != 2 or tets_in.shape[1] != 4:
         raise MeshError("tets must be an (n_t, 4) array")
+    if not (tets_in.dtype.kind in "iu" or tets_in.dtype.kind == "f"
+            and np.all(np.floor(tets_in) == tets_in)):
+        raise MeshError("tet vertex indices must be integers")
     n_v = len(vertices)
     if tets_in.size and (tets_in.min() < 0 or tets_in.max() >= n_v):
         raise MeshError("tet vertex index out of range")
 
-    tets = np.sort(tets_in, axis=1)
+    tets = np.sort(tets_in.astype(np.int64), axis=1)
     if np.any(np.diff(tets, axis=1) == 0):
         bad = int(np.where(np.any(np.diff(tets, axis=1) == 0, axis=1))[0][0])
         raise MeshError(f"degenerate tet {bad}: repeated vertex")
-    _, number, first, _ = _number_rows(tets)
-    first = first[number]                   # first tet with the same vertices
-    dup = np.flatnonzero(first != np.arange(len(tets)))
-    if len(dup):
-        raise MeshError(f"duplicate tet {dup[0]} (same vertices as "
-                        f"{first[dup[0]]})")
+
+    # int64 keys below n_v**2, n_e*n_v and n_f*n_v (module docstring)
+    ekeys, tet_edges, _ = _number_keys(tets[:, [0, 0, 0, 1, 1, 2]] * n_v
+                                       + tets[:, [1, 2, 3, 2, 3, 3]])
+    edges = np.stack(np.divmod(ekeys, n_v), axis=1)
+    # the local edge [a, b] and the vertex c of each local face [a, b, c]
+    fkeys, tet_faces, count = _number_keys(tet_edges[:, [0, 0, 1, 3]] * n_v
+                                           + tets[:, [2, 3, 3, 3]])
+    faces = np.column_stack([edges[fkeys // n_v], fkeys % n_v])
+    tkeys, number, _ = _number_keys(tet_faces[:, 0] * n_v + tets[:, 3])
+    if len(tkeys) < len(tets):
+        first = np.unique(number, return_index=True)[1][number]
+        dup = np.flatnonzero(first != np.arange(len(tets)))[0]
+        raise MeshError(f"duplicate tet {dup} (same vertices as {first[dup]})")
 
     lo, hi = vertices.min(axis=0), vertices.max(axis=0)
     diag = float(np.linalg.norm(hi - lo))
@@ -236,17 +249,10 @@ def build_mesh(coords, tet_list) -> Mesh:
     tet_orient = np.where(svol > 0, 1, -1).astype(np.int64)
     volumes = np.abs(svol)
 
-    # sub-simplex keys of sorted tets are sorted, so they are numbered in
-    # lexicographic order
-    edges, tet_edges, _, _ = _number_rows(tets[:, LOCAL_EDGES].reshape(-1, 2))
-    faces, tet_faces, _, count = _number_rows(
-        tets[:, LOCAL_FACES].reshape(-1, 3))
     if np.any(count > 2):
         f = int(np.argmax(count > 2))
         raise MeshError(f"non-manifold face {tuple(map(int, faces[f]))}: "
                         f"shared by {count[f]} tets")
-    tet_edges = tet_edges.reshape(-1, 6)
-    tet_faces = tet_faces.reshape(-1, 4)
 
     if len(tets) and np.any(connected_components(n_v, *edges.T)):
         raise MeshError("complex is not connected")
@@ -324,7 +330,7 @@ def extract_boundary(m: Mesh) -> BoundaryStructure:
 
     # components of boundary faces joined through shared edges, numbered
     # by their lowest face
-    pairs = np.argsort(face_edges.ravel(), kind="stable").reshape(-1, 2) // 3
+    pairs = np.argsort(face_edges.ravel()).reshape(-1, 2) // 3
     _, comp_index = np.unique(connected_components(len(bfaces), *pairs.T),
                               return_inverse=True)
     components = [bfaces[comp_index == r] for r in range(comp_index.max() + 1)]

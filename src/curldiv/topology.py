@@ -98,7 +98,7 @@ def _face_sweep(fe: np.ndarray, fs, known: np.ndarray, x0=None, rhs=None,
     w = fe.shape[1]
     fs = np.broadcast_to(fs, fe.shape)
     # the rows touching each edge, grouped by edge
-    by_edge = np.argsort(fe.ravel(), kind="stable") // w
+    by_edge = np.argsort(fe.ravel()) // w
     ptr = np.concatenate([[0], np.cumsum(np.bincount(fe.ravel(), minlength=n_e))])
 
     seeded = known
@@ -207,7 +207,7 @@ def _bfs(n: int, u, v, root: int):
     scanned in ascending arc id; on sorted edges that is ascending vertex."""
     arc = np.arange(len(u))
     src, dst, arc = np.r_[u, v], np.r_[v, u], np.r_[arc, arc]
-    by_src = np.lexsort((arc, src))
+    by_src = np.argsort(src * len(u) + arc)
     dst, arc = dst[by_src], arc[by_src]
     ptr = np.searchsorted(src[by_src], np.arange(n + 1))
     parent = np.full(n, -1, dtype=np.int64)

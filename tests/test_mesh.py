@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,11 @@ import pytest
 from curldiv import (MeshError, build_mesh, hollow_ball_mesh,
                      solid_torus_mesh)
 from curldiv.meshes import _KUHN_PATHS, structured_cube_mesh
+from edge_lookup import edge_ids
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = [w["name"] for w in json.loads(
+    (PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def test_single_tet_counts(tet1):
@@ -33,12 +40,55 @@ def test_degenerate_tet_rejected():
         build_mesh(flat, [[0, 1, 2, 3]])
 
 
-def test_bad_indices_and_duplicates_rejected():
+def test_bad_indices_and_duplicates_rejected(cube2):
     coords = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(MeshError):
         build_mesh(coords, [[0, 1, 2, 4]])
     with pytest.raises(MeshError):
         build_mesh(coords, [[0, 1, 2, 3], [0, 1, 3, 2]])
+    # the lowest repeated tet and its first copy, whatever else is wrong
+    tets = cube2.tets.tolist()
+    tets.insert(20, tets[5][::-1])
+    tets.insert(48, tets[5])
+    with pytest.raises(MeshError, match=r"^duplicate tet 20 \(same vertices "
+                                        r"as 5\)$"):
+        build_mesh(cube2.vertices, tets)
+    coords = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                       [0, 0, -1], [1, 1, 1], [1, 1, 0]])
+    # with a face of four tets
+    with pytest.raises(MeshError, match=r"^duplicate tet 3 \(same vertices "
+                                        r"as 1\)$"):
+        build_mesh(coords, [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5],
+                            [4, 2, 1, 0]])
+    # of a flat tet
+    with pytest.raises(MeshError, match=r"^duplicate tet 2 \(same vertices "
+                                        r"as 1\)$"):
+        build_mesh(coords, [[0, 1, 2, 3], [6, 1, 2, 0], [0, 2, 6, 1]])
+
+
+@pytest.mark.parametrize("tets", [
+    [[0, 1, 2, 3.7]], [["0", "1", "2", "3"]], [[0, 1, 2, np.nan]],
+    [[0, 1, 2, 2**70]], [[0.0, 1.0, 2.0, np.inf]]],
+    ids=["fraction", "string", "nan", "huge", "inf"])
+def test_tet_indices_must_be_integers(tets):
+    with pytest.raises(MeshError, match="integers|out of range"):
+        build_mesh(np.eye(4, 3), tets)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.float64,
+                                   np.float32])
+def test_integral_tet_indices_of_any_dtype_accepted(cube1, dtype):
+    m = build_mesh(cube1.vertices, cube1.tets.astype(dtype))
+    assert m.tets.dtype == np.int64 and np.array_equal(m.tets, cube1.tets)
+    assert np.array_equal(m.faces, cube1.faces)
+
+
+@pytest.mark.parametrize("coords", [
+    np.eye(4, 3) + 1e-3j, np.eye(4, 3).astype(complex),
+    np.eye(4, 3).astype(str)], ids=["complex", "complex-real", "string"])
+def test_coordinates_must_be_real(coords):
+    with pytest.raises(MeshError, match="real numbers"):
+        build_mesh(coords, [[0, 1, 2, 3]])
 
 
 def test_nonmanifold_face_rejected():
@@ -70,7 +120,7 @@ def test_complex_identities_exact(fixture, request):
 def test_G_row_signs(tet1):
     # edge [v0, v1] -> -1 at v0, +1 at v1
     G = tet1.incidence.G.toarray()
-    e01 = tet1.edge_ids(0, 1)
+    e01 = edge_ids(tet1, 0, 1)
     assert list(G[e01]) == [-1, 1, 0, 0]
 
 
@@ -79,7 +129,8 @@ def test_C_row_matches_face_cycle(tet1):
     C = tet1.incidence.C.toarray()
     f = np.flatnonzero((tet1.faces == [0, 1, 2]).all(axis=1))[0]
     row = C[f]
-    e01, e12, e02 = tet1.edge_ids(np.array([0, 1, 0]), np.array([1, 2, 2]))
+    e01, e12, e02 = edge_ids(tet1, np.array([0, 1, 0]),
+                             np.array([1, 2, 2]))
     assert row[e01] == 1
     assert row[e12] == 1
     assert row[e02] == -1
@@ -168,37 +219,51 @@ def _reference_sub_simplices(tets):
     return edges, faces, tet_edges, tet_faces
 
 
-@pytest.mark.parametrize("fixture", ["tet1", "cube2", "torus", "hollow",
-                                     "torus_cavity", "genus2",
-                                     "handle_cavity"])
-@pytest.mark.parametrize("seed", [None, 3])
-def test_sub_simplices_match_reference(fixture, seed, request):
-    m = request.getfixturevalue(fixture)
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(m.n_v)
-        coords = np.empty_like(m.vertices)
-        coords[perm] = m.vertices
-        m = build_mesh(coords, rng.permuted(perm[m.tets], axis=1))
+_FIXTURES = ["tet1", "cube2", "torus", "hollow", "torus_cavity", "genus2",
+             "handle_cavity"]
+
+
+@pytest.mark.parametrize("source, seed", [
+    *[pytest.param(f, s, id=f"{s}-{f}") for s in (None, 3) for f in _FIXTURES],
+    *[pytest.param(w, s, id=f"{s}-{w}") for w in WORKLOADS for s in (1, 2)]])
+def test_sub_simplices_match_reference(source, seed, request, monkeypatch):
+    if source in WORKLOADS:
+        # the benchmark input at its timed size, as the seed renumbers it
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+        w = workloads.WORKLOADS[source]
+        m = build_mesh(*workloads.inputs.renumbered(w.domain(w.n), seed))
+    else:
+        m = request.getfixturevalue(source)
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            perm = rng.permutation(m.n_v)
+            coords = np.empty_like(m.vertices)
+            coords[perm] = m.vertices
+            m = build_mesh(coords, rng.permuted(perm[m.tets], axis=1))
     for got, want in zip((m.edges, m.faces, m.tet_edges, m.tet_faces),
                          _reference_sub_simplices(m.tets)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("width", [2, 3, 4])
-def test_number_rows_matches_unique(width):
-    from curldiv.mesh import _number_rows
-    rng = np.random.default_rng(width)
-    for n in (0, 1, 7, 500):
-        keys = rng.integers(0, 6, size=(n, width))
-        rows, number, first, count = _number_rows(keys)
-        want, want_first, want_number, want_count = np.unique(
-            keys, axis=0, return_index=True, return_inverse=True,
-            return_counts=True)
-        assert np.array_equal(rows, want)
-        assert np.array_equal(number, want_number.ravel())
-        assert np.array_equal(first, want_first)
-        assert np.array_equal(count, want_count)
+# the largest face key, with n_v and n_f at the bound of the module docstring
+_TOP = (2**31 - 1) ** 2
+
+
+@pytest.mark.parametrize("keys", [
+    np.zeros(0, dtype=np.int64), np.array([7]),
+    np.random.default_rng(1).integers(0, 6, size=500),
+    np.random.default_rng(2).integers(0, 9, size=(70, 4)),
+    _TOP - 1 - np.random.default_rng(3).integers(0, 40, size=300)],
+    ids=["empty", "one", "repeats", "table", "near-bound"])
+def test_number_keys_matches_unique(keys):
+    from curldiv.mesh import _number_keys
+    got, number, count = _number_keys(keys)
+    want, want_number, want_count = np.unique(
+        keys, return_inverse=True, return_counts=True)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(number, want_number.reshape(keys.shape))
+    assert np.array_equal(count, want_count)
 
 
 def test_boundary_that_is_not_a_closed_surface_rejected():

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from curldiv.topology import (_PRIME, TopologyError, _bfs, _cocycles,
                               _kernel, build_boundary_first_tree,
                               chain_boundary, fundamental_cycle,
                               surface_cycle_basis)
+from edge_lookup import edge_ids
 
 
 class _RowBasis:
@@ -193,6 +195,38 @@ def test_tree_deterministic(torus):
     assert t1.homology.cycles == t2.homology.cycles
 
 
+def _deque_bfs(n, u, v, root):
+    """Reference: queue-order BFS scanning each node's arcs by ascending id."""
+    adj = [[] for _ in range(n)]
+    for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+        adj[a].append((b, i))
+        adj[b].append((a, i))
+    order, parent, queue = [root], [-1] * n, deque([root])
+    while queue:
+        for y, i in adj[queue.popleft()]:
+            if y != root and parent[y] == -1:
+                parent[y] = i
+                order.append(y)
+                queue.append(y)
+    return order, parent
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bfs_matches_deque_reference(seed):
+    # a multigraph on n nodes, the last three of them isolated, with each of
+    # its first k arcs repeated reversed; the root is never node 0
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 60))
+    u, v = rng.integers(0, n - 3, size=(2, int(rng.integers(1, 3 * n))))
+    k = int(rng.integers(0, len(u) + 1))
+    u, v = np.r_[u, v[:k]], np.r_[v, u[:k]]
+    root = int(rng.integers(1, n))
+    order, parent = _bfs(n, u, v, root)
+    want_order, want_parent = _deque_bfs(n, u, v, root)
+    assert order.tolist() == want_order
+    assert parent.tolist() == want_parent
+
+
 # ---------------------------------------------------------------------------
 # reference: the dict-based GF(p) elimination over whole rows of C, which the
 # face sweep replaced; it must select the same cycles
@@ -338,7 +372,7 @@ def test_report_betti_matches_reference_under_renumbering(seed, which):
 def _reference_C(m):
     import scipy.sparse as sp
     f = m.faces
-    cols = m.edge_ids(f[:, [0, 1, 0]], f[:, [1, 2, 2]]).ravel()
+    cols = edge_ids(m, f[:, [0, 1, 0]], f[:, [1, 2, 2]]).ravel()
     data = np.tile([1, 1, -1], m.n_f)
     return sp.csr_matrix((data, (np.repeat(np.arange(m.n_f), 3), cols)),
                          shape=(m.n_f, m.n_e))
