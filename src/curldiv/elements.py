@@ -23,7 +23,6 @@ from .quadrature import make_quadrature
 # round-off for smooth u, so the normal u_h does not depend on the sigma_n.
 EDGE_DEGREE = 11
 FACE_DEGREE = 10
-_FACE_BLOCK = 512                   # faces per block of the flux pass
 
 
 class Space(str, Enum):
@@ -107,14 +106,37 @@ def face_fluxes(fn, m: Mesh, faces: np.ndarray) -> np.ndarray:
     blocks of faces so the point arrays stay small."""
     rule = make_quadrature("tri", FACE_DEGREE)
     flux = np.empty(len(faces))
-    for start in range(0, len(faces), _FACE_BLOCK):
-        blk = slice(start, start + _FACE_BLOCK)
+    for blk in kernels.blocks(len(faces)):
         fverts = m.vertices[m.faces[faces[blk]]]
         vals = eval_field(fn, (rule.points @ fverts).reshape(-1, 3),
                           vector=True).reshape(len(fverts), -1, 3)
         nvec = np.cross(fverts[:, 1] - fverts[:, 0], fverts[:, 2] - fverts[:, 0])
         flux[blk] = np.einsum("fqx,fx,q->f", vals, nvec, rule.weights)
     return flux
+
+
+def tet_point_values(fn, m: Mesh, tets: slice, rule, vector: bool):
+    """fn at the rule's points in the tets ``tets``: (n, nq, 3) if
+    ``vector``, else (n, nq)."""
+    pts = np.einsum("qi,tix->tqx", rule.points, m.vertices[m.tets[tets]])
+    vals = eval_field(fn, pts.reshape(-1, 3), vector)
+    return vals.reshape(pts.shape[:2] + vals.shape[1:])
+
+
+def field_values(u: FEFunction, bary, tets: slice = slice(None)):
+    """An edge or face function at barycentric points ``bary`` (nq, 4) of
+    the tets ``tets``, (n, nq, 3); a cell function as (n, 1, 1)."""
+    m = u.mesh
+    if u.space == Space.CELL:
+        return u.coeffs[tets, None, None]
+    grads = m.tet_geometry[0][tets]
+    if u.space == Space.EDGE:
+        basis, conn = kernels.edge_basis_values(grads, bary), m.tet_edges
+    elif u.space == Space.FACE:
+        basis, conn = kernels.rt_basis_values(grads, bary), m.tet_faces
+    else:
+        raise ElementError("nodal functions are not evaluated per tet")
+    return np.einsum("tqix,ti->tqx", basis, u.coeffs[conn[tets]])
 
 
 def interpolate(space, fn, m: Mesh) -> FEFunction:
@@ -128,7 +150,5 @@ def interpolate(space, fn, m: Mesh) -> FEFunction:
     if space == Space.FACE:
         return FEFunction(space, m, face_fluxes(fn, m, np.arange(m.n_f)))
     rule = make_quadrature("tet", 2)
-    pts = kernels.physical_points(m.vertices, m.tets, rule.points)
-    vals = eval_field(fn, pts.reshape(-1, 3), vector=False).reshape(m.n_t, -1)
-    dofs = 6.0 * vals @ rule.weights                    # cell averages
-    return FEFunction(Space.CELL, m, dofs)
+    vals = tet_point_values(fn, m, slice(None), rule, vector=False)
+    return FEFunction(Space.CELL, m, 6.0 * vals @ rule.weights)  # averages

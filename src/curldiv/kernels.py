@@ -1,9 +1,11 @@
-"""Element-loop kernels for assembly, evaluation and error quadrature.
+"""Element kernels: tet geometry, Whitney basis values and local masses.
 
-Each kernel is one vectorized numpy expression over all tets and
-quadrature points at once.  The per-tet geometry they take (barycentric
-gradients and signed 6*volume) is computed once per mesh, by
-``Mesh.tet_geometry``.
+Each kernel is one vectorized numpy expression over the tets it is given;
+a pass over a whole mesh takes BLOCK tets (or faces) at a time from
+``blocks``, so that its point and basis arrays stay small.  The per-tet
+geometry (barycentric gradients and signed 6*volume) is computed once per
+mesh, by ``Mesh.tet_geometry``.  The local mass matrices are closed forms,
+with no quadrature.
 
 Conventions: tets carry sorted vertex indices, so the local Whitney bases
 (edge pairs and face triples in lexicographic order) coincide with the
@@ -17,6 +19,18 @@ import numpy as np
 _EDGE_A = np.array([0, 0, 0, 1, 1, 2], dtype=np.int64)
 _EDGE_B = np.array([1, 2, 3, 2, 3, 3], dtype=np.int64)
 _FACE_V = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], dtype=np.int64)
+# int_T lam_a lam_b = |T| (1 + delta_ab) / 20
+_BARY_GRAM = (1.0 + np.eye(4)) / 20.0
+
+BLOCK = 512                                 # tets or faces per block
+
+
+def blocks(n: int):
+    """Consecutive slices of range(n), BLOCK long.  A pass loops over them
+    in its own body: arrays freed at the end of each block, as a callback
+    per block would free them, let the heap shrink and grow back, at a
+    page fault per page of every block."""
+    return (slice(start, start + BLOCK) for start in range(0, n, BLOCK))
 
 
 def tet_jacobian(vertices, tets):
@@ -35,11 +49,6 @@ def tet_geometry(vertices, tets):
     grads[:, 1:] = Jinv
     grads[:, 0] = -Jinv.sum(axis=1)
     return grads, det
-
-
-def physical_points(vertices, tets, bary):
-    """Quadrature points in physical space: (n_t, nq, 3)."""
-    return np.einsum("qi,tix->tqx", bary, vertices[tets])
 
 
 # ---------------------------------------------------------------------------
@@ -75,46 +84,35 @@ def rt_basis_values(grads, bary):
     return out
 
 
-def edge_curl_values(grads):
-    """Constant curls of the six edge functions: (n_t, 6, 3)."""
-    return 2.0 * np.cross(grads[:, _EDGE_A], grads[:, _EDGE_B])
-
-
 # ---------------------------------------------------------------------------
-# local mass matrices: M[i, j] = sum_q w_q |det| basis_i . basis_j, with the
-# unit coefficient; the assembly scales the global matrix
+# local mass matrices with the unit coefficient; the assembly scales the
+# global matrix
 
 
-def local_mass(basis_vals, det, qw):
-    M = np.einsum("tqix,tqjx,q->tij", basis_vals, basis_vals, qw)
-    return M * np.abs(det)[:, None, None]
+def edge_mass(grads, vol):
+    """Whitney edge mass matrices (n_t, 6, 6) from the Gram matrix
+    G = grad lam . grad lam^T: for edges [a, b] and [c, d], |T| times
+    L_ac G_bd - L_ad G_bc - L_bc G_ad + L_bd G_ac, L = ``_BARY_GRAM``."""
+    G = np.einsum("tix,tjx->tij", grads, grads)
+    L = _BARY_GRAM
+    a, b = _EDGE_A[:, None], _EDGE_B[:, None]
+    c, d = _EDGE_A, _EDGE_B
+    M = (L[a, c] * G[:, b, d] - L[a, d] * G[:, b, c]
+         - L[b, c] * G[:, a, d] + L[b, d] * G[:, a, c])
+    return M * vol[:, None, None]
 
 
-# ---------------------------------------------------------------------------
-# local load vectors
-
-
-def local_vector_load(basis_vals, det, qw, fvals):
-    L = np.einsum("tqix,tqx,q->ti", basis_vals, fvals, qw)
-    return L * np.abs(det)[:, None]
-
-
-def local_scalar_load(bary, det, qw, gvals):
-    L = np.einsum("qi,tq,q->ti", bary, gvals, qw)
-    return L * np.abs(det)[:, None]
-
-
-# ---------------------------------------------------------------------------
-# field evaluation and weighted L2 error accumulation
-
-
-def field_at_points(basis_vals, local_coeffs):
-    return np.einsum("tqix,ti->tqx", basis_vals, local_coeffs)
-
-
-def weighted_l2_sq(diff, det, qw):
-    """Integral of |diff|^2, diff given at quadrature points (n_t, nq, ...)."""
-    if diff.ndim == 2:
-        diff = diff[:, :, None]
-    sq = np.einsum("tqx,tqx->tq", diff, diff)
-    return float(np.einsum("tq,q,t->", sq, qw, np.abs(det)))
+def rt_mass(p, sign, vol):
+    """Raviart-Thomas mass matrices (n_t, 4, 4) of tets with vertices p
+    (n_t, 4, 3), face signs ``sign`` and volumes ``vol``.  Face i has the
+    function s_i (x - x_i) / (3|T|), x_i the vertex opposite it, and the
+    mass s_i s_j (S/20 + y_i . y_j) / (9|T|), with y the vertices about the
+    centroid and S = sum_k |y_k|^2."""
+    # face i omits vertex 3 - i; y is taken from the edge vectors, since
+    # the centroid of p itself loses digits on tets far from the origin
+    d = p - p[:, :1]
+    y = d[:, ::-1] - d.mean(axis=1)[:, None]
+    Y = np.einsum("tix,tjx->tij", y, y)
+    Y += np.trace(Y, axis1=1, axis2=2)[:, None, None] / 20.0
+    Y *= (sign / (9.0 * vol)[:, None])[:, :, None] * sign[:, None, :]
+    return Y

@@ -8,7 +8,9 @@ Whitney bases line up with the global degrees of freedom without sign maps.
 C and D are tables of signed ids per row, ``face_edges`` and ``tet_faces``,
 which the sweeps read; ``incidence`` builds G, C and D as sparse matrices,
 with scipy, for the linear algebra of the solve, as are the unit mass
-matrices ``rt_mass`` and ``edge_mass``.
+matrices ``rt_mass`` and ``edge_mass``, summed from closed-form local
+matrices through int32 COO indices, and the P1 stiffness
+``gradient_stiffness``.  The arrays of a ``Mesh`` are read-only.
 
 ``build_mesh`` numbers each level by sorting one int64 key per simplex,
 from the ids of the level below: a*n_v + b for edge [a, b], id([a, b])*n_v
@@ -25,7 +27,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernels
-from .quadrature import make_quadrature
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -50,7 +51,6 @@ _LOCAL_FACE_SIGN = np.array([(-1) ** k for k in _OMITTED], dtype=np.int64)
 FACE_EDGE_SIGN = np.array([1, -1, 1], dtype=np.int64)
 
 DEGENERACY_TOL = 1e-14
-MASS_DEGREE = 2             # tet rule exact for the mass of linear fields
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,10 @@ class Mesh:
     tet_edges: np.ndarray       # (n_t, 6) global edge ids, local order
     tet_faces: np.ndarray       # (n_t, 4) global face ids, local order
     volumes: np.ndarray         # (n_t,)
+
+    def __post_init__(self):
+        for a in vars(self).values():
+            a.setflags(write=False)
 
     @property
     def n_v(self) -> int:
@@ -139,6 +143,12 @@ class Mesh:
         return _global_mass(self, "edge")
 
     @cached_property
+    def gradient_stiffness(self) -> "sp.csr_matrix":
+        """G*^T M_e G*, G* the columns of G for every vertex but the last
+        (L*_h): the P1 stiffness, unit coefficient, read-only."""
+        return _gradient_stiffness(self)
+
+    @cached_property
     def boundary(self) -> "BoundaryStructure":
         return extract_boundary(self)
 
@@ -203,15 +213,18 @@ def _number_keys(keys: np.ndarray):
 
 def build_mesh(coords, tet_list) -> Mesh:
     """Assemble the oriented complex from vertex coordinates and tet tuples."""
-    vertices = np.asarray(coords)
+    try:
+        vertices, tets_in = np.asarray(coords), np.asarray(tet_list)
+    except ValueError:                  # a ragged list
+        raise MeshError("coords and tets must be arrays, not ragged lists"
+                        ) from None
     if vertices.dtype.kind not in "iuf":
         raise MeshError("vertex coordinates must be real numbers")
-    vertices = vertices.astype(np.float64, copy=False)
+    vertices = vertices.astype(np.float64)          # a copy of the input
     if vertices.ndim != 2 or vertices.shape[1] != 3:
         raise MeshError("coords must be an (n_v, 3) array")
     if not np.all(np.isfinite(vertices)):
         raise MeshError("vertex coordinates must be finite")
-    tets_in = np.asarray(tet_list)
     if tets_in.ndim != 2 or tets_in.shape[1] != 4:
         raise MeshError("tets must be an (n_t, 4) array")
     if not (tets_in.dtype.kind in "iu" or tets_in.dtype.kind == "f"
@@ -283,26 +296,44 @@ def derive_incidence(m: Mesh) -> IncidenceOperators:
     return IncidenceOperators(G=G, C=C, D=D)
 
 
+def _read_only(M: sp.csr_matrix) -> sp.csr_matrix:
+    for a in (M.data, M.indices, M.indptr):
+        a.setflags(write=False)
+    return M
+
+
 def _global_mass(m: Mesh, space: str) -> sp.csr_matrix:
     """The unit mass matrix of the RT ("face") or Nedelec ("edge") basis."""
     import scipy.sparse as sp           # only the solve path needs scipy
 
-    rule = make_quadrature("tet", MASS_DEGREE)
-    grads, det = m.tet_geometry
     if space == "face":
-        basis = kernels.rt_basis_values(grads, rule.points)
         conn, dim = m.tet_faces, m.n_f
     else:
-        basis = kernels.edge_basis_values(grads, rule.points)
         conn, dim = m.tet_edges, m.n_e
-    local = kernels.local_mass(basis, det, rule.weights)
     nb = conn.shape[1]
-    rows = np.repeat(conn, nb, axis=1).ravel()
-    cols = np.tile(conn, (1, nb)).ravel()
-    M = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(dim, dim)).tocsr()
-    for a in (M.data, M.indices, M.indptr):
-        a.setflags(write=False)
-    return M
+    data = np.empty((m.n_t, nb, nb))
+    for blk in kernels.blocks(m.n_t):
+        if space == "face":
+            data[blk] = kernels.rt_mass(m.vertices[m.tets[blk]],
+                                        m.tet_face_sign[blk], m.volumes[blk])
+        else:
+            data[blk] = kernels.edge_mass(m.tet_geometry[0][blk],
+                                          m.volumes[blk])
+    conn = conn.astype(np.int32)        # ids < 2**31 (module docstring)
+    M = sp.coo_matrix((data.ravel(), (np.repeat(conn, nb, axis=1).ravel(),
+                                      np.tile(conn, (1, nb)).ravel())),
+                      shape=(dim, dim)).tocsr()
+    # tocsr keeps the arrays of the COO entries, 36 per tet for edges, where
+    # the sums fill more than half of them: copy out the nnz, once the COO
+    # arrays are gone
+    del data
+    return _read_only(M.copy())
+
+
+def _gradient_stiffness(m: Mesh) -> sp.csr_matrix:
+    """G*^T M_e G* with G* = G[:, :-1], summed in CSC order."""
+    G = m.incidence.G.tocsc()[:, :-1]
+    return _read_only((G.T @ m.edge_mass @ G).tocsr())
 
 
 def extract_boundary(m: Mesh) -> BoundaryStructure:

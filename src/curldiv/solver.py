@@ -33,7 +33,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernels
-from .elements import FEFunction, Space, eval_field, interpolate
+from .elements import (FEFunction, Space, differential, eval_field,
+                       field_values, interpolate, tet_point_values)
 from .mesh import Mesh, BoundaryStructure
 from .quadrature import make_quadrature
 from .topology import HomologyBasis, TreeCotree
@@ -123,23 +124,25 @@ def _edge_load(m: Mesh, fn) -> np.ndarray:
     """Global vector of integrals of fn against the edge basis."""
     rule = make_quadrature("tet", VOLUME_DEGREE)
     grads, det = m.tet_geometry
-    pts = kernels.physical_points(m.vertices, m.tets, rule.points)
-    fvals = eval_field(fn, pts.reshape(-1, 3), vector=True)
-    fvals = fvals.reshape(m.n_t, -1, 3)
-    basis = kernels.edge_basis_values(grads, rule.points)
-    local = kernels.local_vector_load(basis, det, rule.weights, fvals)
-    return np.bincount(m.tet_edges.ravel(), local.ravel(), minlength=m.n_e)
+    loads = np.empty((m.n_t, 6))
+    for blk in kernels.blocks(m.n_t):
+        basis = kernels.edge_basis_values(grads[blk], rule.points)
+        vals = tet_point_values(fn, m, blk, rule, vector=True)
+        loads[blk] = (np.einsum("tqix,tqx,q->ti", basis, vals, rule.weights)
+                      * np.abs(det[blk])[:, None])
+    return np.bincount(m.tet_edges.ravel(), loads.ravel(), minlength=m.n_e)
 
 
 def _nodal_load(m: Mesh, fn) -> np.ndarray:
     """Global vector of integrals of a scalar fn against P1 hat functions."""
     rule = make_quadrature("tet", VOLUME_DEGREE)
     _, det = m.tet_geometry
-    pts = kernels.physical_points(m.vertices, m.tets, rule.points)
-    gvals = eval_field(fn, pts.reshape(-1, 3), vector=False)
-    gvals = gvals.reshape(m.n_t, -1)
-    local = kernels.local_scalar_load(rule.points, det, rule.weights, gvals)
-    return np.bincount(m.tets.ravel(), local.ravel(), minlength=m.n_v)
+    loads = np.empty((m.n_t, 4))
+    for blk in kernels.blocks(m.n_t):
+        vals = tet_point_values(fn, m, blk, rule, vector=False)
+        loads[blk] = (np.einsum("qi,tq,q->ti", rule.points, vals, rule.weights)
+                      * np.abs(det[blk])[:, None])
+    return np.bincount(m.tets.ravel(), loads.ravel(), minlength=m.n_v)
 
 
 def _eval_boundary(fn, points, normals, vector: bool) -> np.ndarray:
@@ -147,44 +150,49 @@ def _eval_boundary(fn, points, normals, vector: bool) -> np.ndarray:
     return eval_field(lambda x: fn(x, normals), points, vector)
 
 
-def _boundary_quadrature(m: Mesh, fn, vector: bool):
-    """The boundary faces, the tri rule, its physical points (nbf, nq, 3),
-    the outward unit normals (nbf, 3), fn at the points and the 2*area
-    scale of each face (the tri weights sum to 1/2)."""
-    faces = m.boundary.boundary_faces
+def _boundary_quadrature(m: Mesh, faces: np.ndarray, fn, vector: bool):
+    """For boundary faces ``faces``: the tri rule, its physical points
+    (nbf, nq, 3), the outward unit normals (nbf, 3), fn at the points and
+    the 2*area scale of each face (the tri weights sum to 1/2)."""
     rule = make_quadrature("tri", BOUNDARY_DEGREE)
     pts = np.einsum("qi,fix->fqx", rule.points, m.vertices[m.faces[faces]])
     nbf, nq = pts.shape[:2]
     nrm = m.face_normals[faces] * m.boundary.face_sign[faces, None]
     nrm_q = np.broadcast_to(nrm[:, None, :], (nbf, nq, 3)).reshape(-1, 3)
     vals = _eval_boundary(fn, pts.reshape(-1, 3), nrm_q, vector)
-    return (faces, rule, pts, nrm, vals.reshape(nbf, nq, *vals.shape[1:]),
+    return (rule, pts, nrm, vals.reshape(nbf, nq, *vals.shape[1:]),
             2.0 * m.face_areas[faces])
 
 
 def _tangential_boundary_load(m: Mesh, a_fn) -> np.ndarray:
     """Integrals of the tangential field a against edge-basis traces."""
-    faces, rule, pts, nrm, avals, scale = _boundary_quadrature(
-        m, a_fn, vector=True)
-    # project a onto the tangent plane; normal component must not contribute
-    avals = avals - np.einsum("fqx,fx->fq", avals, nrm)[:, :, None] * nrm[:, None, :]
-    # edge basis of the owner tet on the face, whose barycentric coords are
-    # lam(x) = e_0 + grads . (x - p0), affine on the owner tet
+    faces = m.boundary.boundary_faces
     owners = m.boundary.face_owner[faces]
-    grads = m.tet_geometry[0][owners]                   # (nbf, 4, 3)
-    p0 = m.vertices[m.tets[owners, 0]]                  # (nbf, 3)
-    lam = np.einsum("fix,fqx->fqi", grads, pts - p0[:, None, :])
-    lam[:, :, 0] += 1.0
-    wvals = kernels.edge_basis_values(grads, lam)
-    local = np.einsum("fqix,fqx,q,f->fi", wvals, avals, rule.weights, scale)
-    return np.bincount(m.tet_edges[owners].ravel(), local.ravel(),
+    loads = np.empty((len(faces), 6))
+    for blk in kernels.blocks(len(faces)):
+        rule, pts, nrm, avals, scale = _boundary_quadrature(
+            m, faces[blk], a_fn, vector=True)
+        # project a onto the tangent plane; the normal part must not count
+        avals = avals - (np.einsum("fqx,fx->fq", avals, nrm)[:, :, None]
+                         * nrm[:, None, :])
+        # edge basis of the owner tet on the face, whose barycentric
+        # coords are lam(x) = e_0 + grads . (x - p0), affine on the tet
+        grads = m.tet_geometry[0][owners[blk]]          # (nbf, 4, 3)
+        p0 = m.vertices[m.tets[owners[blk], 0]]         # (nbf, 3)
+        lam = np.einsum("fix,fqx->fqi", grads, pts - p0[:, None, :])
+        lam[:, :, 0] += 1.0
+        wvals = kernels.edge_basis_values(grads, lam)
+        loads[blk] = np.einsum("fqix,fqx,q,f->fi", wvals, avals,
+                               rule.weights, scale)
+    return np.bincount(m.tet_edges[owners].ravel(), loads.ravel(),
                        minlength=m.n_e)
 
 
 def _scalar_boundary_load(m: Mesh, b_fn) -> np.ndarray:
     """Integrals of a scalar boundary field against P1 traces."""
-    faces, rule, _, _, bvals, scale = _boundary_quadrature(
-        m, b_fn, vector=False)
+    faces = m.boundary.boundary_faces
+    rule, _, _, bvals, scale = _boundary_quadrature(m, faces, b_fn,
+                                                    vector=False)
     local = np.einsum("fq,qi,q,f->fi", bvals, rule.points, rule.weights, scale)
     return np.bincount(m.faces[faces].ravel(), local.ravel(), minlength=m.n_v)
 
@@ -265,7 +273,7 @@ def consistent_load(m: Mesh, F: np.ndarray,
         return F, {"gradient": 0.0, "harmonic": 0.0}
     M = m.edge_mass
     G = _gradients(m)
-    A = (G.T @ M @ G).tocsr()
+    A = m.gradient_stiffness
 
     def grad_part(v):
         """The gradient G phi whose M_e-pairings with grad L*_h are G^T v."""
@@ -287,12 +295,12 @@ def assemble_tangential(p: TangentialProblem, m: Mesh, lift: FEFunction,
     with F the consistent load against ker C (``consistent_load``)."""
     if lift.space != Space.FACE:
         raise SolverError("tangential lift must be an RT function")
-    S = m.incidence.C.tocsc()
-    M = p.eta * m.rt_mass
-    K = (S.T @ M @ S).tocsr()
+    # the load first: the Nedelec mass is built before K takes memory
     F, compat = consistent_load(
         m, _edge_load(m, p.J) + _tangential_boundary_load(m, p.a), cocycles)
-    rhs = F - S.T @ (M @ lift.coeffs)
+    S = m.incidence.C.tocsc()
+    K = p.eta * (S.T @ m.rt_mass @ S).tocsr()
+    rhs = F - p.eta * (S.T @ (m.rt_mass @ lift.coeffs))
     return AssembledSystem(K=K, rhs=rhs, load_compatibility=compat)
 
 
@@ -302,10 +310,9 @@ def assemble_normal(p: NormalProblem, m: Mesh,
     if lift.space != Space.EDGE:
         raise SolverError("normal lift must be a Nedelec function")
     G = _gradients(m)                                   # (n_e, n_v - 1)
-    M = p.mu * m.edge_mass
-    K = (G.T @ M @ G).tocsr()
+    K = p.mu * m.gradient_stiffness
     rhs = _scalar_boundary_load(m, p.b) - _nodal_load(m, p.g)
-    rhs = rhs[build_L_star(m)] - G.T @ (M @ lift.coeffs)
+    rhs = rhs[build_L_star(m)] - p.mu * (G.T @ (m.edge_mass @ lift.coeffs))
     return AssembledSystem(K=K, rhs=rhs)
 
 
@@ -377,27 +384,20 @@ def error_norms(sol: Solution, exact_u, exact_diff) -> tuple[float, float]:
     ``exact_diff`` is the scalar divergence for the tangential formulation
     and the vector curl for the normal one.
     """
-    m = sol.u_h.mesh
+    u = sol.u_h
+    m = u.mesh
     rule = make_quadrature("tet", ERROR_DEGREE)
-    grads, det = m.tet_geometry
-    pts = kernels.physical_points(m.vertices, m.tets, rule.points)
-    uex = eval_field(exact_u, pts.reshape(-1, 3), vector=True)
-    uex = uex.reshape(m.n_t, -1, 3)
-    if sol.kind == "tangential":
-        basis = kernels.rt_basis_values(grads, rule.points)
-        local = sol.u_h.coeffs[m.tet_faces]
-        uh = kernels.field_at_points(basis, local)
-        div_h = (m.incidence.D @ sol.u_h.coeffs) / m.volumes
-        dex = eval_field(exact_diff, pts.reshape(-1, 3), vector=False)
-        dvals = dex.reshape(m.n_t, -1) - div_h[:, None]
-    else:
-        basis = kernels.edge_basis_values(grads, rule.points)
-        local = sol.u_h.coeffs[m.tet_edges]
-        uh = kernels.field_at_points(basis, local)
-        curl_h = np.einsum("tex,te->tx", kernels.edge_curl_values(grads),
-                           local)
-        dex = eval_field(exact_diff, pts.reshape(-1, 3), vector=True)
-        dvals = dex.reshape(m.n_t, -1, 3) - curl_h[:, None, :]
-    l2_sq = kernels.weighted_l2_sq(uh - uex, det, rule.weights)
-    diff_sq = kernels.weighted_l2_sq(dvals, det, rule.weights)
+    det = m.tet_geometry[1]
+    du = differential(u)                # div_h (cell) or curl_h (face)
+    centre = np.full((1, 4), 0.25)      # du is constant on each tet
+    sq = np.empty((2, m.n_t))           # squared L2 errors of u_h and du
+    for blk in kernels.blocks(m.n_t):
+        pts = np.einsum("qi,tix->tqx", rule.points, m.vertices[m.tets[blk]])
+        for row, f, fn, bary in ((0, u, exact_u, rule.points),
+                                 (1, du, exact_diff, centre)):
+            exact = eval_field(fn, pts.reshape(-1, 3), f.space != Space.CELL)
+            d = field_values(f, bary, blk) - exact.reshape(pts.shape[:2] + (-1,))
+            sq[row, blk] = (np.einsum("tqx,tqx,q->t", d, d, rule.weights)
+                            * np.abs(det[blk]))
+    l2_sq, diff_sq = sq.sum(axis=1)
     return float(np.sqrt(l2_sq)), float(np.sqrt(l2_sq + diff_sq))

@@ -9,26 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
-from .elements import FEFunction, Space
+from .elements import FEFunction, Space, field_values
 from .mesh import Mesh
 
 
 def _barycenter_values(u: FEFunction) -> np.ndarray:
-    m = u.mesh
     if u.space == Space.CELL:
-        return np.column_stack([u.coeffs, np.zeros((m.n_t, 2))])
-    grads, _ = m.tet_geometry
-    bary = np.full((1, 4), 0.25)
-    if u.space == Space.FACE:
-        basis = kernels.rt_basis_values(grads, bary)
-        local = u.coeffs[m.tet_faces]
-    elif u.space == Space.EDGE:
-        basis = kernels.edge_basis_values(grads, bary)
-        local = u.coeffs[m.tet_edges]
-    else:
-        raise ValueError("VTK export expects a vector-valued FE function")
-    return kernels.field_at_points(basis, local)[:, 0, :]
+        return np.column_stack([u.coeffs, np.zeros((u.mesh.n_t, 2))])
+    return field_values(u, np.full((1, 4), 0.25))[:, 0, :]
 
 
 def _rows(fmt: str, a: np.ndarray) -> str:

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from curldiv import build_mesh, kernels, mesh, solver, write_vtk
+from curldiv import build_mesh, error_norms, kernels, mesh, solver, write_vtk
 from curldiv.cli import (ProblemConfig, compute_topology,
                          solution_residual_field, solve_on_mesh)
 from curldiv.elements import FEFunction, zero_function
 from curldiv.mesh import LOCAL_EDGES
+from curldiv.meshes import structured_cube_mesh
 from curldiv.mms import get_case
 from curldiv.quadrature import make_quadrature
 
@@ -41,22 +44,42 @@ def test_geometry_kernel_runs_once_per_mesh(handle_cavity, tmp_path,
 
 
 def test_each_mass_matrix_built_once_per_mesh(handle_cavity, monkeypatch):
-    # a tangential and a normal solve build the RT mass once and share one
-    # Nedelec mass between consistent_load and assemble_normal
+    # a tangential and a normal solve build the RT mass once, and share one
+    # Nedelec mass and one P1 stiffness between consistent_load and
+    # assemble_normal; the tangential load comes before its K
     m = build_mesh(handle_cavity.vertices, handle_cavity.tets)
     built = []
     build = mesh._global_mass
     monkeypatch.setattr(mesh, "_global_mass",
                         lambda m, space: built.append(space) or build(m, space))
+    stiffness = mesh._gradient_stiffness
+    monkeypatch.setattr(mesh, "_gradient_stiffness",
+                        lambda m: built.append("stiffness") or stiffness(m))
     topo = compute_topology(m)
     for f in ("tangential", "normal"):
         _, rep = solve_on_mesh(m, ProblemConfig(f, "mms1"), topo)
         assert rep["passed"]
-    assert built == ["face", "edge"]
-    for M in (m.rt_mass, m.edge_mass):      # cached: no further build
+    assert built == ["edge", "stiffness", "face"]
+    for M in (m.rt_mass, m.edge_mass, m.gradient_stiffness):   # cached
         assert not any(a.flags.writeable
                        for a in (M.data, M.indices, M.indptr))
-    assert built == ["face", "edge"]
+    assert built == ["edge", "stiffness", "face"]
+
+
+def test_normal_K_is_the_stiffness_product_bitwise(handle_cavity):
+    # at mu = 1, K = mu A is the product G*^T M_e G* formed in the assembly
+    m = handle_cavity
+    lift = zero_function("edge", m)
+    K = solver.assemble_normal(get_case("mms1").normal(1.0), m, lift).K
+    G = solver._gradients(m)
+    want = (G.T @ m.edge_mass @ G).tocsr()
+    for a, b in ((K.indptr, want.indptr), (K.indices, want.indices),
+                 (K.data, want.data)):
+        assert np.array_equal(a, b)
+    K2 = solver.assemble_normal(get_case("mms1").normal(2.5), m, lift).K
+    assert np.array_equal(K2.data, 2.5 * want.data)
+    assert K2.data.flags.writeable
+    assert not m.gradient_stiffness.data.flags.writeable
 
 
 def _edge_basis_by_index(grads, lam):
@@ -90,13 +113,16 @@ def _reference_loads(m, J, g, a_fn, b_fn):
     again and their edge functions written out index by index."""
     rule = make_quadrature("tet", solver.VOLUME_DEGREE)
     grads, det = kernels.tet_geometry(m.vertices, m.tets)
-    pts = kernels.physical_points(m.vertices, m.tets, rule.points)
+    pts = np.einsum("qi,tix->tqx", rule.points, m.vertices[m.tets])
     pts = pts.reshape(-1, 3)
     basis = kernels.edge_basis_values(grads, rule.points)
-    edge = _add_at(m.tet_edges, kernels.local_vector_load(
-        basis, det, rule.weights, J(pts).reshape(m.n_t, -1, 3)), m.n_e)
-    nodal = _add_at(m.tets, kernels.local_scalar_load(
-        rule.points, det, rule.weights, g(pts).reshape(m.n_t, -1)), m.n_v)
+    vol = np.abs(det)[:, None]
+    edge = _add_at(m.tet_edges, np.einsum(
+        "tqix,tqx,q->ti", basis, J(pts).reshape(m.n_t, -1, 3),
+        rule.weights) * vol, m.n_e)
+    nodal = _add_at(m.tets, np.einsum(
+        "qi,tq,q->ti", rule.points, g(pts).reshape(m.n_t, -1),
+        rule.weights) * vol, m.n_v)
 
     b = m.boundary
     faces = b.boundary_faces
@@ -138,8 +164,9 @@ def test_loads_match_add_at_reference_bitwise(name, request):
 
 def _tensor_mass(m, space):
     """The mass matrix of the tensor path: the identity coefficient as an
-    (n_t, nq, 3, 3) array, contracted with the basis by a 3x3 einsum."""
-    rule = make_quadrature("tet", mesh.MASS_DEGREE)
+    (n_t, nq, 3, 3) array, contracted with the basis by a 3x3 einsum, on
+    the degree 2 rule, which is exact for the mass of linear fields."""
+    rule = make_quadrature("tet", 2)
     n_t, nq = m.n_t, len(rule.weights)
     tensor = np.ascontiguousarray(np.broadcast_to(np.eye(3), (n_t, nq, 3, 3)))
     grads, det = kernels.tet_geometry(m.vertices, m.tets)
@@ -160,7 +187,9 @@ def _tensor_mass(m, space):
 
 
 # the mass matrices have the unit coefficient; eta and mu scale them in the
-# assembly, so the identity is the one tensor case left
+# assembly, so the identity is the one tensor case left.  The closed forms
+# keep the pattern of the quadrature path bit for bit, and its values to
+# round-off.
 @pytest.mark.parametrize("kind", ["identity"])
 @pytest.mark.parametrize("name", FIXTURES)
 def test_mass_matrices_match_tensor_coefficient_bitwise(name, kind, request):
@@ -169,7 +198,74 @@ def test_mass_matrices_match_tensor_coefficient_bitwise(name, kind, request):
         want = _tensor_mass(m, space)
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
+        assert (np.abs(got.data - want.data).max()
+                <= 1e-14 * np.abs(want.data).max())
+
+
+_UNIT = np.eye(4, 3, -1)                      # 0 and the unit vectors
+_SLIVER = np.array([[0.0, 0, 0], [1, 1, 0], [1, 0, 1e-3], [0, 1, 1e-3]])
+ONE_TETS = {"positive": (_UNIT, 1), "negative": (_UNIT[[0, 2, 1, 3]], -1),
+            "sliver": (_SLIVER, -1),
+            "negative sliver": (_SLIVER[[0, 2, 1, 3]], 1),
+            "far sliver": (1e-3 * _SLIVER + [1e3, -2e3, 5e2], -1)}
+
+
+@pytest.mark.parametrize("name", ONE_TETS)
+def test_closed_form_masses_match_quadrature_on_one_tet(name):
+    # the closed forms against the degree 2 rule on tets of either
+    # orientation, flat ones, and a small one far from the origin
+    coords, orient = ONE_TETS[name]
+    m = build_mesh(coords, [[0, 1, 2, 3]])
+    assert m.tet_orient[0] == orient
+    for space, got in (("face", m.rt_mass), ("edge", m.edge_mass)):
+        want = _tensor_mass(m, space).toarray()
+        assert (np.abs(got.toarray() - want).max()
+                <= 1e-14 * np.abs(want).max())
+
+
+# tracemalloc peaks on structured_cube_mesh(8), 3,072 tets, at about 1.3
+# times those measured with numpy 2.4 and scipy 1.17; the quadrature masses
+# and the whole-mesh passes they replaced peaked at 3.2, 7.2, 4.9, 0.65,
+# 1.7, 7.2 and 11.8 MB
+PASS_PEAK_MB = {"rt_mass": 1.8, "edge_mass": 4.0, "edge_load": 1.65,
+                "nodal_load": 0.3, "tangential_boundary_load": 1.6,
+                "tangential_error": 1.75, "normal_error": 3.0}
+
+
+def _element_passes(m):
+    case = get_case("mms1")
+    sols = {f: solver.Solution(f, FEFunction(s, m, np.ones(n)),
+                               zero_function(s, m))
+            for f, s, n in (("tangential", "face", m.n_f),
+                            ("normal", "edge", m.n_e))}
+    return {
+        "rt_mass": lambda: m.rt_mass,
+        "edge_mass": lambda: m.edge_mass,
+        "edge_load": lambda: solver._edge_load(m, case.J),
+        "nodal_load": lambda: solver._nodal_load(m, case.g),
+        "tangential_boundary_load": lambda: solver._tangential_boundary_load(
+            m, case.tangential(1.0).a),
+        "tangential_error": lambda: error_norms(sols["tangential"], case.u,
+                                                case.g),
+        "normal_error": lambda: error_norms(sols["normal"], case.u, case.J)}
+
+
+def test_element_passes_stay_within_memory_bounds():
+    for run in _element_passes(structured_cube_mesh(1)).values():
+        run()                               # the quadrature rules are cached
+    m = structured_cube_mesh(8)
+    m.tet_geometry, m.boundary, m.incidence, m.face_normals, m.face_areas
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, run in _element_passes(m).items():
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - start) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert all(peaks[k] <= PASS_PEAK_MB[k] for k in PASS_PEAK_MB), peaks
 
 
 def test_normal_residual_field_matches_add_at_bitwise(handle_cavity):

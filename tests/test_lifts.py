@@ -1,4 +1,6 @@
+import json
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,3 +339,38 @@ def test_topology_and_lift_invariant_under_renumbering(seed, which):
     assert np.abs(m.incidence.C @ u.coeffs).max() <= 1e-12
     for cyc, b in zip(topo.homology.cycles, beta):
         assert abs(cycle_period(cyc, u.coeffs) - b) <= 1e-12
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = [w["name"] for w in json.loads(
+    (PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_nedelec_sweep_leaves_nothing_free_on_renumbered_benchmark_domains(
+        name, monkeypatch):
+    # the benchmark domains at their timed sizes, under ten seeded vertex
+    # numberings: the sweep seeded with the tree and the closing edges
+    # resolves every circulation, so the least-squares fit gets 0 unknowns
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    w = workloads.WORKLOADS[name]
+    d = w.domain(w.n)
+    unknowns = []
+    lstsq = lifts.np.linalg.lstsq
+
+    def counted(A, b, **kwargs):
+        unknowns.append(A.shape[1])
+        return lstsq(A, b, **kwargs)
+    monkeypatch.setattr(lifts.np.linalg, "lstsq", counted)
+    for seed in range(10):
+        perm = np.random.default_rng(seed).permutation(len(d.vertices))
+        vertices = np.empty_like(d.vertices)
+        vertices[perm] = d.vertices
+        m = build_mesh(vertices, perm[d.tets])
+        topo = compute_topology(m)
+        assert topo.homology.g == d.g
+        J = FEFunction("face", m, np.zeros(m.n_f))
+        beta = np.arange(1.0, d.g + 1)
+        nedelec_potential(m, topo.tree, topo.homology, CurlData(J, beta))
+    assert sum(unknowns) == 0

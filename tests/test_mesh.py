@@ -91,6 +91,27 @@ def test_coordinates_must_be_real(coords):
         build_mesh(coords, [[0, 1, 2, 3]])
 
 
+def test_ragged_tet_list_rejected():
+    with pytest.raises(MeshError, match="ragged"):
+        build_mesh(np.eye(4, 3), [[0, 1, 2], [0, 1, 2, 3]])
+
+
+def test_ragged_coordinate_list_rejected():
+    with pytest.raises(MeshError, match="ragged"):
+        build_mesh([[0, 0, 0], [1, 0, 0], [0, 1], [0, 0, 1]], [[0, 1, 2, 3]])
+
+
+def test_mesh_owns_read_only_arrays():
+    v = structured_cube_mesh(1).vertices.copy()
+    m = build_mesh(v, structured_cube_mesh(1).tets)
+    before = m.vertices.copy()
+    v[0] += 0.3
+    assert np.array_equal(m.vertices, before)
+    for name in ("vertices", "tets", "tet_orient", "edges", "faces",
+                 "tet_edges", "tet_faces", "volumes"):
+        assert not getattr(m, name).flags.writeable, name
+
+
 def test_nonmanifold_face_rejected():
     coords = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0],
                        [0, 0, 1], [0, 0, -1], [1, 1, 1]])

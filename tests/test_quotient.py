@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curldiv import (DivergenceData, build_mesh, consistent_load,
-                     harmonic_cocycles, interpolate, kernels, rt_potential,
-                     solve_spd)
+                     harmonic_cocycles, interpolate, rt_potential, solve_spd)
 from curldiv import cli
+from curldiv.elements import field_values
 from curldiv.meshes import structured_cube_mesh
 from curldiv.mms import MMSCase, discrete_alpha, get_case
 from curldiv.solver import _edge_load, _tangential_boundary_load
@@ -25,16 +25,7 @@ TOL = 1e-12
 
 def _at_barycentres(sol) -> np.ndarray:
     """u_h at the barycentre of every tet, (n_t, 3)."""
-    m = sol.u_h.mesh
-    grads, _ = m.tet_geometry
-    centre = np.full((1, 4), 0.25)
-    if sol.kind == "tangential":
-        basis = kernels.rt_basis_values(grads, centre)
-        local = sol.u_h.coeffs[m.tet_faces]
-    else:
-        basis = kernels.edge_basis_values(grads, centre)
-        local = sol.u_h.coeffs[m.tet_edges]
-    return kernels.field_at_points(basis, local)[:, 0]
+    return field_values(sol.u_h, np.full((1, 4), 0.25))[:, 0]
 
 
 def _shifted(case: MMSCase, shift) -> MMSCase:
