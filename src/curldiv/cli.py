@@ -225,6 +225,8 @@ def topology_report(m: Mesh) -> dict:
 def run_convergence(case_name: str, levels: int,
                     formulations=("tangential", "normal")) -> dict:
     """MMS study on structured cubes n = 2^(k+1), k = 0..levels-1."""
+    if levels < 1:
+        raise ConfigError(f"levels must be at least 1, got {levels}")
     case = get_case(case_name)
     out = {"case": case_name, "levels": []}
     tables = {f: [] for f in formulations}

@@ -185,14 +185,15 @@ class BoundaryStructure:
 
 def connected_components(n: int, u, v) -> np.ndarray:
     """Label each of n nodes joined by edges (u[i], v[i]) with the lowest
-    node of its component, by min-label propagation and pointer jumping."""
+    node of its component, hooking roots to the lower and jumping pointers."""
     label = np.arange(n)
     while True:
         low = np.minimum(label[u], label[v])
         new = label.copy()
-        np.minimum.at(new, u, low)
-        np.minimum.at(new, v, low)
-        new = new[new]
+        np.minimum.at(new, label[u], low)
+        np.minimum.at(new, label[v], low)
+        while not np.array_equal(jump := new[new], new):
+            new = jump
         if np.array_equal(new, label):
             return label
         label = new

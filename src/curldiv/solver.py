@@ -191,9 +191,12 @@ def _tangential_boundary_load(m: Mesh, a_fn) -> np.ndarray:
 def _scalar_boundary_load(m: Mesh, b_fn) -> np.ndarray:
     """Integrals of a scalar boundary field against P1 traces."""
     faces = m.boundary.boundary_faces
-    rule, _, _, bvals, scale = _boundary_quadrature(m, faces, b_fn,
-                                                    vector=False)
-    local = np.einsum("fq,qi,q,f->fi", bvals, rule.points, rule.weights, scale)
+    local = np.empty((len(faces), 3))
+    for blk in kernels.blocks(len(faces)):
+        rule, _, _, bvals, scale = _boundary_quadrature(m, faces[blk], b_fn,
+                                                        vector=False)
+        local[blk] = np.einsum("fq,qi,q,f->fi", bvals, rule.points,
+                               rule.weights, scale)
     return np.bincount(m.faces[faces].ravel(), local.ravel(), minlength=m.n_v)
 
 
@@ -209,10 +212,10 @@ def validate_tangential(p: TangentialProblem, m: Mesh,
     of its RT interpolant, whose rule is fine enough to see div J and not
     quadrature error.  The trace check compares the outward flux of J
     through each boundary face, taken from those same fluxes, with the
-    circulation of n x a around the face (Stokes on the face), all boundary
-    faces at once.  The continuous compatibility against Neumann harmonic
-    fields needs basis fields this package never constructs, so it is
-    reported as unchecked.
+    circulation of n x a around the face (Stokes on the face), a block of
+    boundary faces at a time.  The continuous compatibility against Neumann
+    harmonic fields needs basis fields this package never constructs, so it
+    is reported as unchecked.
     """
     report = {"warnings": [], "div_check": None, "trace_check": None,
               "unchecked": ["compatibility against Neumann harmonic fields "
@@ -229,23 +232,26 @@ def validate_tangential(p: TangentialProblem, m: Mesh,
     # recovered from a as n x a, around the face boundary (outward RHR);
     # inward-numbered faces walk their vertices as 0, 2, 1
     faces = np.asarray(b.boundary_faces, dtype=np.int64)
-    sign = b.face_sign[faces]
-    tri = m.vertices[m.faces[faces]]
-    centroid = tri.mean(axis=1)
-    tri = np.where(sign[:, None, None] > 0, tri, tri[:, [0, 2, 1]])
-    nrm = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    nrm /= np.linalg.norm(nrm, axis=1)[:, None]
     erule = make_quadrature("edge", 15)
-    head, tail = tri, tri[:, [1, 2, 0]]                 # (nbf, 3 edges, 3)
     t = erule.points[:, 0][:, None]
-    epts = (1.0 - t) * head[:, :, None] + t * tail[:, :, None]
-    # tiny inset keeps points off ambiguous domain edges, in-plane
-    epts = epts + 1e-9 * (centroid[:, None, None] - epts)
-    nq = np.broadcast_to(nrm[:, None, None], epts.shape).reshape(-1, 3)
-    av = _eval_boundary(p.a, epts.reshape(-1, 3), nq, vector=True)
-    tang = np.cross(nrm[:, None, None], av.reshape(epts.shape))
-    circ = np.einsum("feqx,fex,q->f", tang, tail - head, erule.weights)
-    worst = float(np.abs(sign * flux[faces] - circ).max(initial=0.0))
+    resid = np.empty(len(faces))
+    for blk in kernels.blocks(len(faces)):
+        sign = b.face_sign[faces[blk]]
+        tri = m.vertices[m.faces[faces[blk]]]
+        centroid = tri.mean(axis=1)
+        tri = np.where(sign[:, None, None] > 0, tri, tri[:, [0, 2, 1]])
+        nrm = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+        nrm /= np.linalg.norm(nrm, axis=1)[:, None]
+        head, tail = tri, tri[:, [1, 2, 0]]             # (nbf, 3 edges, 3)
+        epts = (1.0 - t) * head[:, :, None] + t * tail[:, :, None]
+        # tiny inset keeps points off ambiguous domain edges, in-plane
+        epts = epts + 1e-9 * (centroid[:, None, None] - epts)
+        nq = np.broadcast_to(nrm[:, None, None], epts.shape).reshape(-1, 3)
+        av = _eval_boundary(p.a, epts.reshape(-1, 3), nq, vector=True)
+        tang = np.cross(nrm[:, None, None], av.reshape(epts.shape))
+        circ = np.einsum("feqx,fex,q->f", tang, tail - head, erule.weights)
+        resid[blk] = sign * flux[faces[blk]] - circ
+    worst = float(np.abs(resid).max(initial=0.0))
     report["trace_check"] = worst
     if worst > _VALIDATE_TOL:
         report["warnings"].append(

@@ -5,9 +5,11 @@ boundary component.  Surface cycles are fundamental cycles of boundary
 cotree edges whose classes are independent in H1 of the boundary; domain
 generators are the subset of those that survive in H1 of the domain.
 
-Both selections, and the rank of C behind the Betti numbers, come from a
-face sweep (Webb & Forghani, IEEE Trans. Magn. 1989) from the tree edges,
-gauged to zero.
+The surface cycles close on the cotree edges off a spanning tree of the
+surface's dual graph (tree-cotree, Eppstein, SODA 2003), from the Boruvka
+loop that also builds the global tree.  The domain selection, and rank C
+for the Betti numbers, come from a face sweep (Webb & Forghani, IEEE
+Trans. Magn. 1989) from the tree edges, gauged to zero.
 Carried modulo a large prime, it gives the tree-gauged cocycles exactly as
 T ker(R): T holds each edge's value in terms of the k edges left free at
 stalls, R the k-column residuals of the faces it did not use.  A surface
@@ -238,6 +240,23 @@ def _dual_arcs(m: Mesh):
     return interior, np.minimum(t0, t1), np.maximum(t0, t1)
 
 
+def _spanning_forest(n: int, u, v, in_tree: np.ndarray) -> None:
+    """Extend the arcs ``in_tree`` (arc i joins u[i], v[i]) in place to a
+    spanning forest of the n nodes: each round joins every component to its
+    lowest-index outgoing arc (Boruvka), as a scan in index order would."""
+    label = connected_components(n, u[in_tree], v[in_tree])
+    while True:
+        cross = np.flatnonzero(label[u] != label[v])
+        if not len(cross):
+            return
+        best = np.full(n, len(u))
+        np.minimum.at(best, label[u[cross]], cross)
+        np.minimum.at(best, label[v[cross]], cross)
+        new = best[best < len(u)]
+        in_tree[new] = True
+        label = connected_components(n, label[u[new]], label[v[new]])[label]
+
+
 def build_boundary_first_tree(m: Mesh, b: BoundaryStructure) -> TreeCotree:
     """Spanning tree containing a BFS spanning tree of each boundary component."""
     in_tree = np.zeros(m.n_e, dtype=bool)
@@ -251,19 +270,7 @@ def build_boundary_first_tree(m: Mesh, b: BoundaryStructure) -> TreeCotree:
         in_tree[up] = True
         bparent[order[1:]] = up
 
-    # extend to a global spanning tree: each round joins every component to
-    # its lowest-index outgoing edge (Boruvka), which keeps exactly the edges
-    # that a scan in index order would keep for merging two components
-    u, v = m.edges.T
-    while True:
-        label = connected_components(m.n_v, u[in_tree], v[in_tree])
-        cross = np.flatnonzero(label[u] != label[v])
-        if not len(cross):
-            break
-        best = np.full(m.n_v, m.n_e)
-        np.minimum.at(best, label[u[cross]], cross)
-        np.minimum.at(best, label[v[cross]], cross)
-        in_tree[best[best < m.n_e]] = True
+    _spanning_forest(m.n_v, *m.edges.T, in_tree)
     tree_edges = np.flatnonzero(in_tree)
     if len(tree_edges) != m.n_v - 1:
         raise TopologyError("vertex graph is disconnected")
@@ -305,24 +312,28 @@ def fundamental_cycle(m: Mesh, parent, edge_id: int) -> dict:
 
 def surface_cycle_basis(m: Mesh, b: BoundaryStructure,
                         tc: TreeCotree) -> SurfaceCycleBasis:
-    """Select 2g boundary cycles independent in H1 of the boundary surface."""
-    cycles = []
-    closing = []
+    """Select 2g boundary cycles independent in H1 of the boundary surface,
+    the first in cotree order: off the dual tree Kruskal builds from the last
+    back.  On the cotree edges, which fix a cycle, the boundary of faces of
+    an orientable surface is the cut around them in the dual graph, over any
+    field: edges are dependent exactly when removing them splits it."""
+    cycles, closing = [], []
     for r, comp in enumerate(b.components):
         # twice the genus: 2 - Euler characteristic of the closed surface
         need = 2 - (len(b.component_vertices[r]) - len(b.component_edges[r])
                     + len(comp))
         if need == 0:
             continue
-        # cocycles of the surface, gauged on its boundary tree
-        known = np.ones(m.n_e, dtype=bool)
-        known[b.component_edges[r]] = False
-        tree = tc.boundary_parent[b.component_vertices[r]]
-        known[tree[tree >= 0]] = True
-        W, _ = _cocycles(m.face_edges[comp], known)
         candidates = tc.cotree_edges[np.isin(tc.cotree_edges,
                                              b.component_edges[r])]
-        picked = candidates[_independent(W[candidates], need)]
+        # dual arcs: the two faces on each candidate, from the last back
+        fe = m.face_edges[comp].ravel()
+        by_edge = np.argsort(fe)
+        at = np.searchsorted(fe[by_edge], candidates[::-1])
+        f0, f1 = by_edge[at] // 3, by_edge[at + 1] // 3
+        in_tree = np.zeros(len(candidates), dtype=bool)
+        _spanning_forest(len(comp), f0, f1, in_tree)
+        picked = candidates[~in_tree[::-1]]
         if len(picked) != need:
             raise TopologyError(
                 f"boundary component {r}: found {len(picked)} of {need} "

@@ -5,7 +5,7 @@ import pytest
 
 from curldiv import (FEFunction, MeshError, MshParseError, build_mesh,
                      interpolate, read_gmsh, write_gmsh, write_vtk)
-from curldiv.cli import main, parse_config, ConfigError
+from curldiv.cli import main, parse_config, run_convergence, ConfigError
 from curldiv.meshes import (hollow_ball_mesh, single_tet_mesh,
                             structured_cube_mesh)
 from curldiv.mms import get_case
@@ -309,6 +309,17 @@ def test_cli_convergence(tmp_path, capsys):
     assert report["levels"][0]["n"] == 2 and report["levels"][1]["n"] == 4
     text = capsys.readouterr().out
     assert "tangential" in text and "normal" in text
+
+
+@pytest.mark.parametrize("levels", [0, -1])
+def test_cli_convergence_rejects_levels_below_one(levels, capsys):
+    # no levels used to end in an IndexError from the table of level 0
+    with pytest.raises(ConfigError, match="levels must be at least 1"):
+        run_convergence("mms1", levels)
+    assert main(["convergence", "--case", "mms1",
+                 "--levels", str(levels)]) == 1
+    err = capsys.readouterr().err
+    assert f"levels must be at least 1, got {levels}" in err
 
 
 def test_cli_topology_error_exit_1(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from curldiv import (MeshError, build_mesh, hollow_ball_mesh,
                      solid_torus_mesh)
+from curldiv.mesh import connected_components
 from curldiv.meshes import _KUHN_PATHS, structured_cube_mesh
 from edge_lookup import edge_ids
 
@@ -218,6 +220,57 @@ def test_disconnected_mesh_rejected():
     coords[4] = [10.1, 10.1, 10.1]
     with pytest.raises(MeshError):
         build_mesh(coords, [[0, 1, 2, 3], [4, 5, 6, 7]])
+
+
+def _deque_components(n, u, v):
+    """Reference: BFS from each unlabelled node in ascending order."""
+    adj = [[] for _ in range(n)]
+    for a, b in zip(u.tolist(), v.tolist()):
+        adj[a].append(b)
+        adj[b].append(a)
+    label = [-1] * n
+    for root in range(n):
+        if label[root] != -1:
+            continue
+        label[root] = root
+        queue = deque([root])
+        while queue:
+            for y in adj[queue.popleft()]:
+                if label[y] == -1:
+                    label[y] = root
+                    queue.append(y)
+    return label
+
+
+def _random_graph(seed):
+    """A multigraph with self loops and parallel edges on up to 80 nodes."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    return (n, *rng.integers(0, n, size=(2, int(rng.integers(0, 2 * n)))))
+
+
+def _shuffled_path(n):
+    rng = np.random.default_rng(5)
+    perm = rng.permutation(n)
+    u, v = perm[:-1], perm[1:]
+    swap = rng.random(n - 1) < 0.5
+    order = rng.permutation(n - 1)
+    return n, np.where(swap, v, u)[order], np.where(swap, u, v)[order]
+
+
+_NONE = np.zeros(0, dtype=np.int64)
+
+
+@pytest.mark.parametrize("graph", [_random_graph(seed) for seed in range(8)]
+                         + [_shuffled_path(5000),
+                            (9, np.full(6, 7), np.array([0, 8, 3, 5, 1, 2])),
+                            (5, np.array([3]), np.array([1])),
+                            (4, _NONE, _NONE), (0, _NONE, _NONE)],
+                         ids=[f"random-{s}" for s in range(8)]
+                         + ["path", "star", "isolated", "no-edges", "empty"])
+def test_connected_components_matches_deque_reference(graph):
+    n, u, v = graph
+    assert connected_components(n, u, v).tolist() == _deque_components(n, u, v)
 
 
 def _reference_sub_simplices(tets):
