@@ -11,11 +11,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .elements import ElementError, interpolate
+from .elements import ElementError, Space, interpolate
 from .lifts import (RESIDUAL_TOL, CurlData, DivergenceData, LiftError,
                     clean_curl_data, component_fluxes, cycle_period,
                     harmonic_cocycles, nedelec_potential, rt_potential)
@@ -49,9 +49,6 @@ def compute_topology(m: Mesh) -> Topology:
     b = m.boundary
     tc = build_boundary_first_tree(m, b)
     scb = surface_cycle_basis(m, b, tc)
-    # the gauge puts the closing edges first, then the rest of the cotree
-    rest = tc.cotree_edges[~np.isin(tc.cotree_edges, scb.closing_edges)]
-    tc = replace(tc, cotree_edges=np.concatenate([scb.closing_edges, rest]))
     hb = domain_homology_basis(m, tc, scb)
     return Topology(boundary=b, tree=tc, surface_cycles=scb, homology=hb)
 
@@ -101,7 +98,7 @@ def parse_config(data: dict) -> ProblemConfig:
         raise ConfigError(f"coefficient value must be a number, got "
                           f"{cspec['value']!r}")
     if type(data.get("tol")) is bool:
-        raise ConfigError(f"tol must be finite and > 0, got {data['tol']!r}")
+        raise ConfigError(f"tol must be > 0 and < 1, got {data['tol']!r}")
     maxit = data.get("maxit")
     if maxit is not None and (type(maxit) is not int or maxit < 1):
         raise ConfigError(f"maxit must be a positive integer, got {maxit!r}")
@@ -124,8 +121,12 @@ def parse_config(data: dict) -> ProblemConfig:
                           ) from exc
     if not (np.isfinite(coef) and coef > 0):
         raise ConfigError(f"coefficient must be finite and > 0, got {coef!r}")
-    if not (np.isfinite(cfg.tol) and cfg.tol > 0):
-        raise ConfigError(f"tol must be finite and > 0, got {cfg.tol!r}")
+    if not 0 < cfg.tol < 1:
+        raise ConfigError(f"tol must be > 0 and < 1, got {cfg.tol!r}")
+    # alpha reaches only the tangential solve, beta only the normal one
+    unused = "beta" if form == "tangential" else "alpha"
+    if data.get(unused) is not None:
+        raise ConfigError(f"{unused} is not used by the {form} formulation")
     for name, value in (("alpha", cfg.alpha), ("beta", cfg.beta)):
         if value is not None and (value.ndim != 1
                                   or not np.all(np.isfinite(value))
@@ -160,9 +161,7 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
         div_resid = float(np.abs(
             m.incidence.D @ sol.u_h.coeffs - g_h.coeffs * m.volumes).max())
         fluxes = component_fluxes(m, b, sol.u_h)
-        flux_err = float(max(
-            (abs(fluxes[r] - a) for r, a in zip(b.internal_components(), alpha)),
-            default=0.0))
+        flux_err = float(np.abs(fluxes[1:] - alpha).max(initial=0.0))
         scale = 1.0 + np.abs(sol.u_h.coeffs).max()
         report["checks"]["div_residual"] = div_resid
         report["checks"]["flux_error"] = flux_err
@@ -200,7 +199,7 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
 def solution_residual_field(sol: Solution) -> np.ndarray:
     """Per-cell defect of the discrete constraint, for VTK export."""
     m = sol.u_h.mesh
-    if sol.kind == "tangential":
+    if sol.u_h.space == Space.FACE:
         return np.abs(m.incidence.D @ (sol.u_h.coeffs - sol.lift.coeffs)
                       ) / m.volumes
     curl = m.incidence.C @ (sol.u_h.coeffs - sol.lift.coeffs)

@@ -16,9 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
+# The local numbering of a tet's sorted vertices 0..3, lexicographic as is
+# the global one: edge i is [_EDGE_A[i], _EDGE_B[i]]; face i omits vertex
+# 3 - i, and its edges [a, b], [a, c], [b, c] are those that avoid it.
 _EDGE_A = np.array([0, 0, 0, 1, 1, 2], dtype=np.int64)
 _EDGE_B = np.array([1, 2, 3, 2, 3, 3], dtype=np.int64)
-_FACE_V = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], dtype=np.int64)
+_LOCAL_FACE_EDGES = np.array([np.flatnonzero((_EDGE_A != v) & (_EDGE_B != v))
+                              for v in (3, 2, 1, 0)])
 # int_T lam_a lam_b = |T| (1 + delta_ab) / 20
 _BARY_GRAM = (1.0 + np.eye(4)) / 20.0
 
@@ -73,7 +77,7 @@ def rt_basis_values(grads, bary):
     nq = bary.shape[0]
     out = np.zeros((n_t, nq, 4, 3))
     for fi in range(4):
-        a, b, c = _FACE_V[fi]
+        a, b, c = np.delete(np.arange(4), 3 - fi)
         gbc = np.cross(grads[:, b], grads[:, c])     # (n_t, 3)
         gca = np.cross(grads[:, c], grads[:, a])
         gab = np.cross(grads[:, a], grads[:, b])

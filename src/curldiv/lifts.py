@@ -3,7 +3,9 @@
 Both lifts run the sweep of the topology module.  Raviart-Thomas lift:
 prescribed divergence and boundary-component fluxes, swept over the tet
 equations of D from the leaves of a BFS tree of the dual graph (tets as
-nodes, interior faces as arcs), with every face off that tree given.
+nodes, interior faces as arcs, from ``Mesh.face_tets``), with every face
+off that tree given.  alpha holds the fluxes of ``components[1:]``; the
+external component 0 closes Gauss's law.
 Nedelec lift: prescribed curl and homology periods, swept over the face
 equations of C from the tree and the closing edge of each sigma_n, which
 carries its period.  Circulations it leaves free (none on any mesh tried)
@@ -20,7 +22,7 @@ import numpy as np
 
 from .elements import FEFunction, Space
 from .mesh import FACE_EDGE_SIGN, Mesh, BoundaryStructure
-from .topology import HomologyBasis, TreeCotree, _bfs, _dual_arcs, _face_sweep
+from .topology import HomologyBasis, TreeCotree, _bfs, _face_sweep
 
 
 class LiftError(ValueError):
@@ -72,22 +74,17 @@ def rt_potential(m: Mesh, b: BoundaryStructure, dd: DivergenceData) -> FEFunctio
     total = float(cell_int.sum())
 
     # required outward flux per component; the external one closes Gauss
-    internal = b.internal_components()
-    alpha_by_comp = {}
-    for r, a in zip(internal, dd.alpha):
-        alpha_by_comp[r] = float(a)
-    alpha_by_comp[b.external_index] = total - float(dd.alpha.sum())
+    target = np.r_[total - dd.alpha.sum(), dd.alpha]
 
     flux = np.zeros(m.n_f)
     # area-weighted spread of the component flux over its boundary faces
-    for r, comp in enumerate(b.components):
+    for comp, want in zip(b.components, target):
         areas = m.face_areas[comp]
-        share = alpha_by_comp[r] * areas / areas.sum()
-        flux[comp] = b.face_sign[comp] * share     # outward flux = D * coeff
+        flux[comp] = b.face_sign[comp] * (want * areas / areas.sum())
 
     # a dual tree always has a leaf, so the sweep over the tets never stalls
-    interior, t0, t1 = _dual_arcs(m)
-    order, arc = _bfs(m.n_t, t0, t1, 0)
+    interior = np.flatnonzero(m.face_tets[:, 1] >= 0)
+    order, arc = _bfs(m.n_t, *m.face_tets[interior].T, 0)
     if len(order) != m.n_t:
         raise LiftError("dual graph is disconnected; singular sweep")
     known = np.ones(m.n_f, dtype=bool)
@@ -173,7 +170,6 @@ def clean_curl_data(m: Mesh, b: BoundaryStructure, J_h: FEFunction) -> FEFunctio
     """
     inc = m.incidence
     defect = FEFunction(Space.CELL, m, (inc.D @ J_h.coeffs) / m.volumes)
-    fluxes = component_fluxes(m, b, J_h)
-    alpha = np.array([fluxes[r] for r in b.internal_components()])
+    alpha = component_fluxes(m, b, J_h)[1:]
     corr = rt_potential(m, b, DivergenceData(g_h=defect, alpha=alpha))
     return FEFunction(Space.FACE, m, J_h.coeffs - corr.coeffs)

@@ -6,16 +6,18 @@ with a < b < c (normal by the right-hand rule on that cycle).  Tetrahedra
 are stored with sorted vertex indices plus a +-1 orientation sign so local
 Whitney bases line up with the global degrees of freedom without sign maps.
 C and D are tables of signed ids per row, ``face_edges`` and ``tet_faces``,
-which the sweeps read; ``incidence`` builds G, C and D as sparse matrices,
-with scipy, for the linear algebra of the solve, as are the unit mass
-matrices ``rt_mass`` and ``edge_mass``, summed from closed-form local
-matrices through int32 COO indices, and the P1 stiffness
+which the sweeps read, as they read the rows of D^T, ``face_tets``: the
+two tets of each face.  ``incidence`` builds G, C and D as sparse
+matrices, with scipy, for the linear algebra of the solve, as are the
+unit mass matrices ``rt_mass`` and ``edge_mass``, summed from closed-form
+local matrices through int32 COO indices, and the P1 stiffness
 ``gradient_stiffness``.  The arrays of a ``Mesh`` are read-only.
 
 ``build_mesh`` numbers each level by sorting one int64 key per simplex,
 from the ids of the level below: a*n_v + b for edge [a, b], id([a, b])*n_v
 + c for face [a, b, c] and id([a, b, c])*n_v + d for tet [a, b, c, d].  The
 keys stay below n_v**2, n_e*n_v and n_f*n_v: int64 while each is < 2**31.
+``face_tets`` is read from the sort of the face keys.
 """
 
 from __future__ import annotations
@@ -36,16 +38,8 @@ class MeshError(ValueError):
     pass
 
 
-# Local sub-simplices of a tet with sorted vertices; both lists are in
-# lexicographic order so local numbering matches the global convention.
-LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-LOCAL_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-# local edges [a, b], [a, c], [b, c] of each local face [a, b, c]
-_LOCAL_FACE_EDGES = ((0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5))
-# index of the vertex omitted by each local face
-_OMITTED = (3, 2, 1, 0)
-# D entry of each local face of a positively oriented sorted tet
-_LOCAL_FACE_SIGN = np.array([(-1) ** k for k in _OMITTED], dtype=np.int64)
+# D entry of local face i, which omits vertex 3 - i, of a positive sorted tet
+_LOCAL_FACE_SIGN = (-1) ** (3 - np.arange(4, dtype=np.int64))
 # C entry of each edge of a face in ``Mesh.face_edges`` order: the cycle
 # a->b->c->a runs along [a, b] and [b, c] and against [a, c]
 FACE_EDGE_SIGN = np.array([1, -1, 1], dtype=np.int64)
@@ -62,6 +56,8 @@ class Mesh:
     faces: np.ndarray           # (n_f, 3) int64, lexicographically ordered
     tet_edges: np.ndarray       # (n_t, 6) global edge ids, local order
     tet_faces: np.ndarray       # (n_t, 4) global face ids, local order
+    face_tets: np.ndarray       # (n_f, 2) the tets of each face, lower
+                                # first; -1 second on a boundary face
     volumes: np.ndarray         # (n_t,)
 
     def __post_init__(self):
@@ -93,8 +89,8 @@ class Mesh:
         """(n_f, 3) ids of the edges [a, b], [a, c], [b, c] of each face
         [a, b, c], ascending: the rows of C, with signs FACE_EDGE_SIGN."""
         fe = np.empty((self.n_f, 3), dtype=np.int64)
-        fe[self.tet_faces.ravel()] = self.tet_edges[:, _LOCAL_FACE_EDGES
-                                                    ].reshape(-1, 3)
+        fe[self.tet_faces.ravel()] = self.tet_edges[
+            :, kernels._LOCAL_FACE_EDGES].reshape(-1, 3)
         return fe
 
     @cached_property
@@ -163,12 +159,12 @@ class IncidenceOperators:
 
 @dataclass(frozen=True)
 class BoundaryStructure:
-    components: list            # list of int arrays of face ids
-    external_index: int
-    component_vertices: list    # list of int arrays
-    component_edges: list       # list of int arrays
-    face_owner: np.ndarray      # (n_f,) owning tet for boundary faces, -1 else
-    face_sign: np.ndarray       # (n_f,) D[owner, f] on boundary faces, 0 else
+    components: list            # face id arrays: the external component,
+                                # then the internal ones by lowest face
+    component_vertices: list    # vertex id arrays, one per component
+    component_edges: list       # edge id arrays, one per component
+    face_sign: np.ndarray       # (n_f,) D entry of each boundary face in
+                                # its tet, +1 outward; 0 inside
 
     @property
     def p(self) -> int:
@@ -178,9 +174,6 @@ class BoundaryStructure:
     @cached_property
     def boundary_faces(self) -> np.ndarray:
         return np.sort(np.concatenate(self.components))
-
-    def internal_components(self):
-        return [r for r in range(len(self.components)) if r != self.external_index]
 
 
 def connected_components(n: int, u, v) -> np.ndarray:
@@ -201,7 +194,8 @@ def connected_components(n: int, u, v) -> np.ndarray:
 
 def _number_keys(keys: np.ndarray):
     """The distinct keys ascending, the number of each key among them, in
-    the shape of ``keys``, and the count of each."""
+    the shape of ``keys``, the count of each, and the order that sorts the
+    flattened keys, in which the entries of each key are adjacent."""
     flat = keys.ravel()
     order = np.argsort(flat)
     ranked = flat[order]
@@ -209,7 +203,7 @@ def _number_keys(keys: np.ndarray):
     new[1:] = ranked[1:] != ranked[:-1]
     number = np.empty(len(flat), dtype=np.int64)
     number[order] = np.cumsum(new) - 1
-    return ranked[new], number.reshape(keys.shape), np.bincount(number)
+    return ranked[new], number.reshape(keys.shape), np.bincount(number), order
 
 
 def build_mesh(coords, tet_list) -> Mesh:
@@ -241,14 +235,15 @@ def build_mesh(coords, tet_list) -> Mesh:
         raise MeshError(f"degenerate tet {bad}: repeated vertex")
 
     # int64 keys below n_v**2, n_e*n_v and n_f*n_v (module docstring)
-    ekeys, tet_edges, _ = _number_keys(tets[:, [0, 0, 0, 1, 1, 2]] * n_v
-                                       + tets[:, [1, 2, 3, 2, 3, 3]])
+    ekeys, tet_edges, _, _ = _number_keys(tets[:, kernels._EDGE_A] * n_v
+                                          + tets[:, kernels._EDGE_B])
     edges = np.stack(np.divmod(ekeys, n_v), axis=1)
     # the local edge [a, b] and the vertex c of each local face [a, b, c]
-    fkeys, tet_faces, count = _number_keys(tet_edges[:, [0, 0, 1, 3]] * n_v
-                                           + tets[:, [2, 3, 3, 3]])
+    ab, _, bc = kernels._LOCAL_FACE_EDGES.T
+    fkeys, tet_faces, count, order = _number_keys(
+        tet_edges[:, ab] * n_v + tets[:, kernels._EDGE_B[bc]])
     faces = np.column_stack([edges[fkeys // n_v], fkeys % n_v])
-    tkeys, number, _ = _number_keys(tet_faces[:, 0] * n_v + tets[:, 3])
+    tkeys, number, _, _ = _number_keys(tet_faces[:, 0] * n_v + tets[:, 3])
     if len(tkeys) < len(tets):
         first = np.unique(number, return_index=True)[1][number]
         dup = np.flatnonzero(first != np.arange(len(tets)))[0]
@@ -267,13 +262,17 @@ def build_mesh(coords, tet_list) -> Mesh:
         f = int(np.argmax(count > 2))
         raise MeshError(f"non-manifold face {tuple(map(int, faces[f]))}: "
                         f"shared by {count[f]} tets")
+    # the tets of each face: its first and last entry in the sorted keys
+    at = np.cumsum(count) - count
+    face_tets = np.sort(order[np.c_[at, at + count - 1]] // 4, axis=1)
+    face_tets[count == 1, 1] = -1
 
     if len(tets) and np.any(connected_components(n_v, *edges.T)):
         raise MeshError("complex is not connected")
 
     return Mesh(vertices=vertices, tets=tets, tet_orient=tet_orient,
                 edges=edges, faces=faces, tet_edges=tet_edges,
-                tet_faces=tet_faces, volumes=volumes)
+                tet_faces=tet_faces, face_tets=face_tets, volumes=volumes)
 
 
 def derive_incidence(m: Mesh) -> IncidenceOperators:
@@ -338,18 +337,13 @@ def _gradient_stiffness(m: Mesh) -> sp.csr_matrix:
 
 
 def extract_boundary(m: Mesh) -> BoundaryStructure:
-    """Group boundary faces into connected components; identify the external one."""
-    flat = m.tet_faces.ravel()
-    once = np.bincount(flat, minlength=m.n_f)[flat] == 1
-    bfaces = flat[once]
+    """Group boundary faces into connected components, the external first."""
+    bfaces = np.flatnonzero(m.face_tets[:, 1] < 0)
     if len(bfaces) == 0:
         raise MeshError("closed complex: empty boundary is unsupported")
-    tet_of, local = np.divmod(np.flatnonzero(once), 4)
-    owner = np.full(m.n_f, -1, dtype=np.int64)
-    owner[bfaces] = tet_of
+    tet = m.face_tets[bfaces, 0]
     sign = np.zeros(m.n_f, dtype=np.int64)
-    sign[bfaces] = m.tet_face_sign[tet_of, local]
-    bfaces = np.sort(bfaces)
+    sign[bfaces] = m.tet_face_sign[tet][m.tet_faces[tet] == bfaces[:, None]]
 
     # closed-surface check: each boundary edge borders exactly two faces
     face_edges = m.face_edges[bfaces]
@@ -365,20 +359,22 @@ def extract_boundary(m: Mesh) -> BoundaryStructure:
     pairs = np.argsort(face_edges.ravel()).reshape(-1, 2) // 3
     _, comp_index = np.unique(connected_components(len(bfaces), *pairs.T),
                               return_inverse=True)
-    components = [bfaces[comp_index == r] for r in range(comp_index.max() + 1)]
-    comp_vertices = [np.unique(m.faces[comp]) for comp in components]
-    comp_edges = [np.unique(face_edges[comp_index == r])
-                  for r in range(len(components))]
 
     # the volume each component encloses, signed by the outward normals of
     # the domain: the external one is the only positive one (taken about
-    # the centroid, so that the determinants do not cancel far from 0)
+    # the centroid, so that the determinants do not cancel far from 0).
+    # It becomes component 0; the internal ones keep their order.
     p = m.vertices[m.faces[bfaces]] - m.vertices.mean(axis=0)
     det = np.einsum("fi,fi->f", p[:, 0], np.cross(p[:, 1], p[:, 2]))
     enclosed = np.bincount(comp_index, weights=sign[bfaces] * det / 6.0)
-    external = int(np.argmax(enclosed))
+    external = np.argmax(enclosed)
+    comp_index = np.where(comp_index == external, 0,
+                          comp_index + (comp_index < external))
 
-    return BoundaryStructure(components=components, external_index=external,
-                             component_vertices=comp_vertices,
-                             component_edges=comp_edges, face_owner=owner,
-                             face_sign=sign)
+    components = [bfaces[comp_index == r] for r in range(len(enclosed))]
+    return BoundaryStructure(
+        components=components,
+        component_vertices=[np.unique(m.faces[comp]) for comp in components],
+        component_edges=[np.unique(face_edges[comp_index == r])
+                         for r in range(len(components))],
+        face_sign=sign)

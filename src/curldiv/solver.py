@@ -92,8 +92,7 @@ class AssembledSystem:
 
 @dataclass
 class Solution:
-    kind: str                       # tangential | normal
-    u_h: FEFunction                 # RT_h or N_h coefficients
+    u_h: FEFunction                 # RT_h (tangential) or N_h (normal)
     lift: FEFunction
 
 
@@ -102,7 +101,7 @@ class Solution:
 
 
 def build_N_star(tc: TreeCotree, hb: HomologyBasis) -> np.ndarray:
-    """Edge ids of N*_h: the cotree, in order, less the sigma_n closing edges."""
+    """The edges of N*_h: the cotree less the sigma_n closing edges."""
     return tc.cotree_edges[~np.isin(tc.cotree_edges, hb.closing_edges)]
 
 
@@ -167,7 +166,7 @@ def _boundary_quadrature(m: Mesh, faces: np.ndarray, fn, vector: bool):
 def _tangential_boundary_load(m: Mesh, a_fn) -> np.ndarray:
     """Integrals of the tangential field a against edge-basis traces."""
     faces = m.boundary.boundary_faces
-    owners = m.boundary.face_owner[faces]
+    owners = m.face_tets[faces, 0]
     loads = np.empty((len(faces), 6))
     for blk in kernels.blocks(len(faces)):
         rule, pts, nrm, avals, scale = _boundary_quadrature(
@@ -272,8 +271,11 @@ def consistent_load(m: Mesh, F: np.ndarray,
     (n_e, g) cocycles.  The gradient part is one Jacobi-CG solve with
     G^T M_e G; H is made M_e-orthogonal to the gradients, one solve per
     column, then its part is one g x g solve.  Also returns |G^T F| and
-    |H^T F| for the orthogonalised H, each over |F|.
+    |H^T F| for the orthogonalised H, each over |F|.  F is scaled by a
+    power of two first, as is the rhs in ``solve_spd``.
     """
+    e = int(np.frexp(np.abs(F).max(initial=0.0))[1])
+    F = np.ldexp(F, -e)
     norm = np.linalg.norm(F)
     if norm == 0.0:
         return F, {"gradient": 0.0, "harmonic": 0.0}
@@ -290,7 +292,7 @@ def consistent_load(m: Mesh, F: np.ndarray,
         H[:, n] -= grad_part(M @ H[:, n])
     GtF, HtF = G.T @ F, H.T @ F
     y = np.linalg.solve(H.T @ (M @ H), HtF)
-    Fc = F - M @ (grad_part(F) + H @ y)
+    Fc = np.ldexp(F - M @ (grad_part(F) + H @ y), e)
     return Fc, {"gradient": float(np.linalg.norm(GtF) / norm),
                 "harmonic": float(np.linalg.norm(HtF) / norm)}
 
@@ -330,13 +332,17 @@ def solve_spd(s: AssembledSystem, tol: float = 1e-10,
               maxit: int | None = None) -> np.ndarray:
     """Jacobi-preconditioned CG; raises on stagnation or negative curvature.
 
-    K may be semidefinite if rhs is orthogonal to its kernel."""
+    K may be semidefinite if rhs is orthogonal to its kernel.  CG runs on
+    rhs / 2**e, its largest entry in [1/2, 1), so that |rhs|^2 neither
+    overflows nor underflows, and each iterate is exactly 2**-e times the
+    unscaled one."""
     K = s.K
-    b = s.rhs
+    e = int(np.frexp(np.abs(s.rhs).max(initial=0.0))[1])
+    r = np.ldexp(s.rhs, -e)                 # the residual at x = 0
     n = K.shape[0]
     if maxit is None:
         maxit = max(10 * n, 100)
-    bnorm = np.linalg.norm(b)
+    bnorm = np.linalg.norm(r)
     if bnorm == 0.0:
         return np.zeros(n)
     diag = K.diagonal()
@@ -344,7 +350,6 @@ def solve_spd(s: AssembledSystem, tol: float = 1e-10,
         raise SolverError("nonpositive diagonal entry; K is not SPD")
     inv_diag = 1.0 / diag
     x = np.zeros(n)
-    r = b.copy()
     z = inv_diag * r
     d = z.copy()
     rz = float(r @ z)
@@ -358,7 +363,7 @@ def solve_spd(s: AssembledSystem, tol: float = 1e-10,
         x += step * d
         r -= step * Kd
         if np.linalg.norm(r) <= tol * bnorm:
-            return x
+            return np.ldexp(x, e)
         z = inv_diag * r
         rz_new = float(r @ z)
         d = z + (rz_new / rz) * d
@@ -376,12 +381,9 @@ def recover_solution(coeffs: np.ndarray, lift: FEFunction) -> Solution:
     """u_h = lift + C coeffs for an RT lift (tangential), or
     lift + G[:, L*_h] coeffs for a Nedelec lift (normal)."""
     m = lift.mesh
-    if lift.space == Space.FACE:
-        kind, S = "tangential", m.incidence.C.tocsc()
-    else:
-        kind, S = "normal", _gradients(m)
-    return Solution(kind=kind, lift=lift, u_h=FEFunction(
-        lift.space, m, S @ coeffs + lift.coeffs))
+    S = m.incidence.C.tocsc() if lift.space == Space.FACE else _gradients(m)
+    return Solution(lift=lift, u_h=FEFunction(lift.space, m,
+                                              S @ coeffs + lift.coeffs))
 
 
 def error_norms(sol: Solution, exact_u, exact_diff) -> tuple[float, float]:

@@ -1,9 +1,11 @@
 """Tree-cotree structure and homology generators of the complex.
 
 The boundary-first spanning tree restricts to a spanning tree of each
-boundary component.  Surface cycles are fundamental cycles of boundary
-cotree edges whose classes are independent in H1 of the boundary; domain
-generators are the subset of those that survive in H1 of the domain.
+boundary component; the cotree is the rest of the edges, ascending, and
+no later stage reorders it.  Surface cycles are fundamental cycles of
+boundary cotree edges whose classes are independent in H1 of the
+boundary; domain generators are the subset of those that survive in H1
+of the domain.
 
 The surface cycles close on the cotree edges off a spanning tree of the
 surface's dual graph (tree-cotree, Eppstein, SODA 2003), from the Boruvka
@@ -20,7 +22,9 @@ of the rows before them, goes through one dense reduced row echelon form
 modulo p, ``_echelon``.  Both lifts run the same sweep in floating point,
 the Nedelec lift over the faces of C and the RT lift over the tets of D.
 The sweep reads C and D as the tables of the mesh, ``face_edges`` and
-``tet_faces`` with their signs, and needs no sparse matrix.
+``tet_faces`` with their signs, and needs no sparse matrix; the dual graph
+(tets joined through interior faces) is ``Mesh.face_tets``, the rows of
+D^T.
 """
 
 from __future__ import annotations
@@ -167,7 +171,7 @@ def _independent(rows: np.ndarray, need: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TreeCotree:
     tree_edges: np.ndarray          # (n_v - 1,) edge ids of the spanning tree
-    cotree_edges: np.ndarray        # (n_Q,) remaining edge ids, ordered
+    cotree_edges: np.ndarray        # (n_Q,) remaining edge ids, ascending
     boundary_parent: np.ndarray     # (n_v,) edge to the parent in the
                                     # boundary tree, -1 at roots and inside
 
@@ -228,18 +232,6 @@ def _bfs(n: int, u, v, root: int):
     return np.concatenate(order), parent
 
 
-def _dual_arcs(m: Mesh):
-    """The interior faces, ascending, and the two tets each one joins,
-    the lower first."""
-    flat = m.tet_faces.ravel()
-    count = np.bincount(flat, minlength=m.n_f)
-    by_face = np.argsort(flat) // 4         # the tets of each face, grouped
-    interior = np.flatnonzero(count == 2)
-    at = (np.cumsum(count) - count)[interior]
-    t0, t1 = by_face[at], by_face[at + 1]
-    return interior, np.minimum(t0, t1), np.maximum(t0, t1)
-
-
 def _spanning_forest(n: int, u, v, in_tree: np.ndarray) -> None:
     """Extend the arcs ``in_tree`` (arc i joins u[i], v[i]) in place to a
     spanning forest of the n nodes: each round joins every component to its
@@ -274,13 +266,8 @@ def build_boundary_first_tree(m: Mesh, b: BoundaryStructure) -> TreeCotree:
     tree_edges = np.flatnonzero(in_tree)
     if len(tree_edges) != m.n_v - 1:
         raise TopologyError("vertex graph is disconnected")
-
-    # cotree: boundary edges first (closing-edge candidates), then the rest
-    cotree = np.flatnonzero(~in_tree)
-    on_boundary = np.isin(cotree, np.concatenate(b.component_edges))
     return TreeCotree(tree_edges=tree_edges,
-                      cotree_edges=np.concatenate([cotree[on_boundary],
-                                                   cotree[~on_boundary]]),
+                      cotree_edges=np.flatnonzero(~in_tree),
                       boundary_parent=bparent)
 
 
@@ -376,10 +363,10 @@ def betti(m: Mesh, rank_C: int):
     that gauges the sweep); rank D is n_t less the dual components (tets
     joined through shared faces) that touch no boundary face.
     """
-    _, t0, t1 = _dual_arcs(m)
-    label = connected_components(m.n_t, t0, t1)
-    # a tet with fewer than four interior faces has a boundary face
-    on_boundary = label[np.bincount(np.r_[t0, t1], minlength=m.n_t) < 4]
+    t0, t1 = m.face_tets.T
+    interior = t1 >= 0
+    label = connected_components(m.n_t, t0[interior], t1[interior])
+    on_boundary = label[t0[~interior]]
     rD = m.n_t - len(np.unique(label)) + len(np.unique(on_boundary))
     rG = m.n_v - 1
     return (m.n_v - rG, m.n_e - rG - rank_C, m.n_f - rank_C - rD)

@@ -43,12 +43,3 @@ def write_vtk(m: Mesh, u: FEFunction, path,
         if residual is not None:
             fh.write("SCALARS residual double 1\nLOOKUP_TABLE default\n")
             fh.write(_rows("%.17g\n", np.asarray(residual, dtype=np.float64)))
-
-
-def read_vtk_cell_count(path) -> int:
-    """Cheap round-trip check used by the tests."""
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("CELLS "):
-                return int(line.split()[1])
-    raise ValueError(f"no CELLS section in {path}")

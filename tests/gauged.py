@@ -24,7 +24,7 @@ def gauged_system(prob, m, topo, lift):
 
 def gauged_solution(m, gb, x, lift):
     """u_h = C[:, N*_h] x + lift."""
-    return Solution(kind="tangential", lift=lift, u_h=FEFunction(
+    return Solution(lift=lift, u_h=FEFunction(
         "face", m, m.incidence.C.tocsc()[:, gb] @ x + lift.coeffs))
 
 

@@ -53,9 +53,11 @@ def test_fields_supported_on_cotree_only(torus, topo_torus):
 
 
 def test_combined_field_supported_on_closing_edges(torus, topo_torus):
-    g = topo_torus.homology.g
+    # the closing edges N*_h holds are those of the unselected cycles
     dofs = _gauged(topo_torus)
-    assert np.array_equal(dofs[:g], _unselected_closing(topo_torus))
+    held = dofs[np.isin(dofs, topo_torus.surface_cycles.closing_edges)]
+    assert set(held.tolist()) == set(_unselected_closing(topo_torus).tolist())
+    assert len(held) == topo_torus.homology.g
 
 
 @pytest.mark.parametrize("fixture,mesh", [("topo_cube1", "cube1"),
@@ -121,8 +123,11 @@ def test_basis_periods_vanish(mesh, request):
 def test_plain_fields_have_zero_periods(torus, topo_torus):
     # plain cotree fields avoid the closing edges, so periods vanish on them
     dofs = _gauged(topo_torus)
-    plain = dofs[topo_torus.homology.g:]
-    assert not np.isin(plain, topo_torus.surface_cycles.closing_edges).any()
+    scb = topo_torus.surface_cycles
+    plain = dofs[~np.isin(dofs, _unselected_closing(topo_torus))]
+    assert len(plain) == topo_torus.tree.n_Q - len(scb.closing_edges)
+    assert not np.isin(plain, scb.closing_edges).any()
+    assert np.all(_period_matrix(torus, scb.cycles)[:, plain] == 0)
 
 
 def test_L_star_counts(tet1, cube1):
@@ -169,20 +174,23 @@ def _reference_homology(m, topo):
     return kernel, closing
 
 
-def _reference_fields(tc, kernel, n_e):
-    """The n_Q - g gauged fields as sparse columns, combined fields first."""
+def _reference_fields(tc, scb, kernel, n_e):
+    """The n_Q - g gauged fields as sparse columns: a combined field per
+    row of the kernel over the closing edges, and a plain field per other
+    cotree edge.  Columns go in ascending order of the lowest edge of each
+    field, the order of ``build_N_star``."""
     g = len(kernel)
+    fields = [{int(scb.closing_edges[q]): float(kernel[lam, q])
+               for q in range(2 * g) if kernel[lam, q] != 0.0}
+              for lam in range(g)]
+    fields += [{int(e): 1.0} for e in tc.cotree_edges
+               if e not in scb.closing_edges]
+    fields.sort(key=min)
     rows, cols, data = [], [], []
-    for lam in range(g):
-        for q in range(2 * g):
-            if kernel[lam, q] != 0.0:
-                rows.append(int(tc.cotree_edges[q]))
-                cols.append(lam)
-                data.append(float(kernel[lam, q]))
-    for col, pos in enumerate(range(2 * g, tc.n_Q), start=g):
-        rows.append(int(tc.cotree_edges[pos]))
-        cols.append(col)
-        data.append(1.0)
+    for col, field in enumerate(fields):
+        rows += field.keys()
+        cols += [col] * len(field)
+        data += field.values()
     return sp.csc_matrix((data, (rows, cols)), shape=(n_e, tc.n_Q - g))
 
 
@@ -206,7 +214,7 @@ def test_tangential_system_matches_sparse_reference(mesh, request):
     sol = gauged_solution(m, dofs, solve_spd(system), lift)
 
     H = harmonic_cocycles(m, topo.tree, topo.homology)
-    fields = _reference_fields(topo.tree, kernel, m.n_e)
+    fields = _reference_fields(topo.tree, topo.surface_cycles, kernel, m.n_e)
     S = (m.incidence.C @ fields).tocsc()
     M = prob.eta * m.rt_mass
     F, _ = consistent_load(

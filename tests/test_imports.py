@@ -1,10 +1,13 @@
 """What the package imports.
 
-Static check: every name a module of the package, of its tests or of the
+Static checks: every name a module of the package, of its tests or of the
 benchmark imports is used.  No linter ships with the project, so this
 parses each module with ``ast`` and fails on an imported name that the
 module never references, unless the line that imports it carries
-``# noqa: F401``.
+``# noqa: F401``.  And every function, class and constant a module of the
+package defines at top level is read by the package, exported from
+``curldiv/__init__.py`` or read by the benchmark: a name only the tests
+read lives in the tests.
 
 Run-time check: the topology path runs on numpy alone, and scipy loads
 only when a solve needs it.
@@ -41,6 +44,49 @@ def unused_imports(source: str) -> list[str]:
     return sorted(name for name, line in imported.items()
                   if name not in used
                   and "# noqa: F401" not in lines[line - 1])
+
+
+def top_level_names(source: str) -> list[str]:
+    """The functions, classes and constants a module defines at top level,
+    less dunder names such as a module ``__getattr__``."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for t in targets:
+                names += [n.id for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def read_names(paths) -> set[str]:
+    """Every name the files read: loaded names, attributes and imports."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(Path(path).read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_dead_names_detected():
+    source = ("X = 1\n_A, (_B, _C) = 2, (3, 4)\nY: int = X\n"
+              "def __getattr__(name): pass\n"
+              "def f(): return _A\nclass K: pass\n")
+    assert top_level_names(source) == ["X", "_A", "_B", "_C", "Y", "f", "K"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_dead_names(module):
+    read = read_names([*SRC.glob("*.py"), *PERFBENCH.glob("*.py")])
+    dead = set(top_level_names((SRC / module).read_text())) - read
+    assert sorted(dead) == []
 
 
 def test_unused_imports_detected():

@@ -9,7 +9,7 @@ from curldiv.cli import main, parse_config, run_convergence, ConfigError
 from curldiv.meshes import (hollow_ball_mesh, single_tet_mesh,
                             structured_cube_mesh)
 from curldiv.mms import get_case
-from curldiv.vtk import _barycenter_values, read_vtk_cell_count
+from curldiv.vtk import _barycenter_values
 
 MINIMAL_MSH = """$MeshFormat
 2.2 0 8
@@ -144,6 +144,15 @@ def test_non_utf8_config_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def read_vtk_cell_count(path) -> int:
+    """The cell count of the CELLS section of a written VTK file."""
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("CELLS "):
+                return int(line.split()[1])
+    raise ValueError(f"no CELLS section in {path}")
+
+
 def test_vtk_single_tet_zero_field(tmp_path):
     m = single_tet_mesh()
     u = FEFunction("face", m, np.zeros(m.n_f))
@@ -242,7 +251,7 @@ def test_parse_config_validation():
              "unknown coefficient key 'value' for kind 'identity'"),
             ({"coefficient": {"kind": "scalar", "value": True}},
              "coefficient value must be a number, got True"),
-            ({"tol": True}, "tol must be finite and > 0, got True")):
+            ({"tol": True}, "tol must be > 0 and < 1, got True")):
         with pytest.raises(ConfigError, match=message):
             parse_config({"formulation": "normal", "case": "mms1", **data})
 
@@ -399,10 +408,27 @@ def test_cli_bad_maxit_exit_1(tmp_path, capsys, maxit):
     assert "maxit must be a positive integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", [-1, 0, float("inf"), float("nan"), True])
+@pytest.mark.parametrize("tol", [-1, 0, float("inf"), float("nan"), True,
+                                 1.0, 10.0])
 def test_cli_bad_tol_exit_1(tmp_path, capsys, tol):
+    # a tol of 1 or more stopped CG after one step, and the report passed
     assert _solve_exit_code(tmp_path, tol=tol) == 1
-    assert "tol must be finite and > 0" in capsys.readouterr().err
+    assert "tol must be > 0 and < 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, formulation, value", [
+    ("beta", "tangential", [1.0]),
+    ("alpha", "normal", [0.5]),
+    ("alpha", "normal", [0.5, 0.5, 0.5])], ids=["beta-tangential",
+                                                "alpha-normal",
+                                                "alpha-normal-wrong-length"])
+def test_cli_unused_flux_or_period_data_exit_1(tmp_path, capsys, name,
+                                               formulation, value):
+    # the solve ignored these, at any length, and exited 0
+    assert _solve_exit_code(tmp_path, mesh=hollow_ball_mesh(),
+                            formulation=formulation, **{name: value}) == 1
+    assert (f"{name} is not used by the {formulation} formulation"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("output", [["x.vtk"], 3, 1, True, {"file": "x"}])

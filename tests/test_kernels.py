@@ -8,14 +8,14 @@ from curldiv import build_mesh, error_norms, kernels, mesh, solver, write_vtk
 from curldiv.cli import (ProblemConfig, compute_topology,
                          solution_residual_field, solve_on_mesh)
 from curldiv.elements import FEFunction, zero_function
-from curldiv.mesh import LOCAL_EDGES
 from curldiv.meshes import structured_cube_mesh
 from curldiv.mms import get_case
 from curldiv.quadrature import make_quadrature
 
 FIXTURES = ["cube2", "torus", "hollow", "genus2", "handle_cavity",
             "torus_cavity"]
-_EA, _EB = np.array(LOCAL_EDGES).T
+# the local edges [a, b] of a sorted tet, lexicographic
+_EA, _EB = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).T
 
 
 def test_geometry_volumes(cube1):
@@ -135,7 +135,7 @@ def _reference_loads(m, J, g, a_fn, b_fn):
     avals = a_fn(fpts.reshape(-1, 3), nrm_q).reshape(nbf, nq, 3)
     avals = avals - (np.einsum("fqx,fx->fq", avals, nrm)[:, :, None]
                      * nrm[:, None, :])
-    owners = b.face_owner[faces]
+    owners = m.face_tets[faces, 0]
     ograds, _ = kernels.tet_geometry(m.vertices, m.tets[owners])
     lam = np.einsum("fix,fqx->fqi", ograds,
                     fpts - m.vertices[m.tets[owners][:, 0]][:, None, :])
@@ -234,7 +234,7 @@ PASS_PEAK_MB = {"rt_mass": 1.8, "edge_mass": 4.0, "edge_load": 1.65,
 
 def _element_passes(m):
     case = get_case("mms1")
-    sols = {f: solver.Solution(f, FEFunction(s, m, np.ones(n)),
+    sols = {f: solver.Solution(FEFunction(s, m, np.ones(n)),
                                zero_function(s, m))
             for f, s, n in (("tangential", "face", m.n_f),
                             ("normal", "edge", m.n_e))}
@@ -275,7 +275,7 @@ def test_normal_residual_field_matches_add_at_bitwise(handle_cavity):
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(m.n_e) * 10.0 ** rng.integers(-300, 300,
                                                                 m.n_e)
-    sol = solver.Solution("normal", FEFunction("edge", m, coeffs),
+    sol = solver.Solution(FEFunction("edge", m, coeffs),
                           zero_function("edge", m))
     curl = np.abs(m.incidence.C @ coeffs)[m.tet_faces]
     want = _add_at(np.repeat(np.arange(m.n_t), 4), curl, m.n_t)

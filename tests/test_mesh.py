@@ -9,7 +9,7 @@ import pytest
 from curldiv import (MeshError, build_mesh, hollow_ball_mesh,
                      solid_torus_mesh)
 from curldiv.mesh import connected_components
-from curldiv.meshes import _KUHN_PATHS, structured_cube_mesh
+from curldiv.meshes import _KUHN_PATHS, _grid_mesh, structured_cube_mesh
 from edge_lookup import edge_ids
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -172,11 +172,9 @@ def test_boundary_components(cube1, torus, hollow):
     assert cube1.boundary.p == 0
     assert torus.boundary.p == 0
     assert hollow.boundary.p == 1
-    b = hollow.boundary
-    ext = b.components[b.external_index]
-    internal = [c for r, c in enumerate(b.components) if r != b.external_index]
+    ext, cavity = hollow.boundary.components
     ext_pts = hollow.vertices[np.unique(hollow.faces[ext])]
-    int_pts = hollow.vertices[np.unique(hollow.faces[internal[0]])]
+    int_pts = hollow.vertices[np.unique(hollow.faces[cavity])]
     assert ext_pts.min() < int_pts.min() and ext_pts.max() > int_pts.max()
 
 
@@ -275,7 +273,9 @@ def test_connected_components_matches_deque_reference(graph):
 
 def _reference_sub_simplices(tets):
     """Edges, faces, tet_edges and tet_faces by the dict loop over tets."""
-    from curldiv.mesh import LOCAL_EDGES, LOCAL_FACES
+    # the local edges and faces of a sorted tet, lexicographic
+    LOCAL_EDGES = list(itertools.combinations(range(4), 2))
+    LOCAL_FACES = list(itertools.combinations(range(4), 3))
     edge_set, face_set = {}, {}
     for row in tets.tolist():
         for (i, j) in LOCAL_EDGES:
@@ -332,12 +332,15 @@ _TOP = (2**31 - 1) ** 2
     ids=["empty", "one", "repeats", "table", "near-bound"])
 def test_number_keys_matches_unique(keys):
     from curldiv.mesh import _number_keys
-    got, number, count = _number_keys(keys)
+    got, number, count, order = _number_keys(keys)
     want, want_number, want_count = np.unique(
         keys, return_inverse=True, return_counts=True)
     assert got.dtype == np.int64 and np.array_equal(got, want)
     assert np.array_equal(number, want_number.reshape(keys.shape))
     assert np.array_equal(count, want_count)
+    # the order sorts the flattened keys: the entries of a key are adjacent
+    assert np.array_equal(np.sort(order), np.arange(keys.size))
+    assert np.array_equal(keys.ravel()[order], np.repeat(want, want_count))
 
 
 def test_boundary_that_is_not_a_closed_surface_rejected():
@@ -349,11 +352,25 @@ def test_boundary_that_is_not_a_closed_surface_rejected():
         m.boundary
 
 
+def _two_cavities():
+    """A 5^3 grid less two interior cells (p = 2), renumbered so that a
+    cavity holds the lowest boundary face."""
+    base = _grid_mesh(5, 0.2, lambda i, j, k: (i, j, k) not in (
+        (1, 1, 1), (3, 3, 3)))
+    perm = np.random.default_rng(4).permutation(base.n_v)
+    vertices = np.empty_like(base.vertices)
+    vertices[perm] = base.vertices
+    m = build_mesh(vertices, perm[base.tets])
+    assert m.boundary.components[0].min() > m.boundary.boundary_faces.min()
+    return m
+
+
 @pytest.mark.parametrize("fixture", ["hollow", "handle_cavity",
-                                     "torus_cavity"])
+                                     "torus_cavity", "two_cavities"])
 def test_external_component_encloses_the_only_positive_volume(fixture,
                                                               request):
-    m = request.getfixturevalue(fixture)
+    m = (_two_cavities() if fixture == "two_cavities"
+         else request.getfixturevalue(fixture))
     b = m.boundary
     enclosed = []
     for comp in b.components:
@@ -362,7 +379,11 @@ def test_external_component_encloses_the_only_positive_volume(fixture,
         enclosed.append(b.face_sign[comp] @ det / 6.0)
     enclosed = np.array(enclosed)
     assert abs(enclosed.sum() - m.volumes.sum()) <= 1e-14
-    assert np.flatnonzero(enclosed > 0).tolist() == [b.external_index]
+    # component 0 is the external one; the internal ones follow in
+    # ascending order of their lowest face
+    assert np.flatnonzero(enclosed > 0).tolist() == [0]
+    lowest = [int(comp.min()) for comp in b.components[1:]]
+    assert lowest == sorted(lowest) and b.p == len(lowest) >= 1
 
 
 def _grid_mesh_loop(n, spacing, keep):

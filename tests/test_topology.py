@@ -10,7 +10,7 @@ from curldiv import betti, build_mesh, topology
 from curldiv.cli import compute_topology, topology_report
 from curldiv.mesh import FACE_EDGE_SIGN, connected_components
 from curldiv.topology import (_PRIME, TopologyError, _bfs, _cocycles,
-                              _dual_arcs, _echelon, _face_sweep, _independent,
+                              _echelon, _face_sweep, _independent,
                               _kernel, build_boundary_first_tree,
                               chain_boundary, fundamental_cycle,
                               surface_cycle_basis)
@@ -291,10 +291,15 @@ def test_sweep_selects_reference_cycles(mesh, fixture, request):
     m = request.getfixturevalue(mesh)
     topo = request.getfixturevalue(fixture)
     tree = build_boundary_first_tree(m, m.boundary)
+    # the topology keeps the tree as it was built, the cotree ascending
+    for f in dataclasses.fields(tree):
+        assert np.array_equal(getattr(topo.tree, f.name),
+                              getattr(tree, f.name))
+    assert np.array_equal(tree.cotree_edges,
+                          np.setdiff1d(np.arange(m.n_e), tree.tree_edges))
     cycles, closing = _reference_surface_cycles(m, m.boundary, tree)
     assert topo.surface_cycles.cycles == cycles
     assert topo.surface_cycles.closing_edges.tolist() == closing
-    assert topo.tree.cotree_edges[:len(closing)].tolist() == closing
     hb = topo.homology
     selected = _reference_domain_selection(m, cycles, hb.g)
     assert hb.cycles == [cycles[q] for q in selected]
@@ -325,7 +330,8 @@ def _reference_betti(m):
     known = np.zeros(m.n_e, dtype=bool)
     known[arc[order[1:]]] = True
     _, rC = _cocycles(m.face_edges, known)
-    _, t0, t1 = _dual_arcs(m)
+    t0, t1 = _reference_face_tets(m.incidence.D).T
+    t0, t1 = t0[t1 >= 0], t1[t1 >= 0]
     label = connected_components(m.n_t, t0, t1)
     on_boundary = label[np.bincount(np.r_[t0, t1], minlength=m.n_t) < 4]
     rD = m.n_t - len(np.unique(label)) + len(np.unique(on_boundary))
@@ -383,8 +389,9 @@ def test_surface_cycles_match_reference_under_renumbering(seed, which):
 
 # ---------------------------------------------------------------------------
 # reference: C as the sparse matrix of the face cycles, built from edge
-# lookups, and the dual arcs from the columns of D, which the tables
-# ``face_edges`` and ``tet_faces`` replaced as the input of the sweeps
+# lookups, and the tets of each face from the columns of D, which the tables
+# ``face_edges``, ``tet_faces`` and ``face_tets`` replaced as the input of
+# the sweeps
 
 
 def _reference_C(m):
@@ -396,12 +403,16 @@ def _reference_C(m):
                          shape=(m.n_f, m.n_e))
 
 
-def _reference_dual_arcs(D):
-    """The interior faces and the two tets each one joins, from D's columns."""
+def _reference_face_tets(D):
+    """The rows of D^T: the tets of each face from D's columns, ascending,
+    with -1 second on a face that D holds once."""
     D = D.tocsc()
-    interior = np.flatnonzero(np.diff(D.indptr) == 2)
-    at = D.indptr[interior]
-    return interior, D.indices[at], D.indices[at + 1]
+    assert D.has_sorted_indices
+    count, at = np.diff(D.indptr), D.indptr[:-1]
+    ft = np.full((D.shape[1], 2), -1, dtype=np.int64)
+    ft[:, 0] = D.indices[at]
+    ft[count == 2, 1] = D.indices[at[count == 2] + 1]
+    return ft
 
 
 def _check_tables(m):
@@ -419,8 +430,10 @@ def _check_tables(m):
     assert np.array_equal(D.indptr, 4 * np.arange(m.n_t + 1))
     assert np.array_equal(m.tet_faces, D.indices.reshape(-1, 4))
     assert np.array_equal(m.tet_face_sign, D.data.reshape(-1, 4))
-    for got, want in zip(_dual_arcs(m), _reference_dual_arcs(D)):
-        assert np.array_equal(got, want)
+    assert m.face_tets.dtype == np.int64
+    assert np.array_equal(m.face_tets, _reference_face_tets(D))
+    assert np.array_equal(m.face_tets[:, 1] < 0,
+                          np.diff(D.tocsc().indptr) == 1)
 
 
 @pytest.mark.parametrize("mesh", [m for m, _ in TOPOLOGY_FIXTURES])
@@ -480,10 +493,10 @@ def test_tree_is_frozen_and_left_unchanged(torus):
     topo = compute_topology(torus)
     surface_cycle_basis(torus, torus.boundary, tree)
     assert np.array_equal(tree.cotree_edges, cotree)
-    # the ordered tree puts the closing edges first
-    closing = topo.surface_cycles.closing_edges
-    assert np.array_equal(topo.tree.cotree_edges[:len(closing)], closing)
-    assert sorted(topo.tree.cotree_edges.tolist()) == sorted(cotree.tolist())
+    # the cotree is the ascending complement of the tree, as built
+    assert np.array_equal(cotree, np.flatnonzero(
+        ~np.isin(np.arange(torus.n_e), tree.tree_edges)))
+    assert np.array_equal(topo.tree.cotree_edges, cotree)
     with pytest.raises(dataclasses.FrozenInstanceError):
         tree.cotree_edges = cotree[::-1]
 
