@@ -17,8 +17,8 @@ from .topology import (HomologyBasis, TopologyError, TreeCotree, betti,
 from .elements import (ElementError, FEFunction, Space, differential,
                        interpolate, zero_function)
 from .lifts import (CurlData, DivergenceData, LiftError, clean_curl_data,
-                    component_fluxes, cycle_period, harmonic_cocycles,
-                    nedelec_potential, rt_potential)
+                    component_fluxes, cycle_period, nedelec_potential,
+                    rt_potential)
 from .solver import (AssembledSystem, NormalProblem, Solution, SolverError,
                      TangentialProblem, assemble_normal, assemble_tangential,
                      build_L_star, build_N_star, consistent_load, error_norms,

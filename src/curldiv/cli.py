@@ -18,15 +18,15 @@ import numpy as np
 from .elements import ElementError, Space, interpolate
 from .lifts import (RESIDUAL_TOL, CurlData, DivergenceData, LiftError,
                     clean_curl_data, component_fluxes, cycle_period,
-                    harmonic_cocycles, nedelec_potential, rt_potential)
+                    nedelec_potential, rt_potential)
 from .mesh import Mesh, MeshError
 from .meshes import structured_cube_mesh
 from .mms import MMSError, discrete_alpha, discrete_beta, get_case
 from .msh import MshParseError, read_gmsh
 from .quadrature import QuadratureError
-from .solver import (Solution, SolverError, assemble_normal,
-                     assemble_tangential, error_norms, recover_solution,
-                     solve_spd, validate_tangential)
+from .solver import (COEFFICIENT_RANGE, Solution, SolverError,
+                     assemble_normal, assemble_tangential, error_norms,
+                     recover_solution, solve_spd, validate_tangential)
 from .solver import build_L_star, build_N_star  # noqa: F401  perfbench/tracing.py wraps both names in cli
 from .topology import (TopologyError, betti, build_boundary_first_tree,
                        domain_homology_basis, surface_cycle_basis)
@@ -41,16 +41,14 @@ class ConfigError(ValueError):
 class Topology:
     boundary: object
     tree: object
-    surface_cycles: object
     homology: object
 
 
 def compute_topology(m: Mesh) -> Topology:
     b = m.boundary
     tc = build_boundary_first_tree(m, b)
-    scb = surface_cycle_basis(m, b, tc)
-    hb = domain_homology_basis(m, tc, scb)
-    return Topology(boundary=b, tree=tc, surface_cycles=scb, homology=hb)
+    hb = domain_homology_basis(m, tc, surface_cycle_basis(m, b, tc))
+    return Topology(boundary=b, tree=tc, homology=hb)
 
 
 @dataclass
@@ -119,8 +117,9 @@ def parse_config(data: dict) -> ProblemConfig:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad coefficient, alpha, beta or tol: {exc!r}"
                           ) from exc
-    if not (np.isfinite(coef) and coef > 0):
-        raise ConfigError(f"coefficient must be finite and > 0, got {coef!r}")
+    if not COEFFICIENT_RANGE[0] <= coef <= COEFFICIENT_RANGE[1]:
+        raise ConfigError(f"coefficient must be finite and > 0, in "
+                          f"[2**-768, 2**768], got {coef!r}")
     if not 0 < cfg.tol < 1:
         raise ConfigError(f"tol must be > 0 and < 1, got {cfg.tol!r}")
     # alpha reaches only the tangential solve, beta only the normal one
@@ -154,8 +153,7 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
         report["validation"] = validate_tangential(prob, m, b)
         g_h = interpolate("cell", case.g, m)
         lift = rt_potential(m, b, DivergenceData(g_h, alpha))
-        system = assemble_tangential(prob, m, lift,
-                                     harmonic_cocycles(m, tc, hb))
+        system = assemble_tangential(prob, m, lift, hb.cocycles)
         coeffs = solve_spd(system, tol=cfg.tol, maxit=cfg.maxit)
         sol = recover_solution(coeffs, lift)
         div_resid = float(np.abs(

@@ -1,11 +1,13 @@
-"""Element kernels: tet geometry, Whitney basis values and local masses.
+"""Element kernels: tet geometry, Whitney basis values and local matrices.
 
 Each kernel is one vectorized numpy expression over the tets it is given;
 a pass over a whole mesh takes BLOCK tets (or faces) at a time from
-``blocks``, so that its point and basis arrays stay small.  The per-tet
-geometry (barycentric gradients and signed 6*volume) is computed once per
-mesh, by ``Mesh.tet_geometry``.  The local mass matrices are closed forms,
-with no quadrature.
+``blocks``, so that its point and basis arrays stay small.  The signed
+6*volume is the triple product of a tet's edge vectors from vertex 0 and
+the barycentric gradients their cross products over it, computed once per
+mesh by ``Mesh.tet_geometry``.  The local matrices are closed forms: the
+edge mass, and the curl-curl and P1 stiffness from the edge curls and the
+gradients, constant on each tet.
 
 Conventions: tets carry sorted vertex indices, so the local Whitney bases
 (edge pairs and face triples in lexicographic order) coincide with the
@@ -37,22 +39,20 @@ def blocks(n: int):
     return (slice(start, start + BLOCK) for start in range(0, n, BLOCK))
 
 
-def tet_jacobian(vertices, tets):
-    """Edge vectors p1 - p0, p2 - p0, p3 - p0 as columns: (n_t, 3, 3)."""
+def tet_edge_vectors(vertices, tets):
+    """The edge vectors d_i = p_i - p_0 of each tet (n_t, 3, 3), and their
+    triple product d1 . d2 x d3, the signed 6*volume (n_t,)."""
     p = vertices[tets]                       # (n_t, 4, 3)
-    return np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], p[:, 3] - p[:, 0]],
-                    axis=2)
+    d = p[:, 1:] - p[:, :1]
+    return d, np.einsum("tx,tx->t", d[:, 0], np.cross(d[:, 1], d[:, 2]))
 
 
 def tet_geometry(vertices, tets):
-    """Barycentric gradients (n_t, 4, 3) and signed 6*volume (n_t,)."""
-    J = tet_jacobian(vertices, tets)
-    det = np.linalg.det(J)
-    Jinv = np.linalg.inv(J)
-    grads = np.empty((len(tets), 4, 3))
-    grads[:, 1:] = Jinv
-    grads[:, 0] = -Jinv.sum(axis=1)
-    return grads, det
+    """Barycentric gradients (n_t, 4, 3): d2 x d3, d3 x d1 and d1 x d2 over
+    6*volume (rows of [d1 d2 d3]^-1) and minus their sum; 6*volume (n_t,)."""
+    d, det = tet_edge_vectors(vertices, tets)
+    g = np.cross(d[:, [1, 2, 0]], d[:, [2, 0, 1]]) / det[:, None, None]
+    return np.concatenate([-g.sum(axis=1, keepdims=True), g], axis=1), det
 
 
 # ---------------------------------------------------------------------------
@@ -72,25 +72,23 @@ def edge_basis_values(grads, bary):
 
 
 def rt_basis_values(grads, bary):
-    """Raviart-Thomas face functions at quadrature points: (n_t, nq, 4, 3)."""
-    n_t = grads.shape[0]
-    nq = bary.shape[0]
-    out = np.zeros((n_t, nq, 4, 3))
-    for fi in range(4):
-        a, b, c = np.delete(np.arange(4), 3 - fi)
-        gbc = np.cross(grads[:, b], grads[:, c])     # (n_t, 3)
-        gca = np.cross(grads[:, c], grads[:, a])
-        gab = np.cross(grads[:, a], grads[:, b])
-        out[:, :, fi, :] = 2.0 * (
-            bary[None, :, a, None] * gbc[:, None] +
-            bary[None, :, b, None] * gca[:, None] +
-            bary[None, :, c, None] * gab[:, None])
-    return out
+    """Raviart-Thomas face functions at shared points ``bary`` (nq, 4),
+    (n_t, nq, 4, 3): lam_a c_bc - lam_b c_ac + lam_c c_ab on face [a, b, c]."""
+    ab, ac, bc = _LOCAL_FACE_EDGES.T
+    a, b, c = _EDGE_A[ab], _EDGE_B[ab], _EDGE_B[ac]
+    curls = edge_curls(grads)[:, None]                  # (n_t, 1, 6, 3)
+    return (bary[:, a, None] * curls[:, :, bc] - bary[:, b, None]
+            * curls[:, :, ac] + bary[:, c, None] * curls[:, :, ab])
 
 
 # ---------------------------------------------------------------------------
-# local mass matrices with the unit coefficient; the assembly scales the
-# global matrix
+# local matrices with the unit coefficient; the assembly scales the global
+# matrix
+
+
+def edge_curls(grads):
+    """Edge function curls (n_t, 6, 3): 2 grad lam_a x grad lam_b on [a, b]."""
+    return 2.0 * np.cross(grads[:, _EDGE_A], grads[:, _EDGE_B])
 
 
 def edge_mass(grads, vol):
@@ -106,17 +104,12 @@ def edge_mass(grads, vol):
     return M * vol[:, None, None]
 
 
-def rt_mass(p, sign, vol):
-    """Raviart-Thomas mass matrices (n_t, 4, 4) of tets with vertices p
-    (n_t, 4, 3), face signs ``sign`` and volumes ``vol``.  Face i has the
-    function s_i (x - x_i) / (3|T|), x_i the vertex opposite it, and the
-    mass s_i s_j (S/20 + y_i . y_j) / (9|T|), with y the vertices about the
-    centroid and S = sum_k |y_k|^2."""
-    # face i omits vertex 3 - i; y is taken from the edge vectors, since
-    # the centroid of p itself loses digits on tets far from the origin
-    d = p - p[:, :1]
-    y = d[:, ::-1] - d.mean(axis=1)[:, None]
-    Y = np.einsum("tix,tjx->tij", y, y)
-    Y += np.trace(Y, axis1=1, axis2=2)[:, None, None] / 20.0
-    Y *= (sign / (9.0 * vol)[:, None])[:, :, None] * sign[:, None, :]
-    return Y
+def curl_curl(grads, vol):
+    """Curl-curl matrices (n_t, 6, 6): |T| c_i . c_j, c = ``edge_curls``."""
+    c = edge_curls(grads)
+    return np.einsum("tix,tjx->tij", c, c) * vol[:, None, None]
+
+
+def stiffness(grads, vol):
+    """P1 stiffness matrices (n_t, 4, 4): |T| grad lam_a . grad lam_b."""
+    return np.einsum("tix,tjx->tij", grads, grads) * vol[:, None, None]

@@ -9,9 +9,7 @@ external component 0 closes Gauss's law.
 Nedelec lift: prescribed curl and homology periods, swept over the face
 equations of C from the tree and the closing edge of each sigma_n, which
 carries its period.  Circulations it leaves free (none on any mesh tried)
-are fitted to the unused faces.  With zero curl and a unit period on one
-sigma_n it gives the harmonic cocycles that complete the gradients to a
-basis of ker C.
+are fitted to the unused faces.
 """
 
 from __future__ import annotations
@@ -149,16 +147,6 @@ def nedelec_potential(m: Mesh, tc: TreeCotree, hb: HomologyBasis,
             raise LiftError(
                 f"period over sigma_{n + 1} is {per}, wanted {cd.beta[n]}")
     return FEFunction(Space.EDGE, m, circ)
-
-
-def harmonic_cocycles(m: Mesh, tc: TreeCotree, hb: HomologyBasis) -> np.ndarray:
-    """(n_e, g) curl-free Nedelec fields, column n with period 1 on sigma_n
-    and 0 on the others: with the gradients they span ker C."""
-    zero = FEFunction(Space.FACE, m, np.zeros(m.n_f))
-    H = np.zeros((m.n_e, hb.g))
-    for n, beta in enumerate(np.eye(hb.g)):
-        H[:, n] = nedelec_potential(m, tc, hb, CurlData(zero, beta)).coeffs
-    return H
 
 
 def clean_curl_data(m: Mesh, b: BoundaryStructure, J_h: FEFunction) -> FEFunction:

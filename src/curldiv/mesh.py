@@ -7,11 +7,11 @@ are stored with sorted vertex indices plus a +-1 orientation sign so local
 Whitney bases line up with the global degrees of freedom without sign maps.
 C and D are tables of signed ids per row, ``face_edges`` and ``tet_faces``,
 which the sweeps read, as they read the rows of D^T, ``face_tets``: the
-two tets of each face.  ``incidence`` builds G, C and D as sparse
-matrices, with scipy, for the linear algebra of the solve, as are the
-unit mass matrices ``rt_mass`` and ``edge_mass``, summed from closed-form
-local matrices through int32 COO indices, and the P1 stiffness
-``gradient_stiffness``.  The arrays of a ``Mesh`` are read-only.
+two tets of each face.  With scipy, for the solve, ``incidence`` builds
+G, C and D as sparse matrices, and ``edge_mass``, ``curl_curl`` (C^T M_f
+C) and ``gradient_stiffness`` (G^T M_e G, every vertex but the last) are
+summed from closed-form local matrices, unit coefficient, with no stored
+0.0.  The arrays of a ``Mesh`` are read-only.
 
 ``build_mesh`` numbers each level by sorting one int64 key per simplex,
 from the ids of the level below: a*n_v + b for edge [a, b], id([a, b])*n_v
@@ -129,20 +129,23 @@ class Mesh:
         return derive_incidence(self)
 
     @cached_property
-    def rt_mass(self) -> "sp.csr_matrix":
-        """The Raviart-Thomas mass matrix, unit coefficient, read-only."""
-        return _global_mass(self, "face")
+    def edge_mass(self) -> "sp.csr_matrix":
+        """The Nedelec mass matrix M_e, unit coefficient, read-only."""
+        return _global_matrix(self, self.tet_edges, self.n_e,
+                              kernels.edge_mass)
 
     @cached_property
-    def edge_mass(self) -> "sp.csr_matrix":
-        """The Nedelec mass matrix, unit coefficient, read-only."""
-        return _global_mass(self, "edge")
+    def curl_curl(self) -> "sp.csr_matrix":
+        """C^T M_f C (M_f the RT mass), unit coefficient, read-only."""
+        return _global_matrix(self, self.tet_edges, self.n_e,
+                              kernels.curl_curl)
 
     @cached_property
     def gradient_stiffness(self) -> "sp.csr_matrix":
         """G*^T M_e G*, G* the columns of G for every vertex but the last
         (L*_h): the P1 stiffness, unit coefficient, read-only."""
-        return _gradient_stiffness(self)
+        A = _global_matrix(self, self.tets, self.n_v, kernels.stiffness)
+        return _read_only(A[:-1, :-1])
 
     @cached_property
     def boundary(self) -> "BoundaryStructure":
@@ -251,7 +254,7 @@ def build_mesh(coords, tet_list) -> Mesh:
 
     lo, hi = vertices.min(axis=0), vertices.max(axis=0)
     diag = float(np.linalg.norm(hi - lo))
-    svol = np.linalg.det(kernels.tet_jacobian(vertices, tets)) / 6.0
+    svol = kernels.tet_edge_vectors(vertices, tets)[1] / 6.0
     if np.any(np.abs(svol) < DEGENERACY_TOL * diag ** 3):
         bad = int(np.argmin(np.abs(svol)))
         raise MeshError(f"degenerate tet {bad}: volume below tolerance")
@@ -302,38 +305,24 @@ def _read_only(M: sp.csr_matrix) -> sp.csr_matrix:
     return M
 
 
-def _global_mass(m: Mesh, space: str) -> sp.csr_matrix:
-    """The unit mass matrix of the RT ("face") or Nedelec ("edge") basis."""
+def _global_matrix(m: Mesh, conn: np.ndarray, dim: int,
+                   local) -> sp.csr_matrix:
+    """The dim x dim sum of local(grads, volumes) on the ids conn, read-only."""
     import scipy.sparse as sp           # only the solve path needs scipy
 
-    if space == "face":
-        conn, dim = m.tet_faces, m.n_f
-    else:
-        conn, dim = m.tet_edges, m.n_e
     nb = conn.shape[1]
     data = np.empty((m.n_t, nb, nb))
     for blk in kernels.blocks(m.n_t):
-        if space == "face":
-            data[blk] = kernels.rt_mass(m.vertices[m.tets[blk]],
-                                        m.tet_face_sign[blk], m.volumes[blk])
-        else:
-            data[blk] = kernels.edge_mass(m.tet_geometry[0][blk],
-                                          m.volumes[blk])
+        data[blk] = local(m.tet_geometry[0][blk], m.volumes[blk])
     conn = conn.astype(np.int32)        # ids < 2**31 (module docstring)
     M = sp.coo_matrix((data.ravel(), (np.repeat(conn, nb, axis=1).ravel(),
                                       np.tile(conn, (1, nb)).ravel())),
                       shape=(dim, dim)).tocsr()
-    # tocsr keeps the arrays of the COO entries, 36 per tet for edges, where
-    # the sums fill more than half of them: copy out the nnz, once the COO
-    # arrays are gone
+    # drop the sums that are exactly 0.0, and nothing else; then copy out the
+    # nnz, as tocsr keeps the arrays of the COO entries, 36 per tet for edges
     del data
+    M.eliminate_zeros()
     return _read_only(M.copy())
-
-
-def _gradient_stiffness(m: Mesh) -> sp.csr_matrix:
-    """G*^T M_e G* with G* = G[:, :-1], summed in CSC order."""
-    G = m.incidence.G.tocsc()[:, :-1]
-    return _read_only((G.T @ m.edge_mass @ G).tocsr())
 
 
 def extract_boundary(m: Mesh) -> BoundaryStructure:

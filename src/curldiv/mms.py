@@ -42,7 +42,6 @@ class MMSCase:
     u: object                       # exact field, (n, 3) -> (n, 3)
     J: object                       # curl u
     g: object                       # div u
-    description: str = ""
 
     def tangential(self, c: float) -> TangentialProblem:
         """curl(c u) = J and (c u) x n = a for eta = c."""
@@ -112,14 +111,15 @@ def discrete_beta(case: MMSCase, m: Mesh, hb: HomologyBasis) -> np.ndarray:
 
 _PI = np.pi
 
+# a constant field, reproduced exactly by both spaces
 register(MMSCase(
     name="constant",
     u=lambda p: np.broadcast_to(np.array([1.0, 2.0, 3.0]), (len(p), 3)).copy(),
     J=lambda p: np.zeros((len(p), 3)),
     g=lambda p: np.zeros(len(p)),
-    description="constant field (1, 2, 3); reproduced exactly by both spaces",
 ))
 
+# a trigonometric field with unit divergence and a smooth curl
 register(MMSCase(
     name="mms1",
     u=lambda p: np.column_stack([np.sin(_PI * p[:, 1]) + p[:, 0],
@@ -129,9 +129,9 @@ register(MMSCase(
                                  -_PI * np.cos(_PI * p[:, 0]),
                                  -_PI * np.cos(_PI * p[:, 1])]),
     g=lambda p: np.ones(len(p)),
-    description="trigonometric field with unit divergence and smooth curl",
 ))
 
+# a polynomial field with constant curl, exact data and lifts
 register(MMSCase(
     name="mms2",
     u=lambda p: np.column_stack([p[:, 1] * p[:, 2],
@@ -140,6 +140,4 @@ register(MMSCase(
     J=lambda p: np.column_stack([np.zeros(len(p)), np.zeros(len(p)),
                                  np.ones(len(p))]),
     g=lambda p: np.zeros(len(p)),
-    description="polynomial field with constant curl; data exactly "
-                "representable, lifts need no cleaning",
 ))

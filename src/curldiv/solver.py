@@ -4,23 +4,23 @@ Tangential problem: curl(eta u) = J, div u = g, (eta u) x n = a on the
 boundary, prescribed component fluxes alpha.  Normal problem: curl u = J,
 div(mu u) = g, mu u . n = b, prescribed homology periods beta.  Both are
 solved by Jacobi-preconditioned conjugate gradients.  The coefficient,
-one positive, finite float checked when a problem is made, scales the
-unit mass matrices M_f = ``Mesh.rt_mass`` and M_e = ``Mesh.edge_mass``.
-The boundary data are callables fn(points, normals).  A problem holds
-what its assembly reads (eta, J, a or mu, g, b); g and alpha, or J and
-beta, enter through the lift, whose space names the formulation.
+checked to lie in COEFFICIENT_RANGE when a problem is made, scales the
+unit-coefficient matrices of the mesh.  The boundary data are callables
+fn(points, normals).  A problem holds what its assembly reads (eta, J, a
+or mu, g, b); g and alpha, or J and beta, enter through the lift, whose
+space names the formulation.
 
-Normal: u_h - lift lies in grad L*_h, G restricted to the vertex columns
-L*_h (every vertex but the last), and K = G^T mu M_e G is positive definite.
+Normal: u_h - lift lies in grad L*_h, L*_h every vertex but the last, and
+K = mu G^T M_e G = mu ``Mesh.gradient_stiffness`` is positive definite.
 
-Tangential: u_h = C x + lift over all edges, with K = C^T eta M_f C
-semidefinite on the quotient space N_h / ker C.  CG converges on it
-because the load is made consistent first: the edge load F loses its
-M_e-projection onto ker C, the gradients plus the g harmonic cocycles
-(Ren, IEEE Trans. Magn. 32(3), 1996).  The projection does not depend on
-the basis of ker C, so u_h does not depend on the vertex numbering, and
-the curl of every CG iterate lies in W0h.  The tree-cotree gauged basis
-N*_h (the cotree less the g closing edges of the domain generators
+Tangential: u_h = C x + lift over all edges, with K = eta C^T M_f C = eta
+``Mesh.curl_curl`` semidefinite on the quotient space N_h / ker C.  CG
+converges on it because the load is made consistent first: the edge load
+F loses its M_e-projection onto ker C, the gradients plus the g harmonic
+cocycles ``HomologyBasis.cocycles`` (Ren, IEEE Trans. Magn. 32(3), 1996).
+The projection does not depend on the basis of ker C, so u_h does not
+depend on the vertex numbering, and the curl of every CG iterate lies in
+W0h.  The gauged basis N*_h (the cotree less the g closing edges of the
 sigma_n) gives the same u_h from the principal submatrix of K and rhs on
 N*_h, which is positive definite; the tests keep it as the reference.
 """
@@ -47,6 +47,10 @@ BOUNDARY_DEGREE = 3
 ERROR_DEGREE = 4
 # the residual above which validate_tangential warns
 _VALIDATE_TOL = 1e-8
+# c scales the unit matrices and 1/c the CG scalars (r.z, d.Kd, z, x): each
+# stays a normal float if it is within 2**254 of 1 at c = 1, as on a mesh
+# of any practical size, and c within 2**768: 254 + 768 = 1022.
+COEFFICIENT_RANGE = (2.0 ** -768, 2.0 ** 768)
 
 
 class SolverError(RuntimeError):
@@ -54,8 +58,9 @@ class SolverError(RuntimeError):
 
 
 def _check_coefficient(coef: float) -> None:
-    if not (np.isfinite(coef) and coef > 0):
-        raise SolverError(f"coefficient must be finite and > 0, got {coef!r}")
+    if not COEFFICIENT_RANGE[0] <= coef <= COEFFICIENT_RANGE[1]:
+        raise SolverError(f"coefficient must be finite and > 0, in "
+                          f"[2**-768, 2**768], got {coef!r}")
 
 
 @dataclass
@@ -212,9 +217,9 @@ def validate_tangential(p: TangentialProblem, m: Mesh,
     quadrature error.  The trace check compares the outward flux of J
     through each boundary face, taken from those same fluxes, with the
     circulation of n x a around the face (Stokes on the face), a block of
-    boundary faces at a time.  The continuous compatibility against Neumann
-    harmonic fields needs basis fields this package never constructs, so it
-    is reported as unchecked.
+    boundary faces at a time.  Both residuals are over 1 + max |flux|.  The
+    continuous compatibility against Neumann harmonic fields needs basis
+    fields this package never constructs, so it is reported as unchecked.
     """
     report = {"warnings": [], "div_check": None, "trace_check": None,
               "unchecked": ["compatibility against Neumann harmonic fields "
@@ -239,8 +244,7 @@ def validate_tangential(p: TangentialProblem, m: Mesh,
         tri = m.vertices[m.faces[faces[blk]]]
         centroid = tri.mean(axis=1)
         tri = np.where(sign[:, None, None] > 0, tri, tri[:, [0, 2, 1]])
-        nrm = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        nrm /= np.linalg.norm(nrm, axis=1)[:, None]
+        nrm = m.face_normals[faces[blk]] * sign[:, None]
         head, tail = tri, tri[:, [1, 2, 0]]             # (nbf, 3 edges, 3)
         epts = (1.0 - t) * head[:, :, None] + t * tail[:, :, None]
         # tiny inset keeps points off ambiguous domain edges, in-plane
@@ -250,7 +254,7 @@ def validate_tangential(p: TangentialProblem, m: Mesh,
         tang = np.cross(nrm[:, None, None], av.reshape(epts.shape))
         circ = np.einsum("feqx,fex,q->f", tang, tail - head, erule.weights)
         resid[blk] = sign * flux[faces[blk]] - circ
-    worst = float(np.abs(resid).max(initial=0.0))
+    worst = float(np.abs(resid).max(initial=0.0) / scale)
     report["trace_check"] = worst
     if worst > _VALIDATE_TOL:
         report["warnings"].append(
@@ -279,13 +283,12 @@ def consistent_load(m: Mesh, F: np.ndarray,
     norm = np.linalg.norm(F)
     if norm == 0.0:
         return F, {"gradient": 0.0, "harmonic": 0.0}
-    M = m.edge_mass
-    G = _gradients(m)
-    A = m.gradient_stiffness
+    M, G = m.edge_mass, _gradients(m)
 
     def grad_part(v):
         """The gradient G phi whose M_e-pairings with grad L*_h are G^T v."""
-        return G @ solve_spd(AssembledSystem(K=A, rhs=G.T @ v))
+        return G @ solve_spd(AssembledSystem(K=m.gradient_stiffness,
+                                             rhs=G.T @ v))
 
     H = np.array(cocycles, dtype=np.float64)
     for n in range(H.shape[1]):
@@ -297,6 +300,21 @@ def consistent_load(m: Mesh, F: np.ndarray,
                 "harmonic": float(np.linalg.norm(HtF) / norm)}
 
 
+def _lift_load(m: Mesh, lift: FEFunction) -> np.ndarray:
+    """C^T M_f lift (RT lift) or G^T M_e lift (Nedelec lift), unit
+    coefficient: sum_T |T| w . lift(centroid), w the curl of an edge
+    function or the gradient of a hat function, constant on T."""
+    face = lift.space == Space.FACE
+    conn, n = (m.tet_edges, m.n_e) if face else (m.tets, m.n_v)
+    loads = np.empty(conn.shape)
+    for blk in kernels.blocks(m.n_t):
+        w = m.tet_geometry[0][blk]
+        w = kernels.edge_curls(w) if face else w
+        mean = field_values(lift, np.full((1, 4), 0.25), blk)[:, 0]
+        loads[blk] = np.einsum("tix,tx,t->ti", w, mean, m.volumes[blk])
+    return np.bincount(conn.ravel(), loads.ravel(), minlength=n)
+
+
 def assemble_tangential(p: TangentialProblem, m: Mesh, lift: FEFunction,
                         cocycles: np.ndarray) -> AssembledSystem:
     """K = C^T eta M_f C and rhs = F - C^T eta M_f lift over all edges,
@@ -306,9 +324,8 @@ def assemble_tangential(p: TangentialProblem, m: Mesh, lift: FEFunction,
     # the load first: the Nedelec mass is built before K takes memory
     F, compat = consistent_load(
         m, _edge_load(m, p.J) + _tangential_boundary_load(m, p.a), cocycles)
-    S = m.incidence.C.tocsc()
-    K = p.eta * (S.T @ m.rt_mass @ S).tocsr()
-    rhs = F - p.eta * (S.T @ (m.rt_mass @ lift.coeffs))
+    K = p.eta * m.curl_curl
+    rhs = F - p.eta * _lift_load(m, lift)
     return AssembledSystem(K=K, rhs=rhs, load_compatibility=compat)
 
 
@@ -317,20 +334,21 @@ def assemble_normal(p: NormalProblem, m: Mesh,
     """K = G^T mu M_e G and rhs = (b - g) - G^T mu M_e lift, G = G[:, L*_h]."""
     if lift.space != Space.EDGE:
         raise SolverError("normal lift must be a Nedelec function")
-    G = _gradients(m)                                   # (n_e, n_v - 1)
     K = p.mu * m.gradient_stiffness
-    rhs = _scalar_boundary_load(m, p.b) - _nodal_load(m, p.g)
-    rhs = rhs[build_L_star(m)] - p.mu * (G.T @ (m.edge_mass @ lift.coeffs))
-    return AssembledSystem(K=K, rhs=rhs)
+    rhs = (_scalar_boundary_load(m, p.b) - _nodal_load(m, p.g)
+           - p.mu * _lift_load(m, lift))
+    return AssembledSystem(K=K, rhs=rhs[build_L_star(m)])
 
 
 # ---------------------------------------------------------------------------
 # conjugate gradients
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a SolverError instead
 def solve_spd(s: AssembledSystem, tol: float = 1e-10,
               maxit: int | None = None) -> np.ndarray:
-    """Jacobi-preconditioned CG; raises on stagnation or negative curvature.
+    """Jacobi-preconditioned CG; raises on stagnation, and on an r.z or
+    d.Kd that is not finite and > 0 (negative curvature, or out of range).
 
     K may be semidefinite if rhs is orthogonal to its kernel.  CG runs on
     rhs / 2**e, its largest entry in [1/2, 1), so that |rhs|^2 neither
@@ -356,9 +374,9 @@ def solve_spd(s: AssembledSystem, tol: float = 1e-10,
     for it in range(maxit):
         Kd = K @ d
         dKd = float(d @ Kd)
-        if dKd <= 0.0:
-            raise SolverError(
-                f"negative curvature at iteration {it}; K is not SPD")
+        if not (0.0 < rz < np.inf and 0.0 < dKd < np.inf):
+            raise SolverError(f"r.z = {rz:.3e}, d.Kd = {dKd:.3e} at iteration "
+                              f"{it}: K is not SPD, or out of float range")
         step = rz / dKd
         x += step * d
         r -= step * Kd

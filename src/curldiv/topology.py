@@ -19,12 +19,12 @@ cycle pairs with them through its closing edge alone, so it is independent
 of the face boundaries and of the cycles kept before it exactly when its
 row of T ker(R) is.  What the sweep leaves, ker R and the rows independent
 of the rows before them, goes through one dense reduced row echelon form
-modulo p, ``_echelon``.  Both lifts run the same sweep in floating point,
-the Nedelec lift over the faces of C and the RT lift over the tets of D.
-The sweep reads C and D as the tables of the mesh, ``face_edges`` and
-``tet_faces`` with their signs, and needs no sparse matrix; the dual graph
-(tets joined through interior faces) is ``Mesh.face_tets``, the rows of
-D^T.
+modulo p, ``_echelon``, which also turns the cocycles of the sigma_n into
+the harmonic cocycles with periods delta_nm, exact integers that complete
+the gradients to a basis of ker C.  Both lifts run the same sweep in
+floating point, the Nedelec lift over the faces of C and the RT lift over
+the tets of D.  The sweep reads C and D as the tables ``face_edges`` and
+``tet_faces`` of the mesh, and the dual graph as ``Mesh.face_tets``.
 """
 
 from __future__ import annotations
@@ -191,6 +191,7 @@ class HomologyBasis:
     cycles: list                    # g domain generators, dict edge -> coeff
     closing_edges: np.ndarray       # (g,) closing edge of each, coeff +1
     rank_C: int                     # rank of the curl incidence operator
+    cocycles: np.ndarray            # (n_e, g) ker C, period delta_nm on sigma_m
 
     @property
     def g(self) -> int:
@@ -349,9 +350,22 @@ def domain_homology_basis(m: Mesh, tc: TreeCotree,
         raise TopologyError(
             f"only {len(selected)} of {g} surface cycles survive in the "
             "domain; mesh or topology bug")
-    return HomologyBasis(cycles=[dict(scb.cycles[q]) for q in selected],
-                         closing_edges=scb.closing_edges[selected],
-                         rank_C=rank_C)
+    cycles = [dict(scb.cycles[q]) for q in selected]
+    closing = scb.closing_edges[selected]
+    # H = W B^-1 mod p, B = W[closing], the periods of W: the echelon form
+    # of [B^T | W^T] is [I | H^T].  Lifted to (-p/2, p/2], H is the integer
+    # solution, which is unique, exactly when C H = 0 in the integers
+    H = _echelon(np.hstack([W[closing].T, W.T]))[0][:, g:].T.copy()
+    H[H > _PRIME // 2] -= _PRIME
+    periods = np.array([np.array(list(cyc.values())) @ H[list(cyc)]
+                        for cyc in cycles], dtype=np.int64).reshape(g, g)
+    if (np.einsum("fin,i->fn", H[m.face_edges], FACE_EDGE_SIGN).any()
+            or not np.array_equal(periods, np.eye(g))):
+        raise TopologyError("the harmonic cocycles are not curl-free integer "
+                            "cochains with unit periods; mesh or topology bug")
+    H.setflags(write=False)
+    return HomologyBasis(cycles=cycles, closing_edges=closing,
+                         rank_C=rank_C, cocycles=H)
 
 
 def betti(m: Mesh, rank_C: int):

@@ -1,4 +1,5 @@
-"""The tree-cotree gauged reference of the tangential solve.
+"""The tree-cotree gauged reference of the tangential solve, and the g float
+sweeps over C that are the reference of the exact harmonic cocycles.
 
 The unit fields of the N*_h edges (``build_N_star``: the cotree less the
 sigma_n closing edges) have independent curls that span the curls of all
@@ -6,16 +7,27 @@ edges, so the principal submatrix on N*_h of the quotient system is
 positive definite and gives the same u_h = C[:, N*_h] x + lift.
 """
 
-from curldiv import (AssembledSystem, FEFunction, Solution,
-                     assemble_tangential, build_N_star, harmonic_cocycles,
+import numpy as np
+
+from curldiv import (AssembledSystem, CurlData, FEFunction, Solution,
+                     assemble_tangential, build_N_star, nedelec_potential,
                      solve_spd)
+
+
+def float_cocycles(m, tc, hb):
+    """(n_e, g) Nedelec lifts with zero curl and a unit period on one
+    sigma_n: ``HomologyBasis.cocycles`` by g float sweeps over C."""
+    zero = FEFunction("face", m, np.zeros(m.n_f))
+    H = np.zeros((m.n_e, hb.g))
+    for n, beta in enumerate(np.eye(hb.g)):
+        H[:, n] = nedelec_potential(m, tc, hb, CurlData(zero, beta)).coeffs
+    return H
 
 
 def gauged_system(prob, m, topo, lift):
     """N*_h and the principal submatrix on it of the quotient system, with
     sorted column indices, so that CG sums each row in column order."""
-    full = assemble_tangential(prob, m, lift, harmonic_cocycles(
-        m, topo.tree, topo.homology))
+    full = assemble_tangential(prob, m, lift, topo.homology.cocycles)
     gb = build_N_star(topo.tree, topo.homology)
     return gb, AssembledSystem(K=full.K[gb][:, gb].sorted_indices(),
                                rhs=full.rhs[gb],

@@ -5,7 +5,8 @@ benchmark imports is used.  No linter ships with the project, so this
 parses each module with ``ast`` and fails on an imported name that the
 module never references, unless the line that imports it carries
 ``# noqa: F401``.  And every function, class and constant a module of the
-package defines at top level is read by the package, exported from
+package defines at top level, and every method, property, dataclass field
+and constant of its classes, is read by the package, exported from
 ``curldiv/__init__.py`` or read by the benchmark: a name only the tests
 read lives in the tests.
 
@@ -46,11 +47,11 @@ def unused_imports(source: str) -> list[str]:
                   and "# noqa: F401" not in lines[line - 1])
 
 
-def top_level_names(source: str) -> list[str]:
-    """The functions, classes and constants a module defines at top level,
-    less dunder names such as a module ``__getattr__``."""
+def _defined_names(body) -> list[str]:
+    """The functions, classes and assigned names of a module or class
+    body, less dunder names such as ``__getattr__`` or ``__post_init__``."""
     names = []
-    for node in ast.parse(source).body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -59,6 +60,19 @@ def top_level_names(source: str) -> list[str]:
             for t in targets:
                 names += [n.id for n in ast.walk(t) if isinstance(n, ast.Name)]
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def top_level_names(source: str) -> list[str]:
+    """The functions, classes and constants a module defines at top level."""
+    return _defined_names(ast.parse(source).body)
+
+
+def class_level_names(source: str) -> list[str]:
+    """The methods, properties, dataclass fields and class constants of the
+    top-level classes of a module."""
+    return [name for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef)
+            for name in _defined_names(node.body)]
 
 
 def read_names(paths) -> set[str]:
@@ -82,10 +96,19 @@ def test_dead_names_detected():
     assert top_level_names(source) == ["X", "_A", "_B", "_C", "Y", "f", "K"]
 
 
+def test_dead_class_level_names_detected():
+    source = ("class K:\n    a: int\n    b: int = 0\n    C = 1\n"
+              "    def __post_init__(self): pass\n"
+              "    @property\n    def p(self): return self.a\n"
+              "    def m(self): pass\nX = 1\n")
+    assert class_level_names(source) == ["a", "b", "C", "p", "m"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_dead_names(module):
     read = read_names([*SRC.glob("*.py"), *PERFBENCH.glob("*.py")])
-    dead = set(top_level_names((SRC / module).read_text())) - read
+    source = (SRC / module).read_text()
+    dead = set(top_level_names(source) + class_level_names(source)) - read
     assert sorted(dead) == []
 
 

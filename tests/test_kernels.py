@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from curldiv import build_mesh, error_norms, kernels, mesh, solver, write_vtk
 from curldiv.cli import (ProblemConfig, compute_topology,
@@ -11,6 +10,7 @@ from curldiv.elements import FEFunction, zero_function
 from curldiv.meshes import structured_cube_mesh
 from curldiv.mms import get_case
 from curldiv.quadrature import make_quadrature
+from quadrature_mass import tensor_mass
 
 FIXTURES = ["cube2", "torus", "hollow", "genus2", "handle_cavity",
             "torus_cavity"]
@@ -44,42 +44,40 @@ def test_geometry_kernel_runs_once_per_mesh(handle_cavity, tmp_path,
 
 
 def test_each_mass_matrix_built_once_per_mesh(handle_cavity, monkeypatch):
-    # a tangential and a normal solve build the RT mass once, and share one
-    # Nedelec mass and one P1 stiffness between consistent_load and
-    # assemble_normal; the tangential load comes before its K
+    # a tangential and a normal solve build each matrix once: the
+    # tangential load the Nedelec mass and the P1 stiffness, which the
+    # normal K shares, before the curl-curl K; no solve builds an RT mass
     m = build_mesh(handle_cavity.vertices, handle_cavity.tets)
     built = []
-    build = mesh._global_mass
-    monkeypatch.setattr(mesh, "_global_mass",
-                        lambda m, space: built.append(space) or build(m, space))
-    stiffness = mesh._gradient_stiffness
-    monkeypatch.setattr(mesh, "_gradient_stiffness",
-                        lambda m: built.append("stiffness") or stiffness(m))
+    build = mesh._global_matrix
+    monkeypatch.setattr(mesh, "_global_matrix", lambda m, conn, dim, local:
+                        built.append(local.__name__)
+                        or build(m, conn, dim, local))
     topo = compute_topology(m)
     for f in ("tangential", "normal"):
         _, rep = solve_on_mesh(m, ProblemConfig(f, "mms1"), topo)
         assert rep["passed"]
-    assert built == ["edge", "stiffness", "face"]
-    for M in (m.rt_mass, m.edge_mass, m.gradient_stiffness):   # cached
+    assert built == ["edge_mass", "stiffness", "curl_curl"]
+    for M in (m.curl_curl, m.edge_mass, m.gradient_stiffness):   # cached
         assert not any(a.flags.writeable
                        for a in (M.data, M.indices, M.indptr))
-    assert built == ["edge", "stiffness", "face"]
+    assert built == ["edge_mass", "stiffness", "curl_curl"]
 
 
 def test_normal_K_is_the_stiffness_product_bitwise(handle_cavity):
-    # at mu = 1, K = mu A is the product G*^T M_e G* formed in the assembly
+    # K = mu A, A the cached P1 stiffness, which is G*^T M_e G* to round-off
     m = handle_cavity
     lift = zero_function("edge", m)
-    K = solver.assemble_normal(get_case("mms1").normal(1.0), m, lift).K
+    A = m.gradient_stiffness
+    for mu in (1.0, 2.5):
+        K = solver.assemble_normal(get_case("mms1").normal(mu), m, lift).K
+        for a, b in ((K.indptr, A.indptr), (K.indices, A.indices),
+                     (K.data, mu * A.data)):
+            assert np.array_equal(a, b)
+        assert K.data.flags.writeable
+    assert not A.data.flags.writeable
     G = solver._gradients(m)
-    want = (G.T @ m.edge_mass @ G).tocsr()
-    for a, b in ((K.indptr, want.indptr), (K.indices, want.indices),
-                 (K.data, want.data)):
-        assert np.array_equal(a, b)
-    K2 = solver.assemble_normal(get_case("mms1").normal(2.5), m, lift).K
-    assert np.array_equal(K2.data, 2.5 * want.data)
-    assert K2.data.flags.writeable
-    assert not m.gradient_stiffness.data.flags.writeable
+    _assert_matches(A, G.T @ m.edge_mass @ G)
 
 
 def _edge_basis_by_index(grads, lam):
@@ -162,44 +160,44 @@ def test_loads_match_add_at_reference_bitwise(name, request):
         assert np.array_equal(got, want)
 
 
-def _tensor_mass(m, space):
-    """The mass matrix of the tensor path: the identity coefficient as an
-    (n_t, nq, 3, 3) array, contracted with the basis by a 3x3 einsum, on
-    the degree 2 rule, which is exact for the mass of linear fields."""
-    rule = make_quadrature("tet", 2)
-    n_t, nq = m.n_t, len(rule.weights)
-    tensor = np.ascontiguousarray(np.broadcast_to(np.eye(3), (n_t, nq, 3, 3)))
-    grads, det = kernels.tet_geometry(m.vertices, m.tets)
-    if space == "face":
-        basis, conn, dim = (kernels.rt_basis_values(grads, rule.points),
-                            m.tet_faces, m.n_f)
-    else:
-        basis, conn, dim = (kernels.edge_basis_values(grads, rule.points),
-                            m.tet_edges, m.n_e)
-    cb = np.einsum("tqxy,tqjy->tqjx", tensor, basis)
-    local = np.einsum("tqix,tqjx,q->tij", basis, cb, rule.weights)
-    local = local * np.abs(det)[:, None, None]
-    nb = conn.shape[1]
-    rows = np.repeat(conn, nb, axis=1).ravel()
-    cols = np.tile(conn, (1, nb)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(dim, dim)).tocsr()
+def _assert_matches(got, want):
+    """got stores a subset of the entries of want, and equals it to
+    round-off: the entries it does not store are round-off in want."""
+    g, w = got.tocoo(), want.tocoo()
+    assert set(zip(g.row, g.col)) <= set(zip(w.row, w.col))
+    assert abs(got - want).max() <= 1e-14 * abs(want).max()
 
 
-# the mass matrices have the unit coefficient; eta and mu scale them in the
+def _quadrature_matrices(m):
+    """The edge mass, curl-curl and P1 stiffness matrices of m, each with
+    its oracle from the quadrature masses."""
+    M_e = tensor_mass(m, "edge")
+    C, G = m.incidence.C, solver._gradients(m)
+    return ((m.edge_mass, M_e),
+            (m.curl_curl, C.T @ tensor_mass(m, "face") @ C),
+            (m.gradient_stiffness, G.T @ M_e @ G))
+
+
+# the matrices have the unit coefficient; eta and mu scale them in the
 # assembly, so the identity is the one tensor case left.  The closed forms
-# keep the pattern of the quadrature path bit for bit, and its values to
-# round-off.
+# keep the pattern of the quadrature path less the sums that cancel to
+# 0.0 exactly, and its values to round-off.
 @pytest.mark.parametrize("kind", ["identity"])
 @pytest.mark.parametrize("name", FIXTURES)
 def test_mass_matrices_match_tensor_coefficient_bitwise(name, kind, request):
     m = request.getfixturevalue(name)
-    for space, got in (("face", m.rt_mass), ("edge", m.edge_mass)):
-        want = _tensor_mass(m, space)
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert (np.abs(got.data - want.data).max()
-                <= 1e-14 * np.abs(want.data).max())
+    for got, want in _quadrature_matrices(m):
+        _assert_matches(got, want)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_stiffness_matrices_store_no_round_off(name, request):
+    # on the Kuhn grids every zero of the exact K cancels to 0.0 from the
+    # one determinant of each tet, and is not stored
+    m = request.getfixturevalue(name)
+    for K in (m.curl_curl, m.gradient_stiffness):
+        a = np.abs(K.data)
+        assert a.min() >= 1e-12 * a.max()
 
 
 _UNIT = np.eye(4, 3, -1)                      # 0 and the unit vectors
@@ -217,17 +215,17 @@ def test_closed_form_masses_match_quadrature_on_one_tet(name):
     coords, orient = ONE_TETS[name]
     m = build_mesh(coords, [[0, 1, 2, 3]])
     assert m.tet_orient[0] == orient
-    for space, got in (("face", m.rt_mass), ("edge", m.edge_mass)):
-        want = _tensor_mass(m, space).toarray()
-        assert (np.abs(got.toarray() - want).max()
-                <= 1e-14 * np.abs(want).max())
+    for got, want in _quadrature_matrices(m):
+        got, want = got.toarray(), want.toarray()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # tracemalloc peaks on structured_cube_mesh(8), 3,072 tets, at about 1.3
-# times those measured with numpy 2.4 and scipy 1.17; the quadrature masses
-# and the whole-mesh passes they replaced peaked at 3.2, 7.2, 4.9, 0.65,
-# 1.7, 7.2 and 11.8 MB
-PASS_PEAK_MB = {"rt_mass": 1.8, "edge_mass": 4.0, "edge_load": 1.65,
+# times those measured with numpy 2.4 and scipy 1.17; the quadrature edge
+# mass and the whole-mesh passes that the last five replaced peaked at 7.2,
+# 4.9, 0.65, 1.7, 7.2 and 11.8 MB
+PASS_PEAK_MB = {"curl_curl": 4.0, "edge_mass": 4.0,
+                "gradient_stiffness": 1.9, "edge_load": 1.65,
                 "nodal_load": 0.3, "tangential_boundary_load": 1.6,
                 "tangential_error": 1.75, "normal_error": 3.0}
 
@@ -239,7 +237,8 @@ def _element_passes(m):
             for f, s, n in (("tangential", "face", m.n_f),
                             ("normal", "edge", m.n_e))}
     return {
-        "rt_mass": lambda: m.rt_mass,
+        "curl_curl": lambda: m.curl_curl,
+        "gradient_stiffness": lambda: m.gradient_stiffness,
         "edge_mass": lambda: m.edge_mass,
         "edge_load": lambda: solver._edge_load(m, case.J),
         "nodal_load": lambda: solver._nodal_load(m, case.g),

@@ -227,7 +227,8 @@ def test_nedelec_fits_circulations_the_sweep_leaves(torus, topo_torus,
     monkeypatch.setattr(lifts.np.linalg, "lstsq", counted)
     no_periods = HomologyBasis(cycles=[],
                                closing_edges=np.zeros(0, dtype=np.int64),
-                               rank_C=topo_torus.homology.rank_C)
+                               rank_C=topo_torus.homology.rank_C,
+                               cocycles=np.zeros((torus.n_e, 0), dtype=int))
     a = np.random.default_rng(0).standard_normal(torus.n_e)
     J = torus.incidence.C @ a
     u = nedelec_potential(torus, topo_torus.tree, no_periods,

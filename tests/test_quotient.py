@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curldiv import (DivergenceData, build_mesh, consistent_load,
-                     harmonic_cocycles, interpolate, rt_potential, solve_spd)
+                     interpolate, rt_potential, solve_spd)
 from curldiv import cli
 from curldiv.elements import field_values
 from curldiv.meshes import structured_cube_mesh
@@ -91,7 +91,7 @@ def test_quotient_u_h_matches_gauged_reference(name, request):
 def test_consistent_load_annihilates_ker_C(handle_cavity, topo_handle_cavity):
     m, topo = handle_cavity, topo_handle_cavity
     case = get_case("mms1")
-    H = harmonic_cocycles(m, topo.tree, topo.homology)
+    H = topo.homology.cocycles
     assert H.shape == (m.n_e, 1)
     assert np.abs(m.incidence.C @ H).max() == 0.0
     a = case.tangential(1.0).a

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,9 @@ from curldiv import (AssembledSystem, DivergenceData,
                      ElementError, FEFunction, NormalProblem, SolverError,
                      TangentialProblem, assemble_normal, build_L_star,
                      build_mesh, cli, error_norms, interpolate, rt_potential,
-                     solve_spd, solver, validate_tangential)
-from curldiv.cli import ProblemConfig, compute_topology, solve_on_mesh
+                     solve_spd, solver, validate_tangential, write_gmsh)
+from curldiv.cli import (ConfigError, ProblemConfig, compute_topology,
+                         parse_config, solve_on_mesh)
 from curldiv.elements import FACE_DEGREE, eval_field
 from curldiv.meshes import structured_cube_mesh
 from curldiv.mms import get_case
@@ -146,6 +148,14 @@ def test_nonpositive_diagonal_detected():
         solve_spd(s)
 
 
+def test_overflowing_curvature_raises_solver_error():
+    # an SPD K of normal floats on which r.z = 4e307 stays finite and d.Kd
+    # overflows; a zero r.z once ended in a bare ZeroDivisionError
+    K = sp.csr_matrix(1e-307 * (0.001 * np.eye(16) + 0.999))
+    with pytest.raises(SolverError, match="d.Kd = inf at iteration 0"):
+        solve_spd(AssembledSystem(K=K, rhs=np.ones(16)))
+
+
 def test_galerkin_residual_after_solve(cube2, topo_cube2):
     # the residual equation rhs - K.W = 0 holds for every test function
     from curldiv.mms import get_case
@@ -263,7 +273,7 @@ def _reference_validate(p, m, b, tol=1e-8):
     """Face-by-face validator: one flux per face by the face rule of the RT
     interpolant, then for each boundary face a second flux and a Stokes
     circulation in a Python loop, with the scalar D[owner, f] as outward
-    sign."""
+    sign; both residuals over 1 + the largest flux."""
     report = {"warnings": [], "div_check": None, "trace_check": None}
     frule = make_quadrature("tri", FACE_DEGREE)
     fverts = m.vertices[m.faces]
@@ -299,7 +309,7 @@ def _reference_validate(p, m, b, tol=1e-8):
             av = _eval_boundary(p.a, epts, nq, vector=True)
             circ += float(np.einsum("qx,x,q->", np.cross(nrm, av),
                                     tri[j] - tri[i], erule.weights))
-        worst = max(worst, abs(fluxJ - circ))
+        worst = max(worst, abs(fluxJ - circ) / scale)
     report["trace_check"] = worst
     if worst > tol:
         report["warnings"].append(
@@ -429,6 +439,52 @@ def test_scalar_coefficient_far_from_1_solves_like_identity(coef):
         for part, value in want.items():
             got = rep["checks"]["load_compatibility"][part]
             assert abs(got - value) <= 1e-12
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_coefficient_range_is_pinned_at_both_ends(end, tmp_path, capsys):
+    # each end of the range gives the c = 1 u_h; the next float beyond it
+    # is a package error, and exit code 1 from ``curldiv solve``.  Before
+    # the range, c = 5e-324 passed with a tangential u_h 0.93 off
+    inside = solver.COEFFICIENT_RANGE[end]
+    outside = np.nextafter(inside, (0.0, np.inf)[end])
+    m = structured_cube_mesh(3)
+    topo = compute_topology(m)
+    for f in ("tangential", "normal"):
+        sol, rep = solve_on_mesh(m, ProblemConfig(f, "mms1",
+                                                  coefficient=inside), topo)
+        ref, _ = solve_on_mesh(m, ProblemConfig(f, "mms1"), topo)
+        assert rep["passed"]
+        u, u_ref = sol.u_h.coeffs, ref.u_h.coeffs
+        assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+    for make in (TangentialProblem, NormalProblem):
+        with pytest.raises(SolverError, match=r"\[2\*\*-768, 2\*\*768\]"):
+            make(outside, None, None)
+    config = {"formulation": "tangential", "case": "mms1",
+              "coefficient": {"kind": "scalar", "value": float(outside)}}
+    with pytest.raises(ConfigError, match="finite and > 0"):
+        parse_config(config)
+    write_gmsh(tmp_path / "cube.msh", m.vertices, m.tets)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert cli.main(["solve", "--mesh", str(tmp_path / "cube.msh"),
+                     "--config", str(tmp_path / "config.json")]) == 1
+    assert "2**-768" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coef", [100.0, 1e100])
+def test_validate_residuals_scale_with_the_data(coef):
+    # both residuals are relative to the fluxes of J, which scale with c:
+    # consistent data passes at any c (the absolute trace residual warned
+    # here from c = 100 on), and a wrong datum warns at any c
+    m = structured_cube_mesh(3)
+    prob = get_case("mms1").tangential(coef)
+    assert validate_tangential(prob, m, m.boundary)["warnings"] == []
+
+    def a_twice(points, normals):
+        return 2.0 * prob.a(points, normals)
+    rep = validate_tangential(TangentialProblem(coef, prob.J, a_twice), m,
+                              m.boundary)
+    assert any("surface divergence" in w for w in rep["warnings"])
 
 
 @pytest.mark.parametrize("name", ["cube2", "torus", "handle_cavity"])

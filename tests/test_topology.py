@@ -15,6 +15,7 @@ from curldiv.topology import (_PRIME, TopologyError, _bfs, _cocycles,
                               chain_boundary, fundamental_cycle,
                               surface_cycle_basis)
 from edge_lookup import edge_ids
+from gauged import float_cocycles
 
 
 class _RowBasis:
@@ -94,14 +95,19 @@ def test_cube_tree_counts(topo_cube1):
     assert len(topo_cube1.homology.closing_edges) == 0
 
 
-def test_torus_closing_edges(topo_torus):
-    assert len(topo_torus.surface_cycles.closing_edges) == 2
-    assert len(topo_torus.surface_cycles.cycles) == 2
+def _surface_cycles(m, topo):
+    return surface_cycle_basis(m, topo.boundary, topo.tree)
+
+
+def test_torus_closing_edges(torus, topo_torus):
+    scb = _surface_cycles(torus, topo_torus)
+    assert len(scb.closing_edges) == 2
+    assert len(scb.cycles) == 2
     assert len(topo_torus.homology.closing_edges) == 1
 
 
-def test_hollow_no_cycles(topo_hollow):
-    assert len(topo_hollow.surface_cycles.cycles) == 0
+def test_hollow_no_cycles(hollow, topo_hollow):
+    assert len(_surface_cycles(hollow, topo_hollow).cycles) == 0
     assert topo_hollow.homology.g == 0
 
 
@@ -139,28 +145,28 @@ def test_boundary_first_property(fixture, mesh, request):
         assert len({find(v) for v in verts}) == 1
 
 
-def test_closing_edges_on_boundary(topo_torus):
+def test_closing_edges_on_boundary(torus, topo_torus):
     be = np.concatenate(topo_torus.boundary.component_edges)
-    assert np.isin(topo_torus.surface_cycles.closing_edges, be).all()
+    assert np.isin(_surface_cycles(torus, topo_torus).closing_edges, be).all()
 
 
 @pytest.mark.parametrize("fixture,mesh", [("topo_torus", "torus")])
 def test_cycles_are_exact_1cycles(fixture, mesh, request):
     topo = request.getfixturevalue(fixture)
     m = request.getfixturevalue(mesh)
-    for cyc in topo.surface_cycles.cycles:
+    for cyc in _surface_cycles(m, topo).cycles:
         assert chain_boundary(m, cyc) == {}
     for cyc in topo.homology.cycles:
         assert chain_boundary(m, cyc) == {}
 
 
-def test_torus_homology_closing_edge(topo_torus):
+def test_torus_homology_closing_edge(torus, topo_torus):
     # sigma_1 is one of the two surface cycles; its closing edge is its one
     # edge off the tree and has coefficient +1
     hb = topo_torus.homology
     assert hb.g == 1
     (e,) = hb.closing_edges
-    assert e in topo_torus.surface_cycles.closing_edges
+    assert e in _surface_cycles(torus, topo_torus).closing_edges
     off_tree = set(hb.cycles[0]) - set(topo_torus.tree.tree_edges.tolist())
     assert off_tree == {e}
     assert hb.cycles[0][e] == 1
@@ -298,8 +304,9 @@ def test_sweep_selects_reference_cycles(mesh, fixture, request):
     assert np.array_equal(tree.cotree_edges,
                           np.setdiff1d(np.arange(m.n_e), tree.tree_edges))
     cycles, closing = _reference_surface_cycles(m, m.boundary, tree)
-    assert topo.surface_cycles.cycles == cycles
-    assert topo.surface_cycles.closing_edges.tolist() == closing
+    scb = _surface_cycles(m, topo)
+    assert scb.cycles == cycles
+    assert scb.closing_edges.tolist() == closing
     hb = topo.homology
     selected = _reference_domain_selection(m, cycles, hb.g)
     assert hb.cycles == [cycles[q] for q in selected]
@@ -383,8 +390,40 @@ def test_surface_cycles_match_reference_under_renumbering(seed, which):
     tree = build_boundary_first_tree(m, m.boundary)
     cycles, closing = _reference_surface_cycles(m, m.boundary, tree)
     topo = compute_topology(m)
-    assert topo.surface_cycles.cycles == cycles
-    assert topo.surface_cycles.closing_edges.tolist() == closing
+    scb = _surface_cycles(m, topo)
+    assert scb.cycles == cycles
+    assert scb.closing_edges.tolist() == closing
+
+
+def _check_cocycles(m, topo):
+    """The exact cocycles are integer, curl-free in the integers, have the
+    periods delta_nm, and equal the g float sweeps exactly (which write
+    some zeros as -0.0)."""
+    hb = topo.homology
+    H = hb.cocycles
+    assert H.dtype == np.int64 and H.shape == (m.n_e, hb.g)
+    assert not H.flags.writeable
+    assert not np.any(m.incidence.C @ H)
+    periods = np.zeros((hb.g, hb.g), dtype=np.int64)
+    for n, cyc in enumerate(hb.cycles):
+        for e, c in cyc.items():
+            periods[n] += c * H[e]
+    assert np.array_equal(periods, np.eye(hb.g))
+    assert np.array_equal(H, float_cocycles(m, topo.tree, hb))
+
+
+@pytest.mark.parametrize("mesh", ["torus", "genus2", "handle_cavity",
+                                  "torus_cavity"])
+def test_cocycles_are_exact(mesh, request):
+    _check_cocycles(request.getfixturevalue(mesh),
+                    request.getfixturevalue(f"topo_{mesh}"))
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cocycles_are_exact_under_renumbering(seed):
+    m = _renumbered(seed, 5)                    # the torus at n = 5
+    _check_cocycles(m, compute_topology(m))
 
 
 # ---------------------------------------------------------------------------
