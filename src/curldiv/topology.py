@@ -24,7 +24,8 @@ the harmonic cocycles with periods delta_nm, exact integers that complete
 the gradients to a basis of ker C.  Both lifts run the same sweep in
 floating point, the Nedelec lift over the faces of C and the RT lift over
 the tets of D.  The sweep reads C and D as the tables ``face_edges`` and
-``tet_faces`` of the mesh, and the dual graph as ``Mesh.face_tets``.
+``tet_faces`` of the mesh, and the dual graph as ``Mesh.face_tets``.  Each
+of its rounds finds the rows it solves and solves them in one pass.
 """
 
 from __future__ import annotations
@@ -107,43 +108,53 @@ def _face_sweep(fe: np.ndarray, fs, known: np.ndarray, x0=None, rhs=None,
     by_edge = np.argsort(fe.ravel()) // w
     ptr = np.concatenate([[0], np.cumsum(np.bincount(fe.ravel(), minlength=n_e))])
 
-    seeded = known
+    X = np.zeros((n_e, 1), dtype=np.int64 if p else np.float64)
+    if x0 is not None:
+        X[known, 0] = x0[known]
+    b = np.zeros(len(fe), dtype=X.dtype) if rhs is None else rhs
+    # mod p with no x0 or rhs every value is 0 until the first stall (in
+    # float a round may write -0.0), so the rounds before it skip the sums
+    k, zero = 0, p is not None and x0 is None and rhs is None
     known = known.copy()
     unknown = np.count_nonzero(~known[fe], axis=1)
+    owner = np.empty(n_e, dtype=np.int64)
+    mark = np.zeros(len(fe), dtype=bool)
     used = np.zeros(len(fe), dtype=bool)
-    rounds, params = [], []
-    lowest = iter(np.flatnonzero(~known).tolist())
     front = np.flatnonzero(unknown == 1)
     while True:
         if len(front):
             rows = fe[front]
-            edges, first = np.unique(rows[~known[rows]], return_index=True)
-            used[front[first]] = True
-            rounds.append((front[first], edges))
+            own = ~known[rows]
+            edges = rows[own]               # the one unknown edge of each row
+            # the front ascends, so the last write is the lowest row
+            owner[edges[::-1]] = front[::-1]
+            win = owner[edges] == front
+            faces, edges = front[win], edges[win]
+            used[faces] = True
+            if not zero:
+                ce, cs, own = rows[win], fs[faces], own[win]
+                v = -np.einsum("fi,fic->fc", np.where(own, 0, cs), X[ce, :1 + k])
+                v[:, 0] += b[faces]
+                v *= cs[own][:, None]       # 1 / s = s for s = +-1
+                X[edges, :1 + k] = v % p if p else v
         else:
-            e = next((e for e in lowest if not known[e]), None)
-            if e is None:
+            e = np.argmax(~known)
+            if known[e]:
                 break
-            params.append(e)
+            k, zero = k + 1, False
+            if k == X.shape[1]:             # out of columns: double them
+                X = np.hstack([X, np.zeros_like(X)])
+            X[e, k] = 1
             edges = np.array([e])
         known[edges] = True
         touched = by_edge[_ranges(ptr, edges)]
         np.subtract.at(unknown, touched, 1)
-        front = np.unique(touched[(unknown[touched] == 1) & ~used[touched]])
+        # a row used or beaten has no unknown edge left, so no row comes twice
+        mark[touched] = unknown[touched] == 1
+        front = np.flatnonzero(mark)
+        mark[front] = False
 
-    k = len(params)
-    X = np.zeros((n_e, 1 + k), dtype=np.int64 if p else np.float64)
-    if x0 is not None:
-        X[seeded, 0] = x0[seeded]
-    X[params, 1 + np.arange(k)] = 1
-    b = np.zeros(len(fe), dtype=X.dtype) if rhs is None else rhs
-    for faces, edges in rounds:
-        ce, cs = fe[faces], fs[faces]
-        own = ce == edges[:, None]
-        v = -np.einsum("fi,fic->fc", np.where(own, 0, cs), X[ce])
-        v[:, 0] += b[faces]
-        v *= cs[own][:, None]               # 1 / s = s for s = +-1
-        X[edges] = v % p if p else v
+    X = np.ascontiguousarray(X[:, :1 + k])
     rest = ~used
     R = np.einsum("fi,fic->fc", fs[rest], X[fe[rest]])
     R[:, 0] -= b[rest]
@@ -220,16 +231,18 @@ def _bfs(n: int, u, v, root: int):
     parent = np.full(n, -1, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
     seen[root] = True
+    first = np.empty(n, dtype=np.int64)
     order = [np.array([root])]
     while len(order[-1]):
         at = _ranges(ptr, order[-1])
         nbr = dst[at]
-        fresh = np.flatnonzero(~seen[nbr])
-        # a node joins the queue where the scan first meets it
-        first = fresh[np.sort(np.unique(nbr[fresh], return_index=True)[1])]
-        parent[nbr[first]] = arc[at[first]]
-        seen[nbr[first]] = True
-        order.append(nbr[first])
+        # a node joins the queue where the scan first meets it, the last
+        # write of the reversed scan
+        first[nbr[::-1]] = at[::-1]
+        nbr = nbr[(first[nbr] == at) & ~seen[nbr]]
+        parent[nbr] = arc[first[nbr]]
+        seen[nbr] = True
+        order.append(nbr)
     return np.concatenate(order), parent
 
 

@@ -4,12 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from curldiv import (AssembledSystem, DivergenceData,
-                     ElementError, FEFunction, NormalProblem, SolverError,
-                     TangentialProblem, assemble_normal, build_L_star,
-                     build_mesh, cli, error_norms, interpolate, rt_potential,
-                     solve_spd, solver, validate_tangential, write_gmsh)
+from curldiv import (AssembledSystem, CurlData, DivergenceData,
+                     ElementError, FEFunction, MMSCase, NormalProblem,
+                     SolverError, TangentialProblem, assemble_normal,
+                     assemble_tangential, build_L_star, build_mesh, cli,
+                     clean_curl_data, discrete_alpha, discrete_beta,
+                     error_norms, interpolate, nedelec_potential,
+                     recover_solution, rt_potential, solve_spd, solver,
+                     validate_tangential, write_gmsh)
 from curldiv.cli import (ConfigError, ProblemConfig, compute_topology,
                          parse_config, solve_on_mesh)
 from curldiv.elements import FACE_DEGREE, eval_field
@@ -485,6 +489,42 @@ def test_validate_residuals_scale_with_the_data(coef):
     rep = validate_tangential(TangentialProblem(coef, prob.J, a_twice), m,
                               m.boundary)
     assert any("surface divergence" in w for w in rep["warnings"])
+
+
+def _scaled_mms1_u_h(m, topo, formulation, c, s):
+    """u_h of mms1 at coefficient c with every datum, J, g, a, b, alpha and
+    beta, times s: the steps of ``solve_on_mesh`` on the case s u."""
+    base = get_case("mms1")
+    case = MMSCase("scaled", u=lambda x: s * base.u(x),
+                   J=lambda x: s * base.J(x), g=lambda x: s * base.g(x))
+    b, hb = topo.boundary, topo.homology
+    if formulation == "tangential":
+        lift = rt_potential(m, b, DivergenceData(
+            interpolate("cell", case.g, m), discrete_alpha(case, m, b)))
+        system = assemble_tangential(case.tangential(c), m, lift,
+                                     hb.cocycles)
+    else:
+        J_h = clean_curl_data(m, b, interpolate("face", case.J, m))
+        lift = nedelec_potential(m, topo.tree, hb,
+                                 CurlData(J_h, discrete_beta(case, m, hb)))
+        system = assemble_normal(case.normal(c), m, lift)
+    return recover_solution(solve_spd(system), lift).u_h.coeffs
+
+
+@settings(max_examples=8, deadline=None)
+@given(k=st.integers(-40, 40))
+def test_u_h_is_covariant_under_power_of_two_scaling(k, handle_cavity,
+                                                     topo_handle_cavity):
+    # a power of two scales every float of the pipeline exactly, so c
+    # times 2^k gives the same u_h bit for bit, and the data times 2^k
+    # give u_h times 2^k bit for bit (p = g = 1, so alpha and beta count)
+    m, topo = handle_cavity, topo_handle_cavity
+    for f in ("tangential", "normal"):
+        u = _scaled_mms1_u_h(m, topo, f, 2.5, 1.0)
+        assert _scaled_mms1_u_h(m, topo, f, 2.5 * 2.0**k,
+                                1.0).tobytes() == u.tobytes()
+        assert _scaled_mms1_u_h(m, topo, f, 2.5,
+                                2.0**k).tobytes() == (u * 2.0**k).tobytes()
 
 
 @pytest.mark.parametrize("name", ["cube2", "torus", "handle_cavity"])

@@ -16,6 +16,7 @@ from curldiv.topology import (_PRIME, TopologyError, _bfs, _cocycles,
                               surface_cycle_basis)
 from edge_lookup import edge_ids
 from gauged import float_cocycles
+import sweep_reference
 
 
 class _RowBasis:
@@ -538,6 +539,92 @@ def test_tree_is_frozen_and_left_unchanged(torus):
     assert np.array_equal(topo.tree.cotree_edges, cotree)
     with pytest.raises(dataclasses.FrozenInstanceError):
         tree.cotree_edges = cotree[::-1]
+
+
+# ---------------------------------------------------------------------------
+# the one-pass round loops against the two-pass ones they replaced, compared
+# as bytes so that a -0.0 where the reference has 0.0 fails
+
+
+def _same_bytes(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def _same_sweep(*args, **kwargs):
+    got = _face_sweep(*args, **kwargs)
+    _same_bytes(got, sweep_reference.face_sweep(*args, **kwargs))
+    return got
+
+
+def _sparse_normal(rng, n):
+    """Normal values, two thirds of them 0.0 or -0.0."""
+    return rng.standard_normal(n) * (rng.random(n) < 1 / 3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.integers(0, 6))
+def test_round_loops_match_references_bitwise(seed, which):
+    # the sweeps and BFS trees of compute_topology and both lifts, with
+    # random data that is mostly 0.0 and -0.0
+    m = _renumbered(seed, which)
+    topo = compute_topology(m)
+    rng = np.random.default_rng(seed)
+    # the domain homology: C modulo p from the tree
+    known = np.zeros(m.n_e, dtype=bool)
+    known[topo.tree.tree_edges] = True
+    _same_sweep(m.face_edges, FACE_EDGE_SIGN, known, p=_PRIME)
+    # the Nedelec lift: C in float from the tree and the closing edges
+    known[topo.homology.closing_edges] = True
+    _same_sweep(m.face_edges, FACE_EDGE_SIGN, known,
+                _sparse_normal(rng, m.n_e), _sparse_normal(rng, m.n_f))
+    # the RT lift: D in float from the faces off the dual BFS tree
+    interior = np.flatnonzero(m.face_tets[:, 1] >= 0)
+    dual = (m.n_t, *m.face_tets[interior].T, 0)
+    order, arc = _bfs(*dual)
+    _same_bytes((order, arc), sweep_reference.bfs(*dual))
+    known = np.ones(m.n_f, dtype=bool)
+    known[interior[arc[order[1:]]]] = False
+    X, _ = _same_sweep(m.tet_faces, m.tet_face_sign, known,
+                       _sparse_normal(rng, m.n_f), _sparse_normal(rng, m.n_t))
+    assert X.shape[1] == 1
+    # with no data every float round writes a signed zero
+    _same_sweep(m.tet_faces, m.tet_face_sign, known)
+    # the BFS tree of each boundary component
+    for cv, ce in zip(m.boundary.component_vertices,
+                      m.boundary.component_edges):
+        graph = (m.n_v, *m.edges[ce].T, int(cv.min()))
+        _same_bytes(_bfs(*graph), sweep_reference.bfs(*graph))
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), which=st.integers(0, 2),
+       share=st.floats(0.0, 0.3))
+def test_stalling_sweeps_match_reference(seed, which, share):
+    # a random known set stalls the sweeps of C and D many times; on cube2,
+    # torus and hollow, as on the larger fixtures D stalls up to 2,300 times
+    # and each sweep takes a tenth of a second or more
+    m = _renumbered(seed, which)
+    rng = np.random.default_rng(seed)
+    for fe, fs, n in ((m.face_edges, FACE_EDGE_SIGN, m.n_e),
+                      (m.tet_faces, m.tet_face_sign, m.n_f)):
+        known = rng.random(n) < share
+        X, _ = _same_sweep(fe, fs, known, p=_PRIME)
+        assert X.shape[1] > 2
+        _same_sweep(fe, fs, known, rng.integers(0, _PRIME, n),
+                    rng.integers(0, _PRIME, len(fe)), p=_PRIME)
+        # in float the rounds before the first stall sum each row in
+        # einsum's one-column order, where the reference, which knew k
+        # already, used its many-column order: the last bits may differ,
+        # and a parameter's column holds 0.0 where the reference has -0.0
+        args = (fe, fs, known, rng.standard_normal(n),
+                rng.standard_normal(len(fe)))
+        for got, want in zip(_face_sweep(*args),
+                             sweep_reference.face_sweep(*args)):
+            assert got.shape == want.shape
+            assert (np.abs(got - want).max(initial=0.0)
+                    <= 64 * np.finfo(float).eps * np.abs(want).max(initial=1.0))
 
 
 # ---------------------------------------------------------------------------
