@@ -4,8 +4,8 @@ Two single-field formulations on tetrahedral meshes: a divergence-free
 Raviart-Thomas subspace with tangential boundary data, and a curl-free
 Nedelec subspace with normal boundary data.  A boundary-first
 tree-cotree decomposition with explicit homology generators gives the
-topology and the lifts; the normal system is symmetric positive definite,
-the tangential one is solved in the quotient space with a consistent load.
+topology and the lifts; both systems are solved in a quotient space with
+a consistent load.
 """
 
 from .mesh import Mesh, MeshError, build_mesh

@@ -163,7 +163,6 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
         scale = 1.0 + np.abs(sol.u_h.coeffs).max()
         report["checks"]["div_residual"] = div_resid
         report["checks"]["flux_error"] = flux_err
-        report["checks"]["load_compatibility"] = system.load_compatibility
         ok = div_resid <= RESIDUAL_TOL * scale and flux_err <= RESIDUAL_TOL * scale
     else:
         beta = discrete_beta(case, m, hb) if cfg.beta is None else cfg.beta
@@ -190,6 +189,7 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
             np.linalg.norm(J_h.coeffs - J_I.coeffs) / J_norm) if J_norm else 0.0
         ok = curl_resid <= RESIDUAL_TOL * scale and per_err <= RESIDUAL_TOL * scale
 
+    report["checks"]["load_compatibility"] = system.load_compatibility
     report["passed"] = bool(ok)
     return sol, report
 

@@ -9,9 +9,9 @@ C and D are tables of signed ids per row, ``face_edges`` and ``tet_faces``,
 which the sweeps read, as they read the rows of D^T, ``face_tets``: the
 two tets of each face.  With scipy, for the solve, ``incidence`` builds
 G, C and D as sparse matrices, and ``edge_mass``, ``curl_curl`` (C^T M_f
-C) and ``gradient_stiffness`` (G^T M_e G, every vertex but the last) are
-summed from closed-form local matrices, unit coefficient, with no stored
-0.0.  The arrays of a ``Mesh`` are read-only.
+C) and ``gradient_stiffness`` (G^T M_e G over all vertices) are summed
+from closed-form local matrices, unit coefficient, with no stored 0.0.
+The arrays of a ``Mesh`` are read-only.
 
 ``build_mesh`` numbers each level by sorting one int64 key per simplex,
 from the ids of the level below: a*n_v + b for edge [a, b], id([a, b])*n_v
@@ -142,10 +142,9 @@ class Mesh:
 
     @cached_property
     def gradient_stiffness(self) -> "sp.csr_matrix":
-        """G*^T M_e G*, G* the columns of G for every vertex but the last
-        (L*_h): the P1 stiffness, unit coefficient, read-only."""
-        A = _global_matrix(self, self.tets, self.n_v, kernels.stiffness)
-        return _read_only(A[:-1, :-1])
+        """G^T M_e G, the P1 stiffness, unit coefficient, read-only; its
+        kernel is the constants."""
+        return _global_matrix(self, self.tets, self.n_v, kernels.stiffness)
 
     @cached_property
     def boundary(self) -> "BoundaryStructure":
@@ -299,12 +298,6 @@ def derive_incidence(m: Mesh) -> IncidenceOperators:
     return IncidenceOperators(G=G, C=C, D=D)
 
 
-def _read_only(M: sp.csr_matrix) -> sp.csr_matrix:
-    for a in (M.data, M.indices, M.indptr):
-        a.setflags(write=False)
-    return M
-
-
 def _global_matrix(m: Mesh, conn: np.ndarray, dim: int,
                    local) -> sp.csr_matrix:
     """The dim x dim sum of local(grads, volumes) on the ids conn, read-only."""
@@ -322,7 +315,10 @@ def _global_matrix(m: Mesh, conn: np.ndarray, dim: int,
     # nnz, as tocsr keeps the arrays of the COO entries, 36 per tet for edges
     del data
     M.eliminate_zeros()
-    return _read_only(M.copy())
+    M = M.copy()
+    for a in (M.data, M.indices, M.indptr):
+        a.setflags(write=False)
+    return M
 
 
 def extract_boundary(m: Mesh) -> BoundaryStructure:

@@ -1,4 +1,4 @@
-"""Reduced SPD systems for the two curl-div formulations.
+"""Quotient-space systems for the two curl-div formulations.
 
 Tangential problem: curl(eta u) = J, div u = g, (eta u) x n = a on the
 boundary, prescribed component fluxes alpha.  Normal problem: curl u = J,
@@ -10,19 +10,20 @@ fn(points, normals).  A problem holds what its assembly reads (eta, J, a
 or mu, g, b); g and alpha, or J and beta, enter through the lift, whose
 space names the formulation.
 
-Normal: u_h - lift lies in grad L*_h, L*_h every vertex but the last, and
-K = mu G^T M_e G = mu ``Mesh.gradient_stiffness`` is positive definite.
-
-Tangential: u_h = C x + lift over all edges, with K = eta C^T M_f C = eta
-``Mesh.curl_curl`` semidefinite on the quotient space N_h / ker C.  CG
-converges on it because the load is made consistent first: the edge load
-F loses its M_e-projection onto ker C, the gradients plus the g harmonic
-cocycles ``HomologyBasis.cocycles`` (Ren, IEEE Trans. Magn. 32(3), 1996).
-The projection does not depend on the basis of ker C, so u_h does not
-depend on the vertex numbering, and the curl of every CG iterate lies in
-W0h.  The gauged basis N*_h (the cotree less the g closing edges of the
-sigma_n) gives the same u_h from the principal submatrix of K and rhs on
-N*_h, which is positive definite; the tests keep it as the reference.
+Both run CG on a semidefinite K in a quotient space, the load made
+consistent first: it loses its projection onto ker K (Ren, IEEE Trans.
+Magn. 32(3), 1996), which does not depend on the basis of ker K, so u_h
+does not depend on the vertex numbering.  Normal: u_h = G x + lift over
+all vertices, K = mu G^T M_e G = mu ``Mesh.gradient_stiffness``, whose
+kernel is the constants; the nodal load loses its L2 projection onto
+them, which shifts g by the constant that balances it against b.
+Tangential: u_h = C x + lift over all edges, K = eta C^T M_f C = eta
+``Mesh.curl_curl``; the edge load loses its M_e-projection onto ker C,
+the gradients plus the g harmonic cocycles ``HomologyBasis.cocycles``,
+and the curl of every CG iterate lies in W0h.  The principal submatrices
+of K on L*_h (every vertex but the last) and on N*_h (the cotree less the
+g closing edges of the sigma_n) are positive definite and give the same
+u_h; the tests keep them as the reference.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class NormalProblem:
 class AssembledSystem:
     K: sp.csr_matrix
     rhs: np.ndarray
-    # tangential: |Z^T F| / |F| of the raw load against ker C, per part
+    # |Z^T F| / |F| of the raw load against ker K, per part
     load_compatibility: dict = field(default_factory=dict)
 
 
@@ -113,11 +114,6 @@ def build_N_star(tc: TreeCotree, hb: HomologyBasis) -> np.ndarray:
 def build_L_star(m: Mesh) -> np.ndarray:
     """Vertex ids of L*_h: all but the last vertex."""
     return np.arange(m.n_v - 1)
-
-
-def _gradients(m: Mesh) -> sp.csc_matrix:
-    """G[:, L*_h]; CSC, as is C, since CSR sums K in another order."""
-    return m.incidence.G.tocsc()[:, build_L_star(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +214,10 @@ def validate_tangential(p: TangentialProblem, m: Mesh,
     through each boundary face, taken from those same fluxes, with the
     circulation of n x a around the face (Stokes on the face), a block of
     boundary faces at a time.  Both residuals are over 1 + max |flux|.  The
-    continuous compatibility against Neumann harmonic fields needs basis
-    fields this package never constructs, so it is reported as unchecked.
+    compatibility against the harmonic fields is the ``harmonic`` part of
+    the load compatibility (``consistent_load``).
     """
-    report = {"warnings": [], "div_check": None, "trace_check": None,
-              "unchecked": ["compatibility against Neumann harmonic fields "
-                            "(requires harmonic basis; not constructed)"]}
+    report = {"warnings": [], "div_check": None, "trace_check": None}
     flux = interpolate("face", p.J, m).coeffs
     scale = 1.0 + np.abs(flux).max()
     div_resid = float(np.abs(m.incidence.D @ flux).max() / scale)
@@ -269,35 +263,37 @@ def validate_tangential(p: TangentialProblem, m: Mesh,
 
 def consistent_load(m: Mesh, F: np.ndarray,
                     cocycles: np.ndarray) -> tuple[np.ndarray, dict]:
-    """F - M_e Z (Z^T M_e Z)^-1 Z^T F, Z = [G[:, L*_h], H] spanning ker C.
+    """F - M_e Z (Z^T M_e Z)^-1 Z^T F, Z = [G, H] spanning ker C.
 
     M_e is the Nedelec mass with the unit coefficient and H the
     (n_e, g) cocycles.  The gradient part is one Jacobi-CG solve with
-    G^T M_e G; H is made M_e-orthogonal to the gradients, one solve per
-    column, then its part is one g x g solve.  Also returns |G^T F| and
-    |H^T F| for the orthogonalised H, each over |F|.  F is scaled by a
-    power of two first, as is the rhs in ``solve_spd``.
+    G^T M_e G, its rhs rid of its round-off mean (the exact one sums to
+    0); H is made M_e-orthogonal to the gradients, one solve per column,
+    then its part is one g x g solve.  Also returns |G^T F| and |Q^T F|,
+    Q an orthonormal basis of the orthogonalised H (free of the sigma_n
+    the numbering picks), each over |F|.  F is scaled by a power of two
+    first, as is the rhs in ``solve_spd``.
     """
-    e = int(np.frexp(np.abs(F).max(initial=0.0))[1])
-    F = np.ldexp(F, -e)
+    F, e = _scaled(F)
     norm = np.linalg.norm(F)
     if norm == 0.0:
         return F, {"gradient": 0.0, "harmonic": 0.0}
-    M, G = m.edge_mass, _gradients(m)
+    M, G = m.edge_mass, m.incidence.G
 
     def grad_part(v):
-        """The gradient G phi whose M_e-pairings with grad L*_h are G^T v."""
+        """The gradient G phi whose M_e-pairings with grad are G^T v."""
+        r = G.T @ v
         return G @ solve_spd(AssembledSystem(K=m.gradient_stiffness,
-                                             rhs=G.T @ v))
+                                             rhs=r - r.mean()))
 
     H = np.array(cocycles, dtype=np.float64)
     for n in range(H.shape[1]):
         H[:, n] -= grad_part(M @ H[:, n])
-    GtF, HtF = G.T @ F, H.T @ F
-    y = np.linalg.solve(H.T @ (M @ H), HtF)
+    y = np.linalg.solve(H.T @ (M @ H), H.T @ F)
     Fc = np.ldexp(F - M @ (grad_part(F) + H @ y), e)
-    return Fc, {"gradient": float(np.linalg.norm(GtF) / norm),
-                "harmonic": float(np.linalg.norm(HtF) / norm)}
+    QtF = np.linalg.qr(H)[0].T @ F
+    return Fc, {"gradient": float(np.linalg.norm(G.T @ F) / norm),
+                "harmonic": float(np.linalg.norm(QtF) / norm)}
 
 
 def _lift_load(m: Mesh, lift: FEFunction) -> np.ndarray:
@@ -331,17 +327,31 @@ def assemble_tangential(p: TangentialProblem, m: Mesh, lift: FEFunction,
 
 def assemble_normal(p: NormalProblem, m: Mesh,
                     lift: FEFunction) -> AssembledSystem:
-    """K = G^T mu M_e G and rhs = (b - g) - G^T mu M_e lift, G = G[:, L*_h]."""
+    """K = G^T mu M_e G and rhs = F - G^T mu M_e lift over all vertices,
+    F the load b - g less hat * (sum F / sum hat), hat = int lambda_v: F
+    is orthogonal to the constants, ker K.  Also returns |sum F| / |F|;
+    both from F scaled by a power of two, as in ``consistent_load``."""
     if lift.space != Space.EDGE:
         raise SolverError("normal lift must be a Nedelec function")
-    K = p.mu * m.gradient_stiffness
-    rhs = (_scalar_boundary_load(m, p.b) - _nodal_load(m, p.g)
-           - p.mu * _lift_load(m, lift))
-    return AssembledSystem(K=K, rhs=rhs[build_L_star(m)])
+    F, e = _scaled(_scalar_boundary_load(m, p.b) - _nodal_load(m, p.g))
+    norm, total = np.linalg.norm(F), F.sum()
+    hat = np.bincount(m.tets.ravel(), np.repeat(m.volumes / 4.0, 4),
+                      minlength=m.n_v)
+    rhs = np.ldexp(F - hat * (total / hat.sum()), e)
+    compat = {"constant": float(abs(total) / norm) if norm else 0.0}
+    return AssembledSystem(K=p.mu * m.gradient_stiffness,
+                           rhs=rhs - p.mu * _lift_load(m, lift),
+                           load_compatibility=compat)
 
 
 # ---------------------------------------------------------------------------
 # conjugate gradients
+
+
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """v / 2**e and e, the largest entry of v / 2**e in [1/2, 1)."""
+    e = int(np.frexp(np.abs(v).max(initial=0.0))[1])
+    return np.ldexp(v, -e), e
 
 
 @np.errstate(over="ignore", invalid="ignore")   # a SolverError instead
@@ -355,8 +365,7 @@ def solve_spd(s: AssembledSystem, tol: float = 1e-10,
     overflows nor underflows, and each iterate is exactly 2**-e times the
     unscaled one."""
     K = s.K
-    e = int(np.frexp(np.abs(s.rhs).max(initial=0.0))[1])
-    r = np.ldexp(s.rhs, -e)                 # the residual at x = 0
+    r, e = _scaled(s.rhs)                   # the residual at x = 0
     n = K.shape[0]
     if maxit is None:
         maxit = max(10 * n, 100)
@@ -397,9 +406,9 @@ def solve_spd(s: AssembledSystem, tol: float = 1e-10,
 
 def recover_solution(coeffs: np.ndarray, lift: FEFunction) -> Solution:
     """u_h = lift + C coeffs for an RT lift (tangential), or
-    lift + G[:, L*_h] coeffs for a Nedelec lift (normal)."""
+    lift + G coeffs for a Nedelec lift (normal)."""
     m = lift.mesh
-    S = m.incidence.C.tocsc() if lift.space == Space.FACE else _gradients(m)
+    S = m.incidence.C if lift.space == Space.FACE else m.incidence.G
     return Solution(lift=lift, u_h=FEFunction(lift.space, m,
                                               S @ coeffs + lift.coeffs))
 

@@ -192,12 +192,6 @@ class TreeCotree:
 
 
 @dataclass(frozen=True)
-class SurfaceCycleBasis:
-    cycles: list                    # list of dict edge id -> int coefficient
-    closing_edges: np.ndarray       # (2g,) the cotree edge closing each cycle
-
-
-@dataclass(frozen=True)
 class HomologyBasis:
     cycles: list                    # g domain generators, dict edge -> coeff
     closing_edges: np.ndarray       # (g,) closing edge of each, coeff +1
@@ -312,13 +306,15 @@ def fundamental_cycle(m: Mesh, parent, edge_id: int) -> dict:
 
 
 def surface_cycle_basis(m: Mesh, b: BoundaryStructure,
-                        tc: TreeCotree) -> SurfaceCycleBasis:
-    """Select 2g boundary cycles independent in H1 of the boundary surface,
-    the first in cotree order: off the dual tree Kruskal builds from the last
-    back.  On the cotree edges, which fix a cycle, the boundary of faces of
-    an orientable surface is the cut around them in the dual graph, over any
-    field: edges are dependent exactly when removing them splits it."""
-    cycles, closing = [], []
+                        tc: TreeCotree) -> np.ndarray:
+    """The (2g,) closing edges of boundary cycles independent in H1 of the
+    boundary surface, each the cotree edge of its fundamental cycle in the
+    boundary tree, the first in cotree order: off the dual tree Kruskal
+    builds from the last back.  On the cotree edges, which fix a cycle, the
+    boundary of faces of an orientable surface is the cut around them in
+    the dual graph, over any field: edges are dependent exactly when
+    removing them splits it."""
+    closing = [np.zeros(0, dtype=np.int64)]
     for r, comp in enumerate(b.components):
         # twice the genus: 2 - Euler characteristic of the closed surface
         need = 2 - (len(b.component_vertices[r]) - len(b.component_edges[r])
@@ -339,32 +335,31 @@ def surface_cycle_basis(m: Mesh, b: BoundaryStructure,
             raise TopologyError(
                 f"boundary component {r}: found {len(picked)} of {need} "
                 "independent cycles; mesh or topology bug")
-        for e in picked:
-            cycles.append(fundamental_cycle(m, tc.boundary_parent, int(e)))
-            closing.append(int(e))
-    return SurfaceCycleBasis(cycles=cycles,
-                             closing_edges=np.array(closing, dtype=np.int64))
+        closing.append(picked)
+    return np.concatenate(closing)
 
 
 def domain_homology_basis(m: Mesh, tc: TreeCotree,
-                          scb: SurfaceCycleBasis) -> HomologyBasis:
-    """Domain generators sigma_n: the first g surface cycles, in order, that
-    stay independent in H1 of the domain, and rank C from the same sweep."""
+                          surface_closing: np.ndarray) -> HomologyBasis:
+    """Domain generators sigma_n: of the surface cycles closed by the edges
+    ``surface_closing``, the first g, in order, that stay independent in H1
+    of the domain, and rank C from the same sweep."""
     g = 1 + m.boundary.p - m.euler_characteristic
-    if g < 0 or 2 * g != len(scb.cycles):
+    if g < 0 or 2 * g != len(surface_closing):
         raise TopologyError(
             f"inconsistent ranks: domain g = {g} but surface rank = "
-            f"{len(scb.cycles)}")
+            f"{len(surface_closing)}")
     known = np.zeros(m.n_e, dtype=bool)
     known[tc.tree_edges] = True
     W, rank_C = _cocycles(m.face_edges, known)
-    selected = _independent(W[scb.closing_edges], g)
+    selected = _independent(W[surface_closing], g)
     if len(selected) != g:
         raise TopologyError(
             f"only {len(selected)} of {g} surface cycles survive in the "
             "domain; mesh or topology bug")
-    cycles = [dict(scb.cycles[q]) for q in selected]
-    closing = scb.closing_edges[selected]
+    closing = surface_closing[selected]
+    cycles = [fundamental_cycle(m, tc.boundary_parent, int(e))
+              for e in closing]
     # H = W B^-1 mod p, B = W[closing], the periods of W: the echelon form
     # of [B^T | W^T] is [I | H^T].  Lifted to (-p/2, p/2], H is the integer
     # solution, which is unique, exactly when C H = 0 in the integers

@@ -139,6 +139,11 @@ def test_criterion_07_spd(request):
             lift_n = FEFunction("edge", m, np.zeros(m.n_e))
             prob_n = NormalProblem(coef, _zeros_s, _zeros_b)
             Kn = assemble_normal(prob_n, m, lift_n).K
+            # the constants span ker Kn, and its principal submatrix on
+            # L*_h, every vertex but the last, is positive definite
+            ones = np.ones(m.n_v)
+            assert np.abs(Kn @ ones).max() <= 1e-13 * abs(Kn).max()
+            Kn = Kn[:-1, :-1]
             for K in (Kt, Kn):
                 n = K.shape[0]
                 for _ in range(100):

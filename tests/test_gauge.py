@@ -12,6 +12,7 @@ from curldiv.solver import _edge_load, _tangential_boundary_load
 from curldiv.topology import _cocycles, _independent, surface_cycle_basis
 from gauged import gauged_solution, gauged_system
 from quadrature_mass import tensor_mass
+from surface_cycles import surface_cycles
 
 
 def _gauged(topo):
@@ -22,14 +23,13 @@ def _curls(m, dofs):
     return m.incidence.C.tocsc()[:, dofs]
 
 
-def _surface_cycles(m, topo):
+def _surface_closing(m, topo):
     return surface_cycle_basis(m, topo.boundary, topo.tree)
 
 
 def _unselected_closing(m, topo):
-    scb = _surface_cycles(m, topo)
-    return scb.closing_edges[~np.isin(scb.closing_edges,
-                                      topo.homology.closing_edges)]
+    closing = _surface_closing(m, topo)
+    return closing[~np.isin(closing, topo.homology.closing_edges)]
 
 
 def test_cube_gives_12_plain_fields(cube1, topo_cube1):
@@ -48,7 +48,7 @@ def test_torus_one_combined_field(torus, topo_torus):
     # cycle A does not select: the basis keeps exactly that closing edge
     dofs = _gauged(topo_torus)
     assert len(dofs) == topo_torus.tree.n_Q - 1
-    closing = _surface_cycles(torus, topo_torus).closing_edges
+    closing = _surface_closing(torus, topo_torus)
     assert np.isin(dofs, closing).sum() == 1
 
 
@@ -61,7 +61,7 @@ def test_fields_supported_on_cotree_only(torus, topo_torus):
 def test_combined_field_supported_on_closing_edges(torus, topo_torus):
     # the closing edges N*_h holds are those of the unselected cycles
     dofs = _gauged(topo_torus)
-    held = dofs[np.isin(dofs, _surface_cycles(torus, topo_torus).closing_edges)]
+    held = dofs[np.isin(dofs, _surface_closing(torus, topo_torus))]
     assert set(held.tolist()) == set(_unselected_closing(torus,
                                                          topo_torus).tolist())
     assert len(held) == topo_torus.homology.g
@@ -130,11 +130,11 @@ def test_basis_periods_vanish(mesh, request):
 def test_plain_fields_have_zero_periods(torus, topo_torus):
     # plain cotree fields avoid the closing edges, so periods vanish on them
     dofs = _gauged(topo_torus)
-    scb = _surface_cycles(torus, topo_torus)
+    cycles, closing = surface_cycles(torus, topo_torus)
     plain = dofs[~np.isin(dofs, _unselected_closing(torus, topo_torus))]
-    assert len(plain) == topo_torus.tree.n_Q - len(scb.closing_edges)
-    assert not np.isin(plain, scb.closing_edges).any()
-    assert np.all(_period_matrix(torus, scb.cycles)[:, plain] == 0)
+    assert len(plain) == topo_torus.tree.n_Q - len(closing)
+    assert not np.isin(plain, closing).any()
+    assert np.all(_period_matrix(torus, cycles)[:, plain] == 0)
 
 
 def test_L_star_counts(tet1, cube1):
@@ -157,41 +157,41 @@ def test_L_star_gradients_full_rank(cube1):
 def _reference_homology(m, topo):
     """ker A (g, 2g), from A (g, 2g) and the per-generator tree parts, and
     the closing edge of each generator."""
-    tc, scb = topo.tree, _surface_cycles(m, topo)
-    g = len(scb.cycles) // 2
+    tc, (cycles, surface_closing) = topo.tree, surface_cycles(m, topo)
+    g = len(cycles) // 2
     known = np.zeros(m.n_e, dtype=bool)
     known[tc.tree_edges] = True
     W, _ = _cocycles(m.face_edges, known)
-    selected = _independent(W[scb.closing_edges], g)
+    selected = _independent(W[surface_closing], g)
     assert len(selected) == g
     A = np.zeros((g, 2 * g), dtype=np.int64)
     tree_set = set(int(e) for e in tc.tree_edges)
     tree_parts = []
     for n, q in enumerate(selected):
         A[n, q] = 1
-        tree_parts.append({e: c for e, c in scb.cycles[q].items()
+        tree_parts.append({e: c for e, c in cycles[q].items()
                            if e in tree_set})
     kernel = np.zeros((g, 2 * g))
     for i, q in enumerate(q for q in range(2 * g) if q not in selected):
         kernel[i, q] = 1.0
     assert np.abs(A @ kernel.T).max(initial=0) == 0
     # the closing edge of each generator: its one edge off the tree
-    closing = [next(e for e in scb.cycles[q] if e not in tree_parts[n])
+    closing = [next(e for e in cycles[q] if e not in tree_parts[n])
                for n, q in enumerate(selected)]
     return kernel, closing
 
 
-def _reference_fields(tc, scb, kernel, n_e):
+def _reference_fields(tc, surface_closing, kernel, n_e):
     """The n_Q - g gauged fields as sparse columns: a combined field per
     row of the kernel over the closing edges, and a plain field per other
     cotree edge.  Columns go in ascending order of the lowest edge of each
     field, the order of ``build_N_star``."""
     g = len(kernel)
-    fields = [{int(scb.closing_edges[q]): float(kernel[lam, q])
+    fields = [{int(surface_closing[q]): float(kernel[lam, q])
                for q in range(2 * g) if kernel[lam, q] != 0.0}
               for lam in range(g)]
     fields += [{int(e): 1.0} for e in tc.cotree_edges
-               if e not in scb.closing_edges]
+               if e not in surface_closing]
     fields.sort(key=min)
     rows, cols, data = [], [], []
     for col, field in enumerate(fields):
@@ -221,7 +221,7 @@ def test_tangential_system_matches_sparse_reference(mesh, request):
     sol = gauged_solution(m, dofs, solve_spd(system), lift)
 
     H = topo.homology.cocycles
-    fields = _reference_fields(topo.tree, _surface_cycles(m, topo), kernel,
+    fields = _reference_fields(topo.tree, _surface_closing(m, topo), kernel,
                                m.n_e)
     S = (m.incidence.C @ fields).tocsc()
     M = prob.eta * tensor_mass(m, "face")

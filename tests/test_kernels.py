@@ -65,7 +65,7 @@ def test_each_mass_matrix_built_once_per_mesh(handle_cavity, monkeypatch):
 
 
 def test_normal_K_is_the_stiffness_product_bitwise(handle_cavity):
-    # K = mu A, A the cached P1 stiffness, which is G*^T M_e G* to round-off
+    # K = mu A, A the cached P1 stiffness, which is G^T M_e G to round-off
     m = handle_cavity
     lift = zero_function("edge", m)
     A = m.gradient_stiffness
@@ -76,7 +76,7 @@ def test_normal_K_is_the_stiffness_product_bitwise(handle_cavity):
             assert np.array_equal(a, b)
         assert K.data.flags.writeable
     assert not A.data.flags.writeable
-    G = solver._gradients(m)
+    G = m.incidence.G
     _assert_matches(A, G.T @ m.edge_mass @ G)
 
 
@@ -172,7 +172,7 @@ def _quadrature_matrices(m):
     """The edge mass, curl-curl and P1 stiffness matrices of m, each with
     its oracle from the quadrature masses."""
     M_e = tensor_mass(m, "edge")
-    C, G = m.incidence.C, solver._gradients(m)
+    C, G = m.incidence.C, m.incidence.G
     return ((m.edge_mass, M_e),
             (m.curl_curl, C.T @ tensor_mass(m, "face") @ C),
             (m.gradient_stiffness, G.T @ M_e @ G))
