@@ -11,7 +11,8 @@ two tets of each face.  With scipy, for the solve, ``incidence`` builds
 G, C and D as sparse matrices, and ``edge_mass``, ``curl_curl`` (C^T M_f
 C) and ``gradient_stiffness`` (G^T M_e G over all vertices) are summed
 from closed-form local matrices, unit coefficient, with no stored 0.0.
-The arrays of a ``Mesh`` are read-only.
+The arrays of a ``Mesh``, those it derives and caches included, are
+read-only, as are those of its ``BoundaryStructure``.
 
 ``build_mesh`` numbers each level by sorting one int64 key per simplex,
 from the ids of the level below: a*n_v + b for edge [a, b], id([a, b])*n_v
@@ -47,6 +48,13 @@ FACE_EDGE_SIGN = np.array([1, -1, 1], dtype=np.int64)
 DEGENERACY_TOL = 1e-14
 
 
+def read_only(*arrays: np.ndarray) -> np.ndarray:
+    """Make the arrays read-only; return the first."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays[0]
+
+
 @dataclass(frozen=True)
 class Mesh:
     vertices: np.ndarray        # (n_v, 3) float64
@@ -61,8 +69,7 @@ class Mesh:
     volumes: np.ndarray         # (n_t,)
 
     def __post_init__(self):
-        for a in vars(self).values():
-            a.setflags(write=False)
+        read_only(*vars(self).values())
 
     @property
     def n_v(self) -> int:
@@ -91,36 +98,37 @@ class Mesh:
         fe = np.empty((self.n_f, 3), dtype=np.int64)
         fe[self.tet_faces.ravel()] = self.tet_edges[
             :, kernels._LOCAL_FACE_EDGES].reshape(-1, 3)
-        return fe
+        return read_only(fe)
 
     @cached_property
     def tet_face_sign(self) -> np.ndarray:
         """(n_t, 4) D entry of each face of ``tet_faces``: +1 iff the face
         normal points out of the tet.  With ``tet_faces`` the rows of D."""
-        return self.tet_orient[:, None] * _LOCAL_FACE_SIGN
+        return read_only(self.tet_orient[:, None] * _LOCAL_FACE_SIGN)
 
     @cached_property
     def face_areas(self) -> np.ndarray:
         p = self.vertices[self.faces]
-        return 0.5 * np.linalg.norm(
-            np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+        return read_only(0.5 * np.linalg.norm(
+            np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1))
 
     @cached_property
     def face_normals(self) -> np.ndarray:
         """Unit normals by the right-hand rule on the sorted vertex cycle."""
         p = self.vertices[self.faces]
         n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        return n / np.linalg.norm(n, axis=1)[:, None]
+        return read_only(n / np.linalg.norm(n, axis=1)[:, None])
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
         p = self.vertices[self.edges]
-        return np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
+        return read_only(np.linalg.norm(p[:, 1] - p[:, 0], axis=1))
 
     @cached_property
     def tet_geometry(self) -> tuple[np.ndarray, np.ndarray]:
         """Barycentric gradients (n_t, 4, 3) and signed 6*volume (n_t,)."""
-        return kernels.tet_geometry(self.vertices, self.tets)
+        return tuple(map(read_only, kernels.tet_geometry(self.vertices,
+                                                         self.tets)))
 
     @cached_property
     def incidence(self) -> "IncidenceOperators":
@@ -168,6 +176,10 @@ class BoundaryStructure:
     face_sign: np.ndarray       # (n_f,) D entry of each boundary face in
                                 # its tet, +1 outward; 0 inside
 
+    def __post_init__(self):
+        read_only(self.face_sign, *self.components,
+                  *self.component_vertices, *self.component_edges)
+
     @property
     def p(self) -> int:
         """Number of internal boundary components."""
@@ -175,7 +187,7 @@ class BoundaryStructure:
 
     @cached_property
     def boundary_faces(self) -> np.ndarray:
-        return np.sort(np.concatenate(self.components))
+        return read_only(np.sort(np.concatenate(self.components)))
 
 
 def connected_components(n: int, u, v) -> np.ndarray:
@@ -295,6 +307,8 @@ def derive_incidence(m: Mesh) -> IncidenceOperators:
     drows = np.repeat(np.arange(m.n_t), 4)
     D = sp.csr_matrix((m.tet_face_sign.ravel(), (drows, m.tet_faces.ravel())),
                       shape=(m.n_t, m.n_f))
+    for M in (G, C, D):
+        read_only(M.data, M.indices, M.indptr)
     return IncidenceOperators(G=G, C=C, D=D)
 
 
@@ -316,8 +330,7 @@ def _global_matrix(m: Mesh, conn: np.ndarray, dim: int,
     del data
     M.eliminate_zeros()
     M = M.copy()
-    for a in (M.data, M.indices, M.indptr):
-        a.setflags(write=False)
+    read_only(M.data, M.indices, M.indptr)
     return M
 
 

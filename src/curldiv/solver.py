@@ -427,11 +427,10 @@ def error_norms(sol: Solution, exact_u, exact_diff) -> tuple[float, float]:
     centre = np.full((1, 4), 0.25)      # du is constant on each tet
     sq = np.empty((2, m.n_t))           # squared L2 errors of u_h and du
     for blk in kernels.blocks(m.n_t):
-        pts = np.einsum("qi,tix->tqx", rule.points, m.vertices[m.tets[blk]])
         for row, f, fn, bary in ((0, u, exact_u, rule.points),
                                  (1, du, exact_diff, centre)):
-            exact = eval_field(fn, pts.reshape(-1, 3), f.space != Space.CELL)
-            d = field_values(f, bary, blk) - exact.reshape(pts.shape[:2] + (-1,))
+            exact = tet_point_values(fn, m, blk, rule, f.space != Space.CELL)
+            d = field_values(f, bary, blk) - exact.reshape(exact.shape[:2] + (-1,))
             sq[row, blk] = (np.einsum("tqx,tqx,q->t", d, d, rule.weights)
                             * np.abs(det[blk]))
     l2_sq, diff_sq = sq.sum(axis=1)

@@ -2,30 +2,31 @@
 
 The boundary-first spanning tree restricts to a spanning tree of each
 boundary component; the cotree is the rest of the edges, ascending, and
-no later stage reorders it.  Surface cycles are fundamental cycles of
-boundary cotree edges whose classes are independent in H1 of the
-boundary; domain generators are the subset of those that survive in H1
-of the domain.
+no later stage reorders it.  The fundamental cycles, in the boundary tree,
+of the boundary cotree edges span H1 of the boundary, and so H1 of the
+domain, onto which H1 of the boundary maps for a domain in R^3.  The
+domain generators sigma_n are the first g of them, the cotree edges of
+each component ascending and the components from ``components[0]``, that
+stay independent in H1 of the domain.
 
-The surface cycles close on the cotree edges off a spanning tree of the
-surface's dual graph (tree-cotree, Eppstein, SODA 2003), from the Boruvka
-loop that also builds the global tree.  The domain selection, and rank C
-for the Betti numbers, come from a face sweep (Webb & Forghani, IEEE
-Trans. Magn. 1989) from the tree edges, gauged to zero.
-Carried modulo a large prime, it gives the tree-gauged cocycles exactly as
-T ker(R): T holds each edge's value in terms of the k edges left free at
-stalls, R the k-column residuals of the faces it did not use.  A surface
-cycle pairs with them through its closing edge alone, so it is independent
-of the face boundaries and of the cycles kept before it exactly when its
-row of T ker(R) is.  What the sweep leaves, ker R and the rows independent
-of the rows before them, goes through one dense reduced row echelon form
-modulo p, ``_echelon``, which also turns the cocycles of the sigma_n into
-the harmonic cocycles with periods delta_nm, exact integers that complete
-the gradients to a basis of ker C.  Both lifts run the same sweep in
-floating point, the Nedelec lift over the faces of C and the RT lift over
-the tets of D.  The sweep reads C and D as the tables ``face_edges`` and
-``tet_faces`` of the mesh, and the dual graph as ``Mesh.face_tets``.  Each
-of its rounds finds the rows it solves and solves them in one pass.
+That selection, and rank C for the Betti numbers, come from a face sweep
+(Webb & Forghani, IEEE Trans. Magn. 1989) from the tree edges, gauged to
+zero.  Carried modulo a large prime, it gives the tree-gauged cocycles W
+exactly as T ker(R): T holds each edge's value in terms of the k edges
+left free at stalls, R the k-column residuals of the faces it did not
+use.  A boundary cycle pairs with W through its closing edge alone, so
+its row of W is its class in H1 of the domain: zero when it bounds there,
+and independent of the rows before it exactly when the cycle is
+independent of the cycles before it.  What the sweep leaves, ker R and
+those rows, goes through a dense reduced row echelon form modulo p,
+``_echelon``: on the rows, its pivots pick the sigma_n, and the same pass
+turns W into the harmonic cocycles with periods delta_nm, exact integers
+that complete the gradients to a basis of ker C.  Both lifts run the same
+sweep in floating point, the Nedelec lift over the faces of C and the RT
+lift over the tets of D.  The sweep reads C and D as the tables
+``face_edges`` and ``tet_faces`` of the mesh, and the dual graph as
+``Mesh.face_tets``.  Each of its rounds finds the rows it solves and
+solves them in one pass.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import (FACE_EDGE_SIGN, Mesh, BoundaryStructure,
-                   connected_components)
+                   connected_components, read_only)
 
 
 class TopologyError(ValueError):
@@ -174,17 +175,15 @@ def _cocycles(face_edges: np.ndarray, known: np.ndarray):
     return W, int(np.count_nonzero(~known)) - len(K)
 
 
-def _independent(rows: np.ndarray, need: int) -> np.ndarray:
-    """Indices of the rows, in order, independent of the rows before them."""
-    return _echelon(rows.T)[1][:need]
-
-
 @dataclass(frozen=True)
 class TreeCotree:
     tree_edges: np.ndarray          # (n_v - 1,) edge ids of the spanning tree
     cotree_edges: np.ndarray        # (n_Q,) remaining edge ids, ascending
     boundary_parent: np.ndarray     # (n_v,) edge to the parent in the
                                     # boundary tree, -1 at roots and inside
+
+    def __post_init__(self):
+        read_only(*vars(self).values())
 
     @property
     def n_Q(self) -> int:
@@ -197,6 +196,9 @@ class HomologyBasis:
     closing_edges: np.ndarray       # (g,) closing edge of each, coeff +1
     rank_C: int                     # rank of the curl incidence operator
     cocycles: np.ndarray            # (n_e, g) ker C, period delta_nm on sigma_m
+
+    def __post_init__(self):
+        read_only(self.closing_edges, self.cocycles)
 
     @property
     def g(self) -> int:
@@ -242,8 +244,10 @@ def _bfs(n: int, u, v, root: int):
 
 def _spanning_forest(n: int, u, v, in_tree: np.ndarray) -> None:
     """Extend the arcs ``in_tree`` (arc i joins u[i], v[i]) in place to a
-    spanning forest of the n nodes: each round joins every component to its
-    lowest-index outgoing arc (Boruvka), as a scan in index order would."""
+    spanning forest of the n nodes, in ``build_boundary_first_tree`` the
+    boundary trees to the global tree: each round joins every component to
+    its lowest-index outgoing arc (Boruvka), as a scan in index order
+    would."""
     label = connected_components(n, u[in_tree], v[in_tree])
     while True:
         cross = np.flatnonzero(label[u] != label[v])
@@ -307,63 +311,44 @@ def fundamental_cycle(m: Mesh, parent, edge_id: int) -> dict:
 
 def surface_cycle_basis(m: Mesh, b: BoundaryStructure,
                         tc: TreeCotree) -> np.ndarray:
-    """The (2g,) closing edges of boundary cycles independent in H1 of the
-    boundary surface, each the cotree edge of its fundamental cycle in the
-    boundary tree, the first in cotree order: off the dual tree Kruskal
-    builds from the last back.  On the cotree edges, which fix a cycle, the
-    boundary of faces of an orientable surface is the cut around them in
-    the dual graph, over any field: edges are dependent exactly when
-    removing them splits it."""
-    closing = [np.zeros(0, dtype=np.int64)]
-    for r, comp in enumerate(b.components):
-        # twice the genus: 2 - Euler characteristic of the closed surface
-        need = 2 - (len(b.component_vertices[r]) - len(b.component_edges[r])
-                    + len(comp))
-        if need == 0:
-            continue
-        candidates = tc.cotree_edges[np.isin(tc.cotree_edges,
-                                             b.component_edges[r])]
-        # dual arcs: the two faces on each candidate, from the last back
-        fe = m.face_edges[comp].ravel()
-        by_edge = np.argsort(fe)
-        at = np.searchsorted(fe[by_edge], candidates[::-1])
-        f0, f1 = by_edge[at] // 3, by_edge[at + 1] // 3
-        in_tree = np.zeros(len(candidates), dtype=bool)
-        _spanning_forest(len(comp), f0, f1, in_tree)
-        picked = candidates[~in_tree[::-1]]
-        if len(picked) != need:
-            raise TopologyError(
-                f"boundary component {r}: found {len(picked)} of {need} "
-                "independent cycles; mesh or topology bug")
-        closing.append(picked)
-    return np.concatenate(closing)
+    """The closing edges of every fundamental cycle of the boundary tree:
+    the cotree edges of each boundary component, ascending, component
+    after component from ``components[0]``.  Their cycles span H1 of the
+    boundary; ``domain_homology_basis`` picks the sigma_n among them."""
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        tc.cotree_edges[np.isin(tc.cotree_edges, ce)]
+        for ce in b.component_edges])
 
 
 def domain_homology_basis(m: Mesh, tc: TreeCotree,
                           surface_closing: np.ndarray) -> HomologyBasis:
-    """Domain generators sigma_n: of the surface cycles closed by the edges
-    ``surface_closing``, the first g, in order, that stay independent in H1
-    of the domain, and rank C from the same sweep."""
+    """Domain generators sigma_n: of the boundary cycles closed by the edges
+    ``surface_closing``, the first g, in order, independent in H1 of the
+    domain, and rank C from the same sweep."""
     g = 1 + m.boundary.p - m.euler_characteristic
-    if g < 0 or 2 * g != len(surface_closing):
-        raise TopologyError(
-            f"inconsistent ranks: domain g = {g} but surface rank = "
-            f"{len(surface_closing)}")
     known = np.zeros(m.n_e, dtype=bool)
     known[tc.tree_edges] = True
     W, rank_C = _cocycles(m.face_edges, known)
-    selected = _independent(W[surface_closing], g)
-    if len(selected) != g:
+    if W.shape[1] != g:
         raise TopologyError(
-            f"only {len(selected)} of {g} surface cycles survive in the "
-            "domain; mesh or topology bug")
-    closing = surface_closing[selected]
+            f"inconsistent ranks: domain g = {g} but {W.shape[1]} cocycles")
+    # a cycle whose row of W is zero bounds in the domain, and is no pivot
+    cand = surface_closing[W[surface_closing].any(axis=1)]
+    nc = len(cand)
+    # the pivots of [W[cand]^T | W^T] are the cycles independent of those
+    # before them, the closing edges, and its echelon form is B^-1 times it,
+    # B = W[closing]^T: the second block is H^T, H = W W[closing]^-1 mod p.
+    # Lifted to (-p/2, p/2], H is the integer solution, which is unique,
+    # exactly when C H = 0 in the integers
+    E, pivots = _echelon(np.hstack([W[cand].T, W.T]))
+    if len(pivots) and pivots[-1] >= nc:
+        raise TopologyError(
+            f"only {np.count_nonzero(pivots < nc)} of {g} boundary cycles "
+            "survive in the domain; mesh or topology bug")
+    closing = cand[pivots]
     cycles = [fundamental_cycle(m, tc.boundary_parent, int(e))
               for e in closing]
-    # H = W B^-1 mod p, B = W[closing], the periods of W: the echelon form
-    # of [B^T | W^T] is [I | H^T].  Lifted to (-p/2, p/2], H is the integer
-    # solution, which is unique, exactly when C H = 0 in the integers
-    H = _echelon(np.hstack([W[closing].T, W.T]))[0][:, g:].T.copy()
+    H = E[:, nc:].T.copy()
     H[H > _PRIME // 2] -= _PRIME
     periods = np.array([np.array(list(cyc.values())) @ H[list(cyc)]
                         for cyc in cycles], dtype=np.int64).reshape(g, g)
@@ -371,7 +356,6 @@ def domain_homology_basis(m: Mesh, tc: TreeCotree,
             or not np.array_equal(periods, np.eye(g))):
         raise TopologyError("the harmonic cocycles are not curl-free integer "
                             "cochains with unit periods; mesh or topology bug")
-    H.setflags(write=False)
     return HomologyBasis(cycles=cycles, closing_edges=closing,
                          rank_C=rank_C, cocycles=H)
 

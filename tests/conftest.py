@@ -73,6 +73,15 @@ def torus_cavity():
 
 
 @pytest.fixture(scope="session")
+def handle_torus_cavity():
+    """A vertical column and a ring of eight cells removed: both boundary
+    components are tori (g = 2, p = 1)."""
+    return _grid_mesh(7, 1.0 / 7, lambda i, j, k: not (
+        (i, j) == (1, 1) or k == 3 and 3 <= i <= 5 and 3 <= j <= 5
+        and (i, j) != (4, 4)))
+
+
+@pytest.fixture(scope="session")
 def topo_genus2(genus2):
     return compute_topology(genus2)
 
@@ -85,3 +94,8 @@ def topo_handle_cavity(handle_cavity):
 @pytest.fixture(scope="session")
 def topo_torus_cavity(torus_cavity):
     return compute_topology(torus_cavity)
+
+
+@pytest.fixture(scope="session")
+def topo_handle_torus_cavity(handle_torus_cavity):
+    return compute_topology(handle_torus_cavity)

@@ -9,10 +9,10 @@ from curldiv import (AssembledSystem, DivergenceData,
 from curldiv.cli import compute_topology
 from curldiv.mms import get_case
 from curldiv.solver import _edge_load, _tangential_boundary_load
-from curldiv.topology import _cocycles, _independent, surface_cycle_basis
 from gauged import gauged_solution, gauged_system
 from quadrature_mass import tensor_mass
-from surface_cycles import surface_cycles
+from surface_cycles import (reference_domain_selection,
+                            reference_surface_cycles)
 
 
 def _gauged(topo):
@@ -23,12 +23,14 @@ def _curls(m, dofs):
     return m.incidence.C.tocsc()[:, dofs]
 
 
-def _surface_closing(m, topo):
-    return surface_cycle_basis(m, topo.boundary, topo.tree)
+def _surface_cycles(m, topo):
+    """The 2g cycles of the reference basis of H1 of the boundary and
+    their closing edges."""
+    return reference_surface_cycles(m, topo.boundary, topo.tree)
 
 
 def _unselected_closing(m, topo):
-    closing = _surface_closing(m, topo)
+    closing = _surface_cycles(m, topo)[1]
     return closing[~np.isin(closing, topo.homology.closing_edges)]
 
 
@@ -48,7 +50,7 @@ def test_torus_one_combined_field(torus, topo_torus):
     # cycle A does not select: the basis keeps exactly that closing edge
     dofs = _gauged(topo_torus)
     assert len(dofs) == topo_torus.tree.n_Q - 1
-    closing = _surface_closing(torus, topo_torus)
+    closing = _surface_cycles(torus, topo_torus)[1]
     assert np.isin(dofs, closing).sum() == 1
 
 
@@ -61,7 +63,7 @@ def test_fields_supported_on_cotree_only(torus, topo_torus):
 def test_combined_field_supported_on_closing_edges(torus, topo_torus):
     # the closing edges N*_h holds are those of the unselected cycles
     dofs = _gauged(topo_torus)
-    held = dofs[np.isin(dofs, _surface_closing(torus, topo_torus))]
+    held = dofs[np.isin(dofs, _surface_cycles(torus, topo_torus)[1])]
     assert set(held.tolist()) == set(_unselected_closing(torus,
                                                          topo_torus).tolist())
     assert len(held) == topo_torus.homology.g
@@ -130,7 +132,7 @@ def test_basis_periods_vanish(mesh, request):
 def test_plain_fields_have_zero_periods(torus, topo_torus):
     # plain cotree fields avoid the closing edges, so periods vanish on them
     dofs = _gauged(topo_torus)
-    cycles, closing = surface_cycles(torus, topo_torus)
+    cycles, closing = _surface_cycles(torus, topo_torus)
     plain = dofs[~np.isin(dofs, _unselected_closing(torus, topo_torus))]
     assert len(plain) == topo_torus.tree.n_Q - len(closing)
     assert not np.isin(plain, closing).any()
@@ -157,12 +159,9 @@ def test_L_star_gradients_full_rank(cube1):
 def _reference_homology(m, topo):
     """ker A (g, 2g), from A (g, 2g) and the per-generator tree parts, and
     the closing edge of each generator."""
-    tc, (cycles, surface_closing) = topo.tree, surface_cycles(m, topo)
+    tc, (cycles, _) = topo.tree, _surface_cycles(m, topo)
     g = len(cycles) // 2
-    known = np.zeros(m.n_e, dtype=bool)
-    known[tc.tree_edges] = True
-    W, _ = _cocycles(m.face_edges, known)
-    selected = _independent(W[surface_closing], g)
+    selected = reference_domain_selection(m, cycles, g)
     assert len(selected) == g
     A = np.zeros((g, 2 * g), dtype=np.int64)
     tree_set = set(int(e) for e in tc.tree_edges)
@@ -221,8 +220,8 @@ def test_tangential_system_matches_sparse_reference(mesh, request):
     sol = gauged_solution(m, dofs, solve_spd(system), lift)
 
     H = topo.homology.cocycles
-    fields = _reference_fields(topo.tree, _surface_closing(m, topo), kernel,
-                               m.n_e)
+    fields = _reference_fields(topo.tree, _surface_cycles(m, topo)[1],
+                               kernel, m.n_e)
     S = (m.incidence.C @ fields).tocsc()
     M = prob.eta * tensor_mass(m, "face")
     F, _ = consistent_load(

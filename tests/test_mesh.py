@@ -114,6 +114,35 @@ def test_mesh_owns_read_only_arrays():
         assert not getattr(m, name).flags.writeable, name
 
 
+def test_derived_arrays_are_read_only():
+    # every array a mesh derives, and those of its boundary, tree and
+    # homology basis: a write would change what later stages read
+    from curldiv.cli import compute_topology
+    m = solid_torus_mesh(3)
+    topo = compute_topology(m)
+    b, tc, hb = topo.boundary, topo.tree, topo.homology
+    arrays = {name: getattr(m, name) for name in (
+        "face_edges", "tet_face_sign", "face_areas", "face_normals",
+        "edge_lengths")}
+    arrays["grads"], arrays["det"] = m.tet_geometry
+    for op in ("G", "C", "D"):
+        for key in ("data", "indices", "indptr"):
+            arrays[f"{op}.{key}"] = getattr(getattr(m.incidence, op), key)
+    for name in ("components", "component_vertices", "component_edges"):
+        for r, a in enumerate(getattr(b, name)):
+            arrays[f"{name}[{r}]"] = a
+    arrays["face_sign"] = b.face_sign
+    arrays["boundary_faces"] = b.boundary_faces
+    for name in ("tree_edges", "cotree_edges", "boundary_parent"):
+        arrays[name] = getattr(tc, name)
+    arrays["closing_edges"] = hb.closing_edges
+    arrays["cocycles"] = hb.cocycles
+    for name, a in arrays.items():
+        assert a.size, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = a[(-1,) * a.ndim]
+
+
 def test_nonmanifold_face_rejected():
     coords = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0],
                        [0, 0, 1], [0, 0, -1], [1, 1, 1]])

@@ -10,7 +10,7 @@ gauged one."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from curldiv import (DivergenceData, build_mesh, consistent_load,
                      interpolate, rt_potential, solve_spd)
@@ -75,7 +75,8 @@ def test_u_h_invariant_under_renumbering_and_translation(name, case_name,
     forms = ("tangential", "normal")
     ref = {f: _solve(m, f, case_name) for f in forms}
 
-    @settings(max_examples=2, deadline=None, database=None)
+    @settings(max_examples=2, deadline=None, database=None,
+              phases=[Phase.explicit, Phase.generate])
     @given(seed=st.integers(0, 2**32 - 1),
            shift=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
     def check(seed, shift):

@@ -4,78 +4,27 @@ from collections import deque
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import (assume, example, given, settings,
+                        strategies as st)
 
 from curldiv import betti, build_mesh, topology
 from curldiv.cli import compute_topology, topology_report
 from curldiv.mesh import FACE_EDGE_SIGN, connected_components
 from curldiv.topology import (_PRIME, TopologyError, _bfs, _cocycles,
-                              _echelon, _face_sweep, _independent,
-                              _kernel, build_boundary_first_tree,
-                              chain_boundary, fundamental_cycle,
-                              surface_cycle_basis)
+                              _echelon, _face_sweep, _kernel,
+                              build_boundary_first_tree, chain_boundary,
+                              fundamental_cycle, surface_cycle_basis)
 from edge_lookup import edge_ids
 from gauged import float_cocycles
-from surface_cycles import surface_cycles
+from surface_cycles import (RowBasis, reference_domain_selection,
+                            reference_surface_cycles)
 import sweep_reference
-
-
-class _RowBasis:
-    """Incremental row-echelon basis over GF(p) for sparse integer rows."""
-
-    def __init__(self, p: int = _PRIME):
-        self.p = p
-        self.pivots = {}        # pivot column -> reduced row (dict col -> val)
-
-    def _reduce(self, row: dict) -> dict:
-        p = self.p
-        row = {c: v % p for c, v in row.items() if v % p}
-        while row:
-            c = min(row)
-            if c not in self.pivots:
-                return row
-            piv = self.pivots[c]
-            factor = row[c] * pow(piv[c], p - 2, p) % p
-            for pc, pv in piv.items():
-                nv = (row.get(pc, 0) - factor * pv) % p
-                if nv:
-                    row[pc] = nv
-                else:
-                    row.pop(pc, None)
-        return row
-
-    def add(self, row: dict) -> bool:
-        """Insert a row; True if it increased the rank."""
-        red = self._reduce(row)
-        if not red:
-            return False
-        self.pivots[min(red)] = red
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def kernel(self, n: int) -> np.ndarray:
-        """Rows spanning {x in GF(p)^n : r . x = 0 for every added row r}."""
-        p = self.p
-        free = [j for j in range(n) if j not in self.pivots]
-        out = np.zeros((len(free), n), dtype=np.int64)
-        for i, j in enumerate(free):
-            x = {j: 1}
-            # each pivot row involves only its pivot and later columns
-            for c in sorted(self.pivots, reverse=True):
-                row = self.pivots[c]
-                s = sum(v * x.get(cc, 0) for cc, v in row.items() if cc != c)
-                x[c] = -s * pow(row[c], p - 2, p) % p
-            out[i, list(x)] = list(x.values())
-        return out
 
 
 def _modular_rank(mat) -> int:
     """Rank over GF(p) by elimination of whole rows."""
     mat = mat.tocsr()
-    basis = _RowBasis()
+    basis = RowBasis()
     for i in range(mat.shape[0]):
         sl = slice(mat.indptr[i], mat.indptr[i + 1])
         basis.add(dict(zip(map(int, mat.indices[sl]), map(int, mat.data[sl]))))
@@ -98,14 +47,18 @@ def test_cube_tree_counts(topo_cube1):
 
 
 def test_torus_closing_edges(torus, topo_torus):
-    cycles, closing = surface_cycles(torus, topo_torus)
+    cycles, closing = reference_surface_cycles(torus, topo_torus.boundary,
+                                               topo_torus.tree)
     assert len(closing) == 2
     assert len(cycles) == 2
+    assert topo_torus.homology.g == 1
     assert len(topo_torus.homology.closing_edges) == 1
 
 
 def test_hollow_no_cycles(hollow, topo_hollow):
-    assert len(surface_cycles(hollow, topo_hollow)[0]) == 0
+    cycles, closing = reference_surface_cycles(hollow, topo_hollow.boundary,
+                                               topo_hollow.tree)
+    assert len(cycles) == len(closing) == 0
     assert topo_hollow.homology.g == 0
 
 
@@ -153,7 +106,7 @@ def test_closing_edges_on_boundary(torus, topo_torus):
 def test_cycles_are_exact_1cycles(fixture, mesh, request):
     topo = request.getfixturevalue(fixture)
     m = request.getfixturevalue(mesh)
-    for cyc in surface_cycles(m, topo)[0]:
+    for cyc in reference_surface_cycles(m, topo.boundary, topo.tree)[0]:
         assert chain_boundary(m, cyc) == {}
     for cyc in topo.homology.cycles:
         assert chain_boundary(m, cyc) == {}
@@ -165,7 +118,8 @@ def test_torus_homology_closing_edge(torus, topo_torus):
     hb = topo_torus.homology
     assert hb.g == 1
     (e,) = hb.closing_edges
-    assert e in surface_cycles(torus, topo_torus)[1]
+    assert e in reference_surface_cycles(torus, topo_torus.boundary,
+                                         topo_torus.tree)[1]
     off_tree = set(hb.cycles[0]) - set(topo_torus.tree.tree_edges.tolist())
     assert off_tree == {e}
     assert hb.cycles[0][e] == 1
@@ -233,56 +187,9 @@ def test_bfs_matches_deque_reference(seed):
 
 
 # ---------------------------------------------------------------------------
-# reference: the dict-based GF(p) elimination over whole rows of C, which the
-# face sweep replaced; it must select the same cycles
-
-
-def _rows_of(C, faces):
-    return [dict(zip(map(int, C.indices[C.indptr[f]:C.indptr[f + 1]]),
-                     map(int, C.data[C.indptr[f]:C.indptr[f + 1]])))
-            for f in faces]
-
-
-def _reference_surface_cycles(m, b, tc):
-    """Closing edges and cycles, by elimination over all boundary face rows."""
-    C = m.incidence.C
-    cycles, closing = [], []
-    for r, comp in enumerate(b.components):
-        need = 2 - (len(b.component_vertices[r]) - len(b.component_edges[r])
-                    + len(comp))
-        if need == 0:
-            continue
-        basis = _RowBasis()
-        for row in _rows_of(C, comp):
-            basis.add(row)
-        comp_edges = set(int(e) for e in b.component_edges[r])
-        found = 0
-        for e in tc.cotree_edges:
-            if int(e) not in comp_edges:
-                continue
-            cyc = fundamental_cycle(m, tc.boundary_parent, int(e))
-            if basis.add(dict(cyc)):
-                cycles.append(cyc)
-                closing.append(int(e))
-                found += 1
-                if found == need:
-                    break
-        assert found == need
-    return cycles, closing
-
-
-def _reference_domain_selection(m, cycles, g):
-    """Indices of the surface cycles that survive in H1 of the domain."""
-    basis = _RowBasis()
-    for row in _rows_of(m.incidence.C, range(m.n_f)):
-        basis.add(row)
-    selected = []
-    for q, cyc in enumerate(cycles):
-        if basis.add(dict(cyc)):
-            selected.append(q)
-        if len(selected) == g:
-            break
-    return selected
+# reference: the two-step selection of tests/surface_cycles.py, a basis of
+# H1 of each boundary surface and then the cycles of it that survive in the
+# domain, which one pass over the rows of W at the boundary cotree replaced
 
 
 TOPOLOGY_FIXTURES = [("cube2", "topo_cube2"), ("torus", "topo_torus"),
@@ -291,7 +198,18 @@ TOPOLOGY_FIXTURES = [("cube2", "topo_cube2"), ("torus", "topo_torus"),
                      ("torus_cavity", "topo_torus_cavity")]
 
 
-@pytest.mark.parametrize("mesh,fixture", TOPOLOGY_FIXTURES)
+def _check_reference_selection(m, topo):
+    """The sigma_n and their closing edges are the reference's."""
+    cycles, closing = reference_surface_cycles(m, m.boundary, topo.tree)
+    hb = topo.homology
+    selected = reference_domain_selection(m, cycles, hb.g)
+    assert len(selected) == hb.g
+    assert hb.cycles == [cycles[q] for q in selected]
+    assert hb.closing_edges.tolist() == closing[selected].tolist()
+
+
+@pytest.mark.parametrize("mesh,fixture", TOPOLOGY_FIXTURES + [
+    ("handle_torus_cavity", "topo_handle_torus_cavity")])
 def test_sweep_selects_reference_cycles(mesh, fixture, request):
     m = request.getfixturevalue(mesh)
     topo = request.getfixturevalue(fixture)
@@ -302,20 +220,14 @@ def test_sweep_selects_reference_cycles(mesh, fixture, request):
                               getattr(tree, f.name))
     assert np.array_equal(tree.cotree_edges,
                           np.setdiff1d(np.arange(m.n_e), tree.tree_edges))
-    cycles, closing = _reference_surface_cycles(m, m.boundary, tree)
-    got_cycles, got_closing = surface_cycles(m, topo)
-    assert got_cycles == cycles
-    assert got_closing.tolist() == closing
-    hb = topo.homology
-    selected = _reference_domain_selection(m, cycles, hb.g)
-    assert hb.cycles == [cycles[q] for q in selected]
-    assert hb.closing_edges.tolist() == [closing[q] for q in selected]
+    _check_reference_selection(m, topo)
 
 
 @pytest.mark.parametrize("mesh,expected", [
     ("tet1", (1, 0, 0)), ("cube2", (1, 0, 0)), ("torus", (1, 1, 0)),
     ("hollow", (1, 0, 1)), ("genus2", (1, 2, 0)),
-    ("handle_cavity", (1, 1, 1)), ("torus_cavity", (1, 1, 1))])
+    ("handle_cavity", (1, 1, 1)), ("torus_cavity", (1, 1, 1)),
+    ("handle_torus_cavity", (1, 2, 1))])
 def test_betti_matches_modular_ranks(mesh, expected, request):
     m = request.getfixturevalue(mesh)
     inc = m.incidence
@@ -352,9 +264,9 @@ def test_report_betti_matches_bfs_tree_reference(mesh, fixture, request):
 
 
 def _renumbered(seed, which):
-    """One of seven meshes with its vertices and tets in a random order:
-    cube2, torus, hollow, genus2, handle_cavity, a torus at n = 5 and
-    torus_cavity."""
+    """One of eight meshes with its vertices and tets in a random order:
+    cube2, torus, hollow, genus2, handle_cavity, a torus at n = 5,
+    torus_cavity and handle_torus_cavity."""
     from curldiv.meshes import _grid_mesh, hollow_ball_mesh, solid_torus_mesh
     base = (lambda: _grid_mesh(2, 0.5, lambda i, j, k: True),
             solid_torus_mesh, hollow_ball_mesh,
@@ -365,6 +277,9 @@ def _renumbered(seed, which):
             lambda: solid_torus_mesh(5),
             lambda: _grid_mesh(7, 1.0 / 7, lambda i, j, k: not (
                 k == 3 and 2 <= i <= 4 and 2 <= j <= 4 and (i, j) != (3, 3))),
+            lambda: _grid_mesh(7, 1.0 / 7, lambda i, j, k: not (
+                (i, j) == (1, 1) or k == 3 and 3 <= i <= 5 and 3 <= j <= 5
+                and (i, j) != (4, 4))),
             )[which]()
     rng = np.random.default_rng(seed)
     perm = rng.permutation(base.n_v)
@@ -381,17 +296,14 @@ def test_report_betti_matches_reference_under_renumbering(seed, which):
 
 
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), which=st.sampled_from([1, 3, 4, 6]))
+@given(seed=st.integers(0, 2**32 - 1), which=st.sampled_from([1, 3, 4, 6, 7]))
+@example(seed=0, which=7)
 def test_surface_cycles_match_reference_under_renumbering(seed, which):
-    # torus, genus2, handle_cavity and torus_cavity: the dual spanning tree
-    # picks what elimination over the boundary face rows picks
+    # torus, genus2, handle_cavity, torus_cavity and handle_torus_cavity:
+    # the one selection over the boundary cotree, component after
+    # component, picks what the two-step elimination picks
     m = _renumbered(seed, which)
-    tree = build_boundary_first_tree(m, m.boundary)
-    cycles, closing = _reference_surface_cycles(m, m.boundary, tree)
-    topo = compute_topology(m)
-    got_cycles, got_closing = surface_cycles(m, topo)
-    assert got_cycles == cycles
-    assert got_closing.tolist() == closing
+    _check_reference_selection(m, compute_topology(m))
 
 
 def _check_cocycles(m, topo):
@@ -496,7 +408,7 @@ def test_homology_rank_C_is_echelon_rank(mesh, fixture, request):
 
 @pytest.mark.parametrize("mesh,sweeps", [("cube1", 1), ("torus", 1)])
 def test_topology_report_sweeps_C(mesh, sweeps, request, monkeypatch):
-    # the surface cycles come from a dual spanning tree with no sweep, the
+    # the boundary cycles are the boundary cotree edges, with no sweep; the
     # homology sweeps C once, and betti takes rank C from it
     m = request.getfixturevalue(mesh)
     calls = []
@@ -609,7 +521,9 @@ def test_stalling_sweeps_match_reference(seed, which, share):
                       (m.tet_faces, m.tet_face_sign, m.n_f)):
         known = rng.random(n) < share
         X, _ = _same_sweep(fe, fs, known, p=_PRIME)
-        assert X.shape[1] > 2
+        # on cube2 a known set of share 0.25 or more may leave at most one
+        # stall; such a draw is replaced, not failed
+        assume(X.shape[1] > 2)
         _same_sweep(fe, fs, known, rng.integers(0, _PRIME, n),
                     rng.integers(0, _PRIME, len(fe)), p=_PRIME)
         # in float the rounds before the first stall sum each row in
@@ -636,7 +550,7 @@ def _sparse(row) -> dict:
 
 def _greedy(rows) -> list:
     """Indices of the rows independent of the rows before them."""
-    basis = _RowBasis()
+    basis = RowBasis()
     return [i for i, row in enumerate(rows) if basis.add(_sparse(row))]
 
 
@@ -659,7 +573,7 @@ def _matrices():
 def test_echelon_matches_row_basis():
     for A in _matrices():
         E, pivots = _echelon(A)
-        rows = _RowBasis()
+        rows = RowBasis()
         for row in A:
             rows.add(_sparse(row))
         assert len(pivots) == rows.rank
@@ -673,10 +587,11 @@ def test_echelon_matches_row_basis():
         assert not np.any((A.astype(object) @ K.T.astype(object)) % _PRIME)
 
 
-@pytest.mark.parametrize("need", [1, 3, 8])
-def test_independent_matches_greedy_rows(need):
+def test_echelon_pivots_are_greedy_rows():
+    # the pivots of the transpose are the rows independent of those before
+    # them: the sigma_n that domain_homology_basis picks
     for A in _matrices():
-        assert _independent(A, need).tolist() == _greedy(A)[:need]
+        assert _echelon(A.T)[1].tolist() == _greedy(A)
 
 
 def _reference_cycle(m, parent, edge_id) -> dict:
