@@ -587,11 +587,12 @@ def test_echelon_matches_row_basis():
         assert not np.any((A.astype(object) @ K.T.astype(object)) % _PRIME)
 
 
-def test_echelon_pivots_are_greedy_rows():
+@pytest.mark.parametrize("need", [1, 3, 8])
+def test_independent_matches_greedy_rows(need):
     # the pivots of the transpose are the rows independent of those before
-    # them: the sigma_n that domain_homology_basis picks
+    # them: the sigma_n that domain_homology_basis picks, in order
     for A in _matrices():
-        assert _echelon(A.T)[1].tolist() == _greedy(A)
+        assert _echelon(A.T)[1][:need].tolist() == _greedy(A)[:need]
 
 
 def _reference_cycle(m, parent, edge_id) -> dict:
