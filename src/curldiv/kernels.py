@@ -95,7 +95,7 @@ def edge_mass(grads, vol):
     """Whitney edge mass matrices (n_t, 6, 6) from the Gram matrix
     G = grad lam . grad lam^T: for edges [a, b] and [c, d], |T| times
     L_ac G_bd - L_ad G_bc - L_bc G_ad + L_bd G_ac, L = ``_BARY_GRAM``."""
-    G = np.einsum("tix,tjx->tij", grads, grads)
+    G = grads @ grads.transpose(0, 2, 1)
     L = _BARY_GRAM
     a, b = _EDGE_A[:, None], _EDGE_B[:, None]
     c, d = _EDGE_A, _EDGE_B
@@ -107,9 +107,9 @@ def edge_mass(grads, vol):
 def curl_curl(grads, vol):
     """Curl-curl matrices (n_t, 6, 6): |T| c_i . c_j, c = ``edge_curls``."""
     c = edge_curls(grads)
-    return np.einsum("tix,tjx->tij", c, c) * vol[:, None, None]
+    return (c @ c.transpose(0, 2, 1)) * vol[:, None, None]
 
 
 def stiffness(grads, vol):
     """P1 stiffness matrices (n_t, 4, 4): |T| grad lam_a . grad lam_b."""
-    return np.einsum("tix,tjx->tij", grads, grads) * vol[:, None, None]
+    return (grads @ grads.transpose(0, 2, 1)) * vol[:, None, None]

@@ -8,9 +8,11 @@ Whitney bases line up with the global degrees of freedom without sign maps.
 C and D are tables of signed ids per row, ``face_edges`` and ``tet_faces``,
 which the sweeps read, as they read the rows of D^T, ``face_tets``: the
 two tets of each face.  With scipy, for the solve, ``incidence`` builds
-G, C and D as sparse matrices, and ``edge_mass``, ``curl_curl`` (C^T M_f
-C) and ``gradient_stiffness`` (G^T M_e G over all vertices) are summed
-from closed-form local matrices, unit coefficient, with no stored 0.0.
+G, C and D as sparse matrices, and ``curl_curl`` (C^T M_f C) and
+``gradient_stiffness`` (G^T M_e G over all vertices) are summed from
+closed-form local matrices, unit coefficient, with no stored 0.0.  No
+mass matrix is assembled: the solver applies the Nedelec mass M_e element
+by element.
 The arrays of a ``Mesh``, those it derives and caches included, are
 read-only, as are those of its ``BoundaryStructure``.
 
@@ -135,12 +137,6 @@ class Mesh:
         """G, C and D as sparse matrices, for linear algebra; the sweeps
         read the tables ``face_edges`` and ``tet_faces`` instead."""
         return derive_incidence(self)
-
-    @cached_property
-    def edge_mass(self) -> "sp.csr_matrix":
-        """The Nedelec mass matrix M_e, unit coefficient, read-only."""
-        return _global_matrix(self, self.tet_edges, self.n_e,
-                              kernels.edge_mass)
 
     @cached_property
     def curl_curl(self) -> "sp.csr_matrix":

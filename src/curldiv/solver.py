@@ -266,34 +266,68 @@ def consistent_load(m: Mesh, F: np.ndarray,
     """F - M_e Z (Z^T M_e Z)^-1 Z^T F, Z = [G, H] spanning ker C.
 
     M_e is the Nedelec mass with the unit coefficient and H the
-    (n_e, g) cocycles.  The gradient part is one Jacobi-CG solve with
-    G^T M_e G, its rhs rid of its round-off mean (the exact one sums to
-    0); H is made M_e-orthogonal to the gradients, one solve per column,
-    then its part is one g x g solve.  Also returns |G^T F| and |Q^T F|,
-    Q an orthonormal basis of the orthogonalised H (free of the sigma_n
-    the numbering picks), each over |F|.  F is scaled by a power of two
-    first, as is the rhs in ``solve_spd``.
+    (n_e, g) cocycles; M_e is applied element by element and never
+    assembled (``_mass_gradient``, ``_mass_columns``).  The gradient part
+    is one Jacobi-CG solve with G^T M_e G, its rhs rid of its round-off
+    mean (the exact one sums to 0); H is made M_e-orthogonal to the
+    gradients, one solve per column, then its part is one g x g solve.
+    Also returns |G^T F| and |Q^T F|, Q an orthonormal basis of the
+    orthogonalised H (free of the sigma_n the numbering picks), each over
+    |F|.  F is scaled by a power of two first, as is the rhs in
+    ``solve_spd``.
     """
     F, e = _scaled(F)
     norm = np.linalg.norm(F)
     if norm == 0.0:
         return F, {"gradient": 0.0, "harmonic": 0.0}
-    M, G = m.edge_mass, m.incidence.G
+    G = m.incidence.G
 
-    def grad_part(v):
-        """The gradient G phi whose M_e-pairings with grad are G^T v."""
+    def potential(v):
+        """The phi whose gradient G phi has the M_e-pairings G^T v with
+        every gradient."""
         r = G.T @ v
-        return G @ solve_spd(AssembledSystem(K=m.gradient_stiffness,
-                                             rhs=r - r.mean()))
+        return solve_spd(AssembledSystem(K=m.gradient_stiffness,
+                                         rhs=r - r.mean()))
 
     H = np.array(cocycles, dtype=np.float64)
+    MH = _mass_columns(m, H)
     for n in range(H.shape[1]):
-        H[:, n] -= grad_part(M @ H[:, n])
-    y = np.linalg.solve(H.T @ (M @ H), H.T @ F)
-    Fc = np.ldexp(F - M @ (grad_part(F) + H @ y), e)
+        psi = potential(MH[:, n])
+        H[:, n] -= G @ psi
+        MH[:, n] -= _mass_gradient(m, psi)
+    y = np.linalg.solve(H.T @ MH, H.T @ F)
+    Fc = np.ldexp(F - _mass_gradient(m, potential(F)) - MH @ y, e)
     QtF = np.linalg.qr(H)[0].T @ F
     return Fc, {"gradient": float(np.linalg.norm(G.T @ F) / norm),
                 "harmonic": float(np.linalg.norm(QtF) / norm)}
+
+
+def _mass_gradient(m: Mesh, phi: np.ndarray) -> np.ndarray:
+    """M_e G phi, unit coefficient: int_T lam = |T|/4 makes the pairing
+    of edge [a, b] with the constant grad phi_T on T |T|/4 (grad lam_b -
+    grad lam_a) . grad phi_T, as in ``_lift_load``."""
+    loads = np.empty(m.tet_edges.shape)
+    for blk in kernels.blocks(m.n_t):
+        w = m.tet_geometry[0][blk]
+        grad = np.einsum("tvx,tv->tx", w, phi[m.tets[blk]])
+        pair = np.einsum("tvx,tx,t->tv", w, grad, m.volumes[blk] / 4.0)
+        loads[blk] = pair[:, kernels._EDGE_B] - pair[:, kernels._EDGE_A]
+    return np.bincount(m.tet_edges.ravel(), loads.ravel(), minlength=m.n_e)
+
+
+def _mass_columns(m: Mesh, H: np.ndarray) -> np.ndarray:
+    """M_e H for the (n_e, k) columns H, unit coefficient: one pass of
+    the local ``kernels.edge_mass``, scattered by one bincount."""
+    k = H.shape[1]
+    if k == 0:
+        return np.zeros(H.shape)
+    loads = np.empty(m.tet_edges.shape + (k,))
+    for blk in kernels.blocks(m.n_t):
+        loads[blk] = kernels.edge_mass(m.tet_geometry[0][blk],
+                                       m.volumes[blk]) @ H[m.tet_edges[blk]]
+    ids = m.tet_edges[:, :, None] * k + np.arange(k)
+    return np.bincount(ids.ravel(), loads.ravel(),
+                       minlength=m.n_e * k).reshape(m.n_e, k)
 
 
 def _lift_load(m: Mesh, lift: FEFunction) -> np.ndarray:
@@ -317,7 +351,7 @@ def assemble_tangential(p: TangentialProblem, m: Mesh, lift: FEFunction,
     with F the consistent load against ker C (``consistent_load``)."""
     if lift.space != Space.FACE:
         raise SolverError("tangential lift must be an RT function")
-    # the load first: the Nedelec mass is built before K takes memory
+    # the load first: its element passes run before K takes memory
     F, compat = consistent_load(
         m, _edge_load(m, p.J) + _tangential_boundary_load(m, p.a), cocycles)
     K = p.eta * m.curl_curl

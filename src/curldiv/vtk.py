@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elements import FEFunction, Space, field_values
+from .elements import ElementError, FEFunction, Space, field_values
 from .mesh import Mesh
 
 
@@ -27,6 +27,11 @@ def _rows(fmt: str, a: np.ndarray) -> str:
 def write_vtk(m: Mesh, u: FEFunction, path,
               residual: np.ndarray | None = None) -> None:
     vals = _barycenter_values(u)
+    if residual is not None:
+        residual = np.asarray(residual, dtype=np.float64)
+        if residual.shape != (m.n_t,):
+            raise ElementError(f"residual has shape {residual.shape}, "
+                               f"expected ({m.n_t},), one value per tet")
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("curl-div solution\nASCII\n")
@@ -42,4 +47,4 @@ def write_vtk(m: Mesh, u: FEFunction, path,
         fh.write(_rows("%.17g %.17g %.17g\n", vals))
         if residual is not None:
             fh.write("SCALARS residual double 1\nLOOKUP_TABLE default\n")
-            fh.write(_rows("%.17g\n", np.asarray(residual, dtype=np.float64)))
+            fh.write(_rows("%.17g\n", residual))

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from curldiv import (FEFunction, MeshError, MshParseError, build_mesh,
-                     interpolate, read_gmsh, write_gmsh, write_vtk)
+from curldiv import (ElementError, FEFunction, MeshError, MshParseError,
+                     build_mesh, interpolate, read_gmsh, write_gmsh,
+                     write_vtk)
 from curldiv.cli import main, parse_config, run_convergence, ConfigError
 from curldiv.meshes import (hollow_ball_mesh, single_tet_mesh,
                             structured_cube_mesh)
@@ -179,6 +181,19 @@ def test_vtk_constant_field(tmp_path):
     for ln in lines[start:start + m.n_t]:
         vals = [float(x) for x in ln.split()]
         assert np.allclose(vals, [1.0, 0.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(9,), (6, 2)])
+def test_vtk_rejects_residual_of_wrong_shape(tmp_path, shape):
+    # one value per tet or none: neither more rows than cells nor a
+    # column per cell, and no file is opened
+    m = structured_cube_mesh(1)
+    u = FEFunction("face", m, np.zeros(m.n_f))
+    p = tmp_path / "bad.vtk"
+    with pytest.raises(ElementError,
+                       match=re.escape(f"{shape}, expected (6,)")):
+        write_vtk(m, u, p, residual=np.zeros(shape))
+    assert not p.exists()
 
 
 def _write_vtk_per_row(m, u, path, residual=None):

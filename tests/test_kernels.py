@@ -45,8 +45,8 @@ def test_geometry_kernel_runs_once_per_mesh(handle_cavity, tmp_path,
 
 def test_each_mass_matrix_built_once_per_mesh(handle_cavity, monkeypatch):
     # a tangential and a normal solve build each matrix once: the
-    # tangential load the Nedelec mass and the P1 stiffness, which the
-    # normal K shares, before the curl-curl K; no solve builds an RT mass
+    # tangential load the P1 stiffness, which the normal K shares, before
+    # the curl-curl K; no solve builds a mass matrix, RT or Nedelec
     m = build_mesh(handle_cavity.vertices, handle_cavity.tets)
     built = []
     build = mesh._global_matrix
@@ -57,11 +57,11 @@ def test_each_mass_matrix_built_once_per_mesh(handle_cavity, monkeypatch):
     for f in ("tangential", "normal"):
         _, rep = solve_on_mesh(m, ProblemConfig(f, "mms1"), topo)
         assert rep["passed"]
-    assert built == ["edge_mass", "stiffness", "curl_curl"]
-    for M in (m.curl_curl, m.edge_mass, m.gradient_stiffness):   # cached
+    assert built == ["stiffness", "curl_curl"]
+    for M in (m.curl_curl, m.gradient_stiffness):                # cached
         assert not any(a.flags.writeable
                        for a in (M.data, M.indices, M.indptr))
-    assert built == ["edge_mass", "stiffness", "curl_curl"]
+    assert built == ["stiffness", "curl_curl"]
 
 
 def test_normal_K_is_the_stiffness_product_bitwise(handle_cavity):
@@ -77,7 +77,7 @@ def test_normal_K_is_the_stiffness_product_bitwise(handle_cavity):
         assert K.data.flags.writeable
     assert not A.data.flags.writeable
     G = m.incidence.G
-    _assert_matches(A, G.T @ m.edge_mass @ G)
+    _assert_matches(A, G.T @ _edge_mass(m) @ G)
 
 
 def _edge_basis_by_index(grads, lam):
@@ -168,12 +168,18 @@ def _assert_matches(got, want):
     assert abs(got - want).max() <= 1e-14 * abs(want).max()
 
 
+def _edge_mass(m):
+    """The Nedelec mass of m summed from the closed form, which the solver
+    applies element by element and never assembles."""
+    return mesh._global_matrix(m, m.tet_edges, m.n_e, kernels.edge_mass)
+
+
 def _quadrature_matrices(m):
     """The edge mass, curl-curl and P1 stiffness matrices of m, each with
     its oracle from the quadrature masses."""
     M_e = tensor_mass(m, "edge")
     C, G = m.incidence.C, m.incidence.G
-    return ((m.edge_mass, M_e),
+    return ((_edge_mass(m), M_e),
             (m.curl_curl, C.T @ tensor_mass(m, "face") @ C),
             (m.gradient_stiffness, G.T @ M_e @ G))
 
@@ -221,11 +227,12 @@ def test_closed_form_masses_match_quadrature_on_one_tet(name):
 
 
 # tracemalloc peaks on structured_cube_mesh(8), 3,072 tets, at about 1.3
-# times those measured with numpy 2.4 and scipy 1.17; the quadrature edge
-# mass and the whole-mesh passes that the last five replaced peaked at 7.2,
-# 4.9, 0.65, 1.7, 7.2 and 11.8 MB
-PASS_PEAK_MB = {"curl_curl": 4.0, "edge_mass": 4.0,
-                "gradient_stiffness": 1.9, "edge_load": 1.65,
+# times those measured with numpy 2.4 and scipy 1.17; the assembled edge
+# mass that consistent_load built before it applied M_e per element peaked
+# at 3.0 MB, and the quadrature edge mass before that and the whole-mesh
+# passes that the last five replaced at 7.2, 4.9, 0.65, 1.7, 7.2 and 11.8 MB
+PASS_PEAK_MB = {"curl_curl": 4.0, "gradient_stiffness": 1.9,
+                "consistent_load": 1.0, "edge_load": 1.65,
                 "nodal_load": 0.3, "tangential_boundary_load": 1.6,
                 "tangential_error": 1.75, "normal_error": 3.0}
 
@@ -236,10 +243,13 @@ def _element_passes(m):
                                zero_function(s, m))
             for f, s, n in (("tangential", "face", m.n_f),
                             ("normal", "edge", m.n_e))}
+    # the cube has no cocycle; a column that is no gradient stands in for
+    # one, so that the M_e H pass runs too
+    F, H = solver._edge_load(m, case.J), np.ones((m.n_e, 1))
     return {
         "curl_curl": lambda: m.curl_curl,
         "gradient_stiffness": lambda: m.gradient_stiffness,
-        "edge_mass": lambda: m.edge_mass,
+        "consistent_load": lambda: solver.consistent_load(m, F, H),
         "edge_load": lambda: solver._edge_load(m, case.J),
         "nodal_load": lambda: solver._nodal_load(m, case.g),
         "tangential_boundary_load": lambda: solver._tangential_boundary_load(
