@@ -39,16 +39,16 @@ class ConfigError(ValueError):
 
 @dataclass
 class Topology:
-    boundary: object
+    boundary: object        # m.boundary: the stages read it from m, the
+                            # benchmark's checks from here
     tree: object
     homology: object
 
 
 def compute_topology(m: Mesh) -> Topology:
-    b = m.boundary
-    tc = build_boundary_first_tree(m, b)
-    hb = domain_homology_basis(m, tc, surface_cycle_basis(m, b, tc))
-    return Topology(boundary=b, tree=tc, homology=hb)
+    tc = build_boundary_first_tree(m)
+    hb = domain_homology_basis(m, tc, surface_cycle_basis(m, tc))
+    return Topology(boundary=m.boundary, tree=tc, homology=hb)
 
 
 @dataclass
@@ -140,25 +140,25 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
     """Full pipeline on a built mesh; returns the solution and a report."""
     if topo is None:
         topo = compute_topology(m)
-    b, tc, hb = topo.boundary, topo.tree, topo.homology
+    tc, hb = topo.tree, topo.homology
     case = get_case(cfg.case)
     report = {"formulation": cfg.formulation, "case": cfg.case,
               "checks": {}, "passed": True}
 
     if cfg.formulation == "tangential":
-        alpha = discrete_alpha(case, m, b) if cfg.alpha is None else cfg.alpha
-        if len(alpha) != b.p:
-            raise ConfigError(f"alpha must have length p = {b.p}")
+        alpha = discrete_alpha(case, m) if cfg.alpha is None else cfg.alpha
+        if len(alpha) != m.boundary.p:
+            raise ConfigError(f"alpha must have length p = {m.boundary.p}")
         prob = case.tangential(cfg.coefficient)
-        report["validation"] = validate_tangential(prob, m, b)
+        report["validation"] = validate_tangential(prob, m)
         g_h = interpolate("cell", case.g, m)
-        lift = rt_potential(m, b, DivergenceData(g_h, alpha))
-        system = assemble_tangential(prob, m, lift, hb.cocycles)
+        lift = rt_potential(DivergenceData(g_h, alpha))
+        system = assemble_tangential(prob, lift, hb.cocycles)
         coeffs = solve_spd(system, tol=cfg.tol, maxit=cfg.maxit)
         sol = recover_solution(coeffs, lift)
         div_resid = float(np.abs(
             m.incidence.D @ sol.u_h.coeffs - g_h.coeffs * m.volumes).max())
-        fluxes = component_fluxes(m, b, sol.u_h)
+        fluxes = component_fluxes(sol.u_h)
         flux_err = float(np.abs(fluxes[1:] - alpha).max(initial=0.0))
         scale = 1.0 + np.abs(sol.u_h.coeffs).max()
         report["checks"]["div_residual"] = div_resid
@@ -170,9 +170,9 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
             raise ConfigError(f"beta must have length g = {hb.g}")
         prob = case.normal(cfg.coefficient)
         J_I = interpolate("face", case.J, m)
-        J_h = clean_curl_data(m, b, J_I)
-        lift = nedelec_potential(m, tc, hb, CurlData(J_h, beta))
-        system = assemble_normal(prob, m, lift)
+        J_h = clean_curl_data(J_I)
+        lift = nedelec_potential(tc, hb, CurlData(J_h, beta))
+        system = assemble_normal(prob, lift)
         coeffs = solve_spd(system, tol=cfg.tol, maxit=cfg.maxit)
         sol = recover_solution(coeffs, lift)
         curl_resid = float(np.abs(
@@ -206,11 +206,11 @@ def solution_residual_field(sol: Solution) -> np.ndarray:
 
 def topology_report(m: Mesh) -> dict:
     topo = compute_topology(m)
-    b, tc, hb = topo.boundary, topo.tree, topo.homology
+    tc, hb = topo.tree, topo.homology
     b0, b1, b2 = betti(m, hb.rank_C)
     return {
         "n_v": m.n_v, "n_e": m.n_e, "n_f": m.n_f, "n_t": m.n_t,
-        "p": b.p, "g": hb.g,
+        "p": m.boundary.p, "g": hb.g,
         "betti": [b0, b1, b2],
         "n_Q": tc.n_Q,
         "dim_W0h": tc.n_Q - hb.g,

@@ -10,6 +10,9 @@ Nedelec lift: prescribed curl and homology periods, swept over the face
 equations of C from the tree and the closing edge of each sigma_n, which
 carries its period.  Circulations it leaves free (none on any mesh tried)
 are fitted to the unused faces.
+Each function reads the mesh from the function it is given (g_h of
+``DivergenceData``, J_h of ``CurlData``, or the field itself) and the
+boundary components from that mesh's ``Mesh.boundary``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import FEFunction, Space
-from .mesh import FACE_EDGE_SIGN, Mesh, BoundaryStructure
+from .mesh import FACE_EDGE_SIGN
 from .topology import HomologyBasis, TreeCotree, _bfs, _face_sweep
 
 
@@ -63,8 +66,11 @@ class CurlData:
         self.beta = np.asarray(self.beta, dtype=np.float64)
 
 
-def rt_potential(m: Mesh, b: BoundaryStructure, dd: DivergenceData) -> FEFunction:
-    """RT field with div = g_h and prescribed component fluxes (exact sweep)."""
+def rt_potential(dd: DivergenceData) -> FEFunction:
+    """RT field on the mesh of g_h with div = g_h and prescribed component
+    fluxes (exact sweep)."""
+    m = dd.g_h.mesh
+    b = m.boundary
     if len(dd.alpha) != b.p:
         raise LiftError(f"alpha must have length p = {b.p}")
     inc = m.incidence
@@ -98,8 +104,10 @@ def rt_potential(m: Mesh, b: BoundaryStructure, dd: DivergenceData) -> FEFunctio
     return u
 
 
-def component_fluxes(m: Mesh, b: BoundaryStructure, u: FEFunction) -> np.ndarray:
-    """Outward flux of an RT field through each boundary component."""
+def component_fluxes(u: FEFunction) -> np.ndarray:
+    """Outward flux of an RT field through each boundary component of
+    its mesh."""
+    b = u.mesh.boundary
     return np.array([b.face_sign[comp] @ u.coeffs[comp]
                      for comp in b.components])
 
@@ -109,9 +117,11 @@ def cycle_period(cycle: dict, coeffs: np.ndarray) -> float:
     return float(sum(c * coeffs[int(e)] for e, c in cycle.items()))
 
 
-def nedelec_potential(m: Mesh, tc: TreeCotree, hb: HomologyBasis,
+def nedelec_potential(tc: TreeCotree, hb: HomologyBasis,
                       cd: CurlData) -> FEFunction:
-    """Nedelec field with curl = J_h and prescribed sigma_n periods."""
+    """Nedelec field on the mesh of J_h with curl = J_h and prescribed
+    sigma_n periods; ``tc`` and ``hb`` are the topology of that mesh."""
+    m = cd.J_h.mesh
     if len(cd.beta) != hb.g:
         raise LiftError(f"beta must have length g = {hb.g}")
     inc = m.incidence
@@ -149,15 +159,16 @@ def nedelec_potential(m: Mesh, tc: TreeCotree, hb: HomologyBasis,
     return FEFunction(Space.EDGE, m, circ)
 
 
-def clean_curl_data(m: Mesh, b: BoundaryStructure, J_h: FEFunction) -> FEFunction:
+def clean_curl_data(J_h: FEFunction) -> FEFunction:
     """Project interpolated curl data onto the discretely compatible set.
 
     Quadrature leaves I_RT(curl u) with a small spurious divergence and
     component fluxes; subtracting an RT correction with exactly those
     defects restores D.J = 0 and zero fluxes without affecting convergence.
     """
-    inc = m.incidence
-    defect = FEFunction(Space.CELL, m, (inc.D @ J_h.coeffs) / m.volumes)
-    alpha = component_fluxes(m, b, J_h)[1:]
-    corr = rt_potential(m, b, DivergenceData(g_h=defect, alpha=alpha))
+    m = J_h.mesh
+    defect = FEFunction(Space.CELL, m,
+                        (m.incidence.D @ J_h.coeffs) / m.volumes)
+    alpha = component_fluxes(J_h)[1:]
+    corr = rt_potential(DivergenceData(g_h=defect, alpha=alpha))
     return FEFunction(Space.FACE, m, J_h.coeffs - corr.coeffs)

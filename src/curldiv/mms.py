@@ -22,7 +22,7 @@ import numpy as np
 
 from .elements import edge_integrals, face_fluxes
 from .lifts import cycle_period
-from .mesh import Mesh, BoundaryStructure
+from .mesh import Mesh
 from .solver import NormalProblem, TangentialProblem
 from .topology import HomologyBasis
 
@@ -94,8 +94,10 @@ def get_case(name: str) -> MMSCase:
                        f"available: {sorted(REGISTRY)}") from None
 
 
-def discrete_alpha(case: MMSCase, m: Mesh, b: BoundaryStructure) -> np.ndarray:
-    """Fluxes of the RT interpolant of u through the internal components."""
+def discrete_alpha(case: MMSCase, m: Mesh) -> np.ndarray:
+    """Fluxes of the RT interpolant of u through the internal components
+    of ``m.boundary``."""
+    b = m.boundary
     return np.array([b.face_sign[c] @ face_fluxes(case.u, m, c)
                      for c in b.components[1:]])
 

@@ -36,7 +36,7 @@ import numpy as np
 from . import kernels
 from .elements import (FEFunction, Space, differential, eval_field,
                        field_values, interpolate, tet_point_values)
-from .mesh import Mesh, BoundaryStructure
+from .mesh import Mesh
 from .quadrature import make_quadrature
 from .topology import HomologyBasis, TreeCotree
 
@@ -204,18 +204,19 @@ def _scalar_boundary_load(m: Mesh, b_fn) -> np.ndarray:
 # data validation (report only)
 
 
-def validate_tangential(p: TangentialProblem, m: Mesh,
-                        b: BoundaryStructure) -> dict:
-    """Necessary-condition checks on tangential data; warnings, no failures.
+def validate_tangential(p: TangentialProblem, m: Mesh) -> dict:
+    """Necessary-condition checks on tangential data on the boundary
+    ``m.boundary``; warnings, no failures.
 
     The divergence check inspects D.flux, with the face fluxes of J those
     of its RT interpolant, whose rule is fine enough to see div J and not
-    quadrature error.  The trace check compares the outward flux of J
-    through each boundary face, taken from those same fluxes, with the
-    circulation of n x a around the face (Stokes on the face), a block of
-    boundary faces at a time.  Both residuals are over 1 + max |flux|.  The
-    compatibility against the harmonic fields is the ``harmonic`` part of
-    the load compatibility (``consistent_load``).
+    quadrature error.  The trace check compares the flux of J through each
+    boundary face, taken from those same fluxes, with the circulation of
+    n x a, n the outward normal, around the face in its stored vertex
+    order, whose right-hand normal is the one of the flux (Stokes on the
+    face), a block of boundary faces at a time.  Both residuals are over
+    1 + max |flux|.  The compatibility against the harmonic fields is the
+    ``harmonic`` part of the load compatibility (``consistent_load``).
     """
     report = {"warnings": [], "div_check": None, "trace_check": None}
     flux = interpolate("face", p.J, m).coeffs
@@ -226,28 +227,25 @@ def validate_tangential(p: TangentialProblem, m: Mesh,
         report["warnings"].append(
             f"J is not divergence free (face-flux residual {div_resid:.3e})")
 
-    # per face: int_f J.n dA = circulation of the tangential part of eta*u,
-    # recovered from a as n x a, around the face boundary (outward RHR);
-    # inward-numbered faces walk their vertices as 0, 2, 1
-    faces = np.asarray(b.boundary_faces, dtype=np.int64)
+    # per face: its flux of J = the circulation of n x a, n outward (the
+    # tangential part of eta*u), around it in its stored vertex order,
+    # whose right-hand normal is that of the flux; a takes n as an
+    # argument, so the points may lie on the face's edges
+    b = m.boundary
+    faces = b.boundary_faces
     erule = make_quadrature("edge", 15)
     t = erule.points[:, 0][:, None]
     resid = np.empty(len(faces))
     for blk in kernels.blocks(len(faces)):
-        sign = b.face_sign[faces[blk]]
-        tri = m.vertices[m.faces[faces[blk]]]
-        centroid = tri.mean(axis=1)
-        tri = np.where(sign[:, None, None] > 0, tri, tri[:, [0, 2, 1]])
-        nrm = m.face_normals[faces[blk]] * sign[:, None]
-        head, tail = tri, tri[:, [1, 2, 0]]             # (nbf, 3 edges, 3)
+        head = m.vertices[m.faces[faces[blk]]]
+        tail = head[:, [1, 2, 0]]                       # (nbf, 3 edges, 3)
+        nrm = m.face_normals[faces[blk]] * b.face_sign[faces[blk], None]
         epts = (1.0 - t) * head[:, :, None] + t * tail[:, :, None]
-        # tiny inset keeps points off ambiguous domain edges, in-plane
-        epts = epts + 1e-9 * (centroid[:, None, None] - epts)
         nq = np.broadcast_to(nrm[:, None, None], epts.shape).reshape(-1, 3)
         av = _eval_boundary(p.a, epts.reshape(-1, 3), nq, vector=True)
         tang = np.cross(nrm[:, None, None], av.reshape(epts.shape))
         circ = np.einsum("feqx,fex,q->f", tang, tail - head, erule.weights)
-        resid[blk] = sign * flux[faces[blk]] - circ
+        resid[blk] = flux[faces[blk]] - circ
     worst = float(np.abs(resid).max(initial=0.0) / scale)
     report["trace_check"] = worst
     if worst > _VALIDATE_TOL:
@@ -330,10 +328,11 @@ def _mass_columns(m: Mesh, H: np.ndarray) -> np.ndarray:
                        minlength=m.n_e * k).reshape(m.n_e, k)
 
 
-def _lift_load(m: Mesh, lift: FEFunction) -> np.ndarray:
+def _lift_load(lift: FEFunction) -> np.ndarray:
     """C^T M_f lift (RT lift) or G^T M_e lift (Nedelec lift), unit
     coefficient: sum_T |T| w . lift(centroid), w the curl of an edge
     function or the gradient of a hat function, constant on T."""
+    m = lift.mesh
     face = lift.space == Space.FACE
     conn, n = (m.tet_edges, m.n_e) if face else (m.tets, m.n_v)
     loads = np.empty(conn.shape)
@@ -345,28 +344,31 @@ def _lift_load(m: Mesh, lift: FEFunction) -> np.ndarray:
     return np.bincount(conn.ravel(), loads.ravel(), minlength=n)
 
 
-def assemble_tangential(p: TangentialProblem, m: Mesh, lift: FEFunction,
+def assemble_tangential(p: TangentialProblem, lift: FEFunction,
                         cocycles: np.ndarray) -> AssembledSystem:
-    """K = C^T eta M_f C and rhs = F - C^T eta M_f lift over all edges,
-    with F the consistent load against ker C (``consistent_load``)."""
+    """K = C^T eta M_f C and rhs = F - C^T eta M_f lift over all edges of
+    the lift's mesh, with F the consistent load against ker C
+    (``consistent_load``) and ``cocycles`` those of that mesh."""
     if lift.space != Space.FACE:
         raise SolverError("tangential lift must be an RT function")
+    m = lift.mesh
     # the load first: its element passes run before K takes memory
     F, compat = consistent_load(
         m, _edge_load(m, p.J) + _tangential_boundary_load(m, p.a), cocycles)
     K = p.eta * m.curl_curl
-    rhs = F - p.eta * _lift_load(m, lift)
+    rhs = F - p.eta * _lift_load(lift)
     return AssembledSystem(K=K, rhs=rhs, load_compatibility=compat)
 
 
-def assemble_normal(p: NormalProblem, m: Mesh,
-                    lift: FEFunction) -> AssembledSystem:
-    """K = G^T mu M_e G and rhs = F - G^T mu M_e lift over all vertices,
-    F the load b - g less hat * (sum F / sum hat), hat = int lambda_v: F
-    is orthogonal to the constants, ker K.  Also returns |sum F| / |F|;
-    both from F scaled by a power of two, as in ``consistent_load``."""
+def assemble_normal(p: NormalProblem, lift: FEFunction) -> AssembledSystem:
+    """K = G^T mu M_e G and rhs = F - G^T mu M_e lift over all vertices
+    of the lift's mesh, F the load b - g less hat * (sum F / sum hat), hat
+    = int lambda_v: F is orthogonal to the constants, ker K.  Also returns
+    |sum F| / |F|; both from F scaled by a power of two, as in
+    ``consistent_load``."""
     if lift.space != Space.EDGE:
         raise SolverError("normal lift must be a Nedelec function")
+    m = lift.mesh
     F, e = _scaled(_scalar_boundary_load(m, p.b) - _nodal_load(m, p.g))
     norm, total = np.linalg.norm(F), F.sum()
     hat = np.bincount(m.tets.ravel(), np.repeat(m.volumes / 4.0, 4),
@@ -374,7 +376,7 @@ def assemble_normal(p: NormalProblem, m: Mesh,
     rhs = np.ldexp(F - hat * (total / hat.sum()), e)
     compat = {"constant": float(abs(total) / norm) if norm else 0.0}
     return AssembledSystem(K=p.mu * m.gradient_stiffness,
-                           rhs=rhs - p.mu * _lift_load(m, lift),
+                           rhs=rhs - p.mu * _lift_load(lift),
                            load_compatibility=compat)
 
 

@@ -1,13 +1,15 @@
 """Tree-cotree structure and homology generators of the complex.
 
-The boundary-first spanning tree restricts to a spanning tree of each
-boundary component; the cotree is the rest of the edges, ascending, and
-no later stage reorders it.  The fundamental cycles, in the boundary tree,
-of the boundary cotree edges span H1 of the boundary, and so H1 of the
-domain, onto which H1 of the boundary maps for a domain in R^3.  The
-domain generators sigma_n are the first g of them, the cotree edges of
-each component ascending and the components from ``components[0]``, that
-stay independent in H1 of the domain.
+The boundary components are those of ``Mesh.boundary``, which every
+function here reads from its mesh.  The boundary-first spanning tree
+restricts to a spanning tree of each boundary component; the cotree is
+the rest of the edges, ascending, and no later stage reorders it.  The
+fundamental cycles, in the boundary tree, of the boundary cotree edges
+span H1 of the boundary, and so H1 of the domain, onto which H1 of the
+boundary maps for a domain in R^3.  The domain generators sigma_n are
+the first g of them, the cotree edges of each component ascending and
+the components from ``components[0]``, that stay independent in H1 of
+the domain.
 
 That selection, and rank C for the Betti numbers, come from a face sweep
 (Webb & Forghani, IEEE Trans. Magn. 1989) from the tree edges, gauged to
@@ -35,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (FACE_EDGE_SIGN, Mesh, BoundaryStructure,
-                   connected_components, read_only)
+from .mesh import FACE_EDGE_SIGN, Mesh, connected_components, read_only
 
 
 class TopologyError(ValueError):
@@ -261,8 +262,10 @@ def _spanning_forest(n: int, u, v, in_tree: np.ndarray) -> None:
         label = connected_components(n, label[u[new]], label[v[new]])[label]
 
 
-def build_boundary_first_tree(m: Mesh, b: BoundaryStructure) -> TreeCotree:
-    """Spanning tree containing a BFS spanning tree of each boundary component."""
+def build_boundary_first_tree(m: Mesh) -> TreeCotree:
+    """Spanning tree containing a BFS spanning tree of each boundary
+    component of ``m.boundary``."""
+    b = m.boundary
     in_tree = np.zeros(m.n_e, dtype=bool)
     bparent = np.full(m.n_v, -1, dtype=np.int64)
     for cv, ce in zip(b.component_vertices, b.component_edges):
@@ -309,15 +312,15 @@ def fundamental_cycle(m: Mesh, parent, edge_id: int) -> dict:
     return chain
 
 
-def surface_cycle_basis(m: Mesh, b: BoundaryStructure,
-                        tc: TreeCotree) -> np.ndarray:
+def surface_cycle_basis(m: Mesh, tc: TreeCotree) -> np.ndarray:
     """The closing edges of every fundamental cycle of the boundary tree:
-    the cotree edges of each boundary component, ascending, component
-    after component from ``components[0]``.  Their cycles span H1 of the
-    boundary; ``domain_homology_basis`` picks the sigma_n among them."""
+    the cotree edges of each component of ``m.boundary``, ascending,
+    component after component from ``components[0]``.  Their cycles span
+    H1 of the boundary; ``domain_homology_basis`` picks the sigma_n among
+    them."""
     return np.concatenate([np.zeros(0, dtype=np.int64)] + [
         tc.cotree_edges[np.isin(tc.cotree_edges, ce)]
-        for ce in b.component_edges])
+        for ce in m.boundary.component_edges])
 
 
 def domain_homology_basis(m: Mesh, tc: TreeCotree,

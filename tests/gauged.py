@@ -20,27 +20,28 @@ def float_cocycles(m, tc, hb):
     zero = FEFunction("face", m, np.zeros(m.n_f))
     H = np.zeros((m.n_e, hb.g))
     for n, beta in enumerate(np.eye(hb.g)):
-        H[:, n] = nedelec_potential(m, tc, hb, CurlData(zero, beta)).coeffs
+        H[:, n] = nedelec_potential(tc, hb, CurlData(zero, beta)).coeffs
     return H
 
 
-def gauged_system(prob, m, topo, lift):
+def gauged_system(prob, topo, lift):
     """N*_h and the principal submatrix on it of the quotient system, with
     sorted column indices, so that CG sums each row in column order."""
-    full = assemble_tangential(prob, m, lift, topo.homology.cocycles)
+    full = assemble_tangential(prob, lift, topo.homology.cocycles)
     gb = build_N_star(topo.tree, topo.homology)
     return gb, AssembledSystem(K=full.K[gb][:, gb].sorted_indices(),
                                rhs=full.rhs[gb],
                                load_compatibility=full.load_compatibility)
 
 
-def gauged_solution(m, gb, x, lift):
-    """u_h = C[:, N*_h] x + lift."""
+def gauged_solution(gb, x, lift):
+    """u_h = C[:, N*_h] x + lift, on the mesh of the lift."""
+    m = lift.mesh
     return Solution(lift=lift, u_h=FEFunction(
         "face", m, m.incidence.C.tocsc()[:, gb] @ x + lift.coeffs))
 
 
-def gauged_solve(prob, m, topo, lift, tol=1e-10):
+def gauged_solve(prob, topo, lift, tol=1e-10):
     """The tangential solution of the gauged system."""
-    gb, system = gauged_system(prob, m, topo, lift)
-    return gauged_solution(m, gb, solve_spd(system, tol=tol), lift)
+    gb, system = gauged_system(prob, topo, lift)
+    return gauged_solution(gb, solve_spd(system, tol=tol), lift)

@@ -84,7 +84,7 @@ def test_curls_in_W0h(fixture, mesh, request):
     scale = 1.0 + np.abs(dense).max()
     for col in range(dense.shape[1]):
         v = FEFunction("face", m, dense[:, col])
-        fluxes = component_fluxes(m, topo.boundary, v)
+        fluxes = component_fluxes(v)
         assert np.abs(fluxes).max() <= 1e-12 * scale
 
 
@@ -208,16 +208,15 @@ GAUGE_FIXTURES = ["cube2", "torus", "hollow", "genus2", "handle_cavity",
 def test_tangential_system_matches_sparse_reference(mesh, request):
     m = request.getfixturevalue(mesh)
     topo = request.getfixturevalue(f"topo_{mesh}")
-    b = topo.boundary
     kernel, closing = _reference_homology(m, topo)
     assert topo.homology.closing_edges.tolist() == closing
 
     case = get_case("mms1")
     prob = case.tangential(1.0)
-    lift = rt_potential(m, b, DivergenceData(interpolate("cell", case.g, m),
-                                             np.full(b.p, 0.25)))
-    dofs, system = gauged_system(prob, m, topo, lift)
-    sol = gauged_solution(m, dofs, solve_spd(system), lift)
+    lift = rt_potential(DivergenceData(interpolate("cell", case.g, m),
+                                       np.full(m.boundary.p, 0.25)))
+    dofs, system = gauged_system(prob, topo, lift)
+    sol = gauged_solution(dofs, solve_spd(system), lift)
 
     H = topo.homology.cocycles
     fields = _reference_fields(topo.tree, _surface_cycles(m, topo)[1],

@@ -8,7 +8,10 @@ module never references, unless the line that imports it carries
 package defines at top level, and every method, property, dataclass field
 and constant of its classes, is read by the package, exported from
 ``curldiv/__init__.py`` or read by the benchmark: a name only the tests
-read lives in the tests.
+read lives in the tests.  And no function of the package takes a value
+another of its inputs holds: a ``BoundaryStructure`` (``Mesh.boundary``
+gives it), or a ``Mesh`` beside a finite element function or lift data,
+which hold their mesh; ``vtk.write_vtk`` is the one exception.
 
 Run-time check: the topology path runs on numpy alone, and scipy loads
 only when a solve needs it.
@@ -136,6 +139,67 @@ def test_no_unused_imports_in_tests(module):
 @pytest.mark.parametrize("module", PERFBENCH_MODULES)
 def test_no_unused_imports_in_perfbench(module):
     assert unused_imports((PERFBENCH / module).read_text()) == []
+
+
+# a function takes no value another of its inputs holds: the boundary is
+# Mesh.boundary, and a finite element function, or lift data, holds its mesh
+_HOLDS_MESH = {"FEFunction", "DivergenceData", "CurlData"}
+# perfbench/workloads.py calls write_vtk(m, u, ...) positionally
+_TAKES_MESH_AND_FUNCTION = {"vtk.write_vtk"}
+
+
+def _annotation_names(node) -> set[str]:
+    """The names an annotation reads, also inside a string annotation."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out |= _annotation_names(ast.parse(n.value, mode="eval"))
+    return out
+
+
+def restated_inputs(source: str, module: str) -> list[str]:
+    """The functions, as module.name, with a parameter annotated
+    ``BoundaryStructure``, or with a ``Mesh`` parameter beside one of a
+    type in _HOLDS_MESH, less those in _TAKES_MESH_AND_FUNCTION."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        types = [_annotation_names(p.annotation)
+                 for p in [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                 if p.annotation is not None]
+        name = f"{module}.{node.name}"
+        if (any("BoundaryStructure" in t for t in types)
+                or (any("Mesh" in t for t in types)
+                    and any(t & _HOLDS_MESH for t in types)
+                    and name not in _TAKES_MESH_AND_FUNCTION)):
+            bad.append(name)
+    return bad
+
+
+def test_restated_inputs_detected():
+    source = ("def a(m: Mesh, b: BoundaryStructure): pass\n"
+              "def b(m, *, b: 'mesh.BoundaryStructure'): pass\n"
+              "def c(m: Mesh, u: FEFunction): pass\n"
+              "def d(m: Mesh, dd: Optional[DivergenceData] = None): pass\n"
+              "def e(m: Mesh, tc: TreeCotree): pass\n"
+              "def f(cd: CurlData): pass\n"
+              "def write_vtk(m: Mesh, u: FEFunction): pass\n")
+    assert restated_inputs(source, "mod") == ["mod.a", "mod.b", "mod.c",
+                                              "mod.d", "mod.write_vtk"]
+    assert restated_inputs(source, "vtk") == ["vtk.a", "vtk.b", "vtk.c",
+                                              "vtk.d"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_restated_inputs(module):
+    source = (SRC / module).read_text()
+    assert restated_inputs(source, module.removesuffix(".py")) == []
 
 
 _TOPOLOGY_THEN_SOLVE = """

@@ -70,7 +70,7 @@ def test_normal_K_is_the_stiffness_product_bitwise(handle_cavity):
     lift = zero_function("edge", m)
     A = m.gradient_stiffness
     for mu in (1.0, 2.5):
-        K = solver.assemble_normal(get_case("mms1").normal(mu), m, lift).K
+        K = solver.assemble_normal(get_case("mms1").normal(mu), lift).K
         for a, b in ((K.indptr, A.indptr), (K.indices, A.indices),
                      (K.data, mu * A.data)):
             assert np.array_equal(a, b)

@@ -17,38 +17,36 @@ from curldiv.mms import discrete_beta, get_case
 from curldiv.topology import _bfs
 
 
-def test_rt_constant_divergence_on_cube(cube2, topo_cube2):
+def test_rt_constant_divergence_on_cube(cube2):
     g_h = FEFunction("cell", cube2, np.ones(cube2.n_t))
-    u = rt_potential(cube2, topo_cube2.boundary, DivergenceData(g_h, np.zeros(0)))
+    u = rt_potential(DivergenceData(g_h, np.zeros(0)))
     resid = np.abs(cube2.incidence.D @ u.coeffs / cube2.volumes - 1.0).max()
     assert resid <= 1e-12
 
 
-def test_rt_cavity_flux_on_hollow_ball(hollow, topo_hollow):
-    b = topo_hollow.boundary
+def test_rt_cavity_flux_on_hollow_ball(hollow):
     g_h = FEFunction("cell", hollow, np.zeros(hollow.n_t))
-    u = rt_potential(hollow, b, DivergenceData(g_h, np.array([1.0])))
-    fluxes = component_fluxes(hollow, b, u)
+    u = rt_potential(DivergenceData(g_h, np.array([1.0])))
+    fluxes = component_fluxes(u)
     assert abs(fluxes[1] - 1.0) <= 1e-10                # the cavity
     assert np.abs(hollow.incidence.D @ u.coeffs).max() <= 1e-12
 
 
-def test_rt_zero_data_returns_zero(cube1, topo_cube1):
+def test_rt_zero_data_returns_zero(cube1):
     g_h = FEFunction("cell", cube1, np.zeros(cube1.n_t))
-    u = rt_potential(cube1, topo_cube1.boundary, DivergenceData(g_h, np.zeros(0)))
+    u = rt_potential(DivergenceData(g_h, np.zeros(0)))
     assert np.abs(u.coeffs).max() == 0.0
 
 
-def test_rt_alpha_length_checked(cube1, topo_cube1):
+def test_rt_alpha_length_checked(cube1):
     g_h = FEFunction("cell", cube1, np.zeros(cube1.n_t))
     with pytest.raises(LiftError):
-        rt_potential(cube1, topo_cube1.boundary,
-                     DivergenceData(g_h, np.array([1.0])))
+        rt_potential(DivergenceData(g_h, np.array([1.0])))
 
 
 def test_nedelec_zero_data_returns_zero(cube1, topo_cube1):
     J_h = FEFunction("face", cube1, np.zeros(cube1.n_f))
-    u = nedelec_potential(cube1, topo_cube1.tree, topo_cube1.homology,
+    u = nedelec_potential(topo_cube1.tree, topo_cube1.homology,
                           CurlData(J_h, np.zeros(0)))
     assert np.abs(u.coeffs).max() == 0.0
 
@@ -61,7 +59,7 @@ def test_nedelec_matches_interpolated_curl(cube2, topo_cube2):
     J_h = interpolate("face", J, cube2)
     scale = 1.0 + np.abs(J_h.coeffs).max()
     assert np.abs(cube2.incidence.D @ J_h.coeffs).max() <= 1e-10 * scale
-    u = nedelec_potential(cube2, topo_cube2.tree, topo_cube2.homology,
+    u = nedelec_potential(topo_cube2.tree, topo_cube2.homology,
                           CurlData(J_h, np.zeros(0)))
     resid = np.abs(cube2.incidence.C @ u.coeffs - J_h.coeffs).max()
     assert resid <= 1e-10 * scale
@@ -70,7 +68,7 @@ def test_nedelec_matches_interpolated_curl(cube2, topo_cube2):
 def test_nedelec_torus_unit_period(torus, topo_torus):
     hb = topo_torus.homology
     J_h = FEFunction("face", torus, np.zeros(torus.n_f))
-    u = nedelec_potential(torus, topo_torus.tree, hb,
+    u = nedelec_potential(topo_torus.tree, hb,
                           CurlData(J_h, np.array([1.0])))
     assert np.abs(torus.incidence.C @ u.coeffs).max() <= 1e-10
     assert abs(cycle_period(hb.cycles[0], u.coeffs) - 1.0) <= 1e-10
@@ -79,7 +77,7 @@ def test_nedelec_torus_unit_period(torus, topo_torus):
 def test_nedelec_beta_length_checked(torus, topo_torus):
     J_h = FEFunction("face", torus, np.zeros(torus.n_f))
     with pytest.raises(LiftError):
-        nedelec_potential(torus, topo_torus.tree, topo_torus.homology,
+        nedelec_potential(topo_torus.tree, topo_torus.homology,
                           CurlData(J_h, np.zeros(0)))
 
 
@@ -91,28 +89,28 @@ def test_nedelec_incompatible_curl_rejected(cube1, topo_cube1):
                                 topo_cube1.boundary.boundary_faces)]
     J[interior[0]] = 1.0
     with pytest.raises(LiftError):
-        nedelec_potential(cube1, topo_cube1.tree, topo_cube1.homology,
+        nedelec_potential(topo_cube1.tree, topo_cube1.homology,
                           CurlData(FEFunction("face", cube1, J), np.zeros(0)))
 
 
-def test_clean_curl_data_restores_compatibility(cube2, topo_cube2):
+def test_clean_curl_data_restores_compatibility(cube2):
     # trigonometric curl data pick up quadrature-level divergence defects
     def J(p):
         return np.column_stack([-np.pi * np.cos(np.pi * p[:, 2]),
                                 -np.pi * np.cos(np.pi * p[:, 0]),
                                 -np.pi * np.cos(np.pi * p[:, 1])])
     J_h = interpolate("face", J, cube2)
-    cleaned = clean_curl_data(cube2, topo_cube2.boundary, J_h)
+    cleaned = clean_curl_data(J_h)
     assert np.abs(cube2.incidence.D @ cleaned.coeffs).max() <= 1e-12
     # the correction stays at quadrature-error size
     assert np.abs(cleaned.coeffs - J_h.coeffs).max() <= 1e-5
 
 
-def test_lifts_deterministic(cube2, topo_cube2):
+def test_lifts_deterministic(cube2):
     g_h = FEFunction("cell", cube2, np.ones(cube2.n_t))
     dd = DivergenceData(g_h, np.zeros(0))
-    u1 = rt_potential(cube2, topo_cube2.boundary, dd)
-    u2 = rt_potential(cube2, topo_cube2.boundary, dd)
+    u1 = rt_potential(dd)
+    u2 = rt_potential(dd)
     assert np.array_equal(u1.coeffs, u2.coeffs)
 
 
@@ -203,14 +201,14 @@ def test_nedelec_sweep_matches_reference_without_lstsq(mesh, fixture, request,
     m = request.getfixturevalue(mesh)
     topo = request.getfixturevalue(fixture)
     case = get_case("mms1")
-    J_h = clean_curl_data(m, topo.boundary, interpolate("face", case.J, m))
+    J_h = clean_curl_data(interpolate("face", case.J, m))
     beta = discrete_beta(case, m, topo.homology) + 0.5
     expected = _reference_nedelec(m, topo.tree, topo.homology, J_h.coeffs,
                                   beta)
     def fail(*args, **kwargs):
         raise AssertionError("least squares called")
     monkeypatch.setattr(lifts.np.linalg, "lstsq", fail)
-    u = nedelec_potential(m, topo.tree, topo.homology, CurlData(J_h, beta))
+    u = nedelec_potential(topo.tree, topo.homology, CurlData(J_h, beta))
     assert np.abs(u.coeffs - expected).max() <= 1e-12
 
 
@@ -231,7 +229,7 @@ def test_nedelec_fits_circulations_the_sweep_leaves(torus, topo_torus,
                                cocycles=np.zeros((torus.n_e, 0), dtype=int))
     a = np.random.default_rng(0).standard_normal(torus.n_e)
     J = torus.incidence.C @ a
-    u = nedelec_potential(torus, topo_torus.tree, no_periods,
+    u = nedelec_potential(topo_torus.tree, no_periods,
                           CurlData(FEFunction("face", torus, J), np.zeros(0)))
     assert len(calls) == 1 and calls[0][1] >= 1
     assert np.abs(torus.incidence.C @ u.coeffs - J).max() <= 1e-12
@@ -301,7 +299,7 @@ def test_rt_sweep_matches_reference(mesh, request):
     interior = np.flatnonzero(m.face_tets[:, 1] >= 0)
     order, arc = _bfs(m.n_t, *m.face_tets[interior].T, 0)
     assert set(interior[arc[order[1:]]].tolist()) == tree
-    u = rt_potential(m, b, DivergenceData(FEFunction("cell", m, g), alpha))
+    u = rt_potential(DivergenceData(FEFunction("cell", m, g), alpha))
     assert (np.abs(u.coeffs - expected).max()
             <= 1e-14 * np.abs(expected).max())
 
@@ -332,7 +330,7 @@ def test_topology_and_lift_invariant_under_renumbering(seed, which):
     try:
         J = FEFunction("face", m, np.zeros(m.n_f))
         beta = np.arange(1.0, topo.homology.g + 1)
-        u = nedelec_potential(m, topo.tree, topo.homology, CurlData(J, beta))
+        u = nedelec_potential(topo.tree, topo.homology, CurlData(J, beta))
     finally:
         lifts.np.linalg.lstsq = lstsq
     assert calls == []
@@ -372,5 +370,5 @@ def test_nedelec_sweep_leaves_nothing_free_on_renumbered_benchmark_domains(
         assert topo.homology.g == d.g
         J = FEFunction("face", m, np.zeros(m.n_f))
         beta = np.arange(1.0, d.g + 1)
-        nedelec_potential(m, topo.tree, topo.homology, CurlData(J, beta))
+        nedelec_potential(topo.tree, topo.homology, CurlData(J, beta))
     assert sum(unknowns) == 0

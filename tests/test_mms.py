@@ -67,9 +67,9 @@ def test_normal_data_with_scalar_mu():
     assert np.array_equal(prob.g(pts), 2.0 * case.g(pts))
 
 
-def test_discrete_alpha_on_hollow(hollow, topo_hollow):
+def test_discrete_alpha_on_hollow(hollow):
     # constant field has zero net flux through the closed cavity surface
-    alpha = discrete_alpha(get_case("constant"), hollow, topo_hollow.boundary)
+    alpha = discrete_alpha(get_case("constant"), hollow)
     assert alpha.shape == (1,)
     assert abs(alpha[0]) <= 1e-12
 
@@ -81,8 +81,8 @@ def test_discrete_beta_on_torus(torus, topo_torus):
     assert abs(beta[0]) <= 1e-12
 
 
-def test_discrete_alpha_empty_on_cube(cube1, topo_cube1):
-    alpha = discrete_alpha(get_case("mms1"), cube1, topo_cube1.boundary)
+def test_discrete_alpha_empty_on_cube(cube1):
+    alpha = discrete_alpha(get_case("mms1"), cube1)
     assert alpha.shape == (0,)
 
 

@@ -3,7 +3,8 @@ and on G^T M G over all vertices, with the load made consistent against
 the kernel.
 
 Neither u_h may depend on the vertex numbering or the position of the
-mesh, also where the data's quadrature leaves the normal load unbalanced.
+mesh, and both must turn with a rotation of it, also where the data's
+quadrature leaves the normal load unbalanced.
 The tangential u_h must equal the u_h of the gauged N*_h system with the
 same load, and its CG must converge in far fewer iterations than the
 gauged one."""
@@ -42,6 +43,17 @@ def _shifted(case: MMSCase, shift) -> MMSCase:
     return MMSCase(case.name, moved(case.u), moved(case.J), moved(case.g))
 
 
+def _rotated(case: MMSCase, Q) -> MMSCase:
+    """The case turned by the proper rotation Q: Q u(Q^T x), Q J(Q^T x)
+    and g(Q^T x), so curl u = J and div u = g still hold."""
+    def at(fn):
+        return lambda p: fn(np.asarray(p) @ Q)
+
+    def turned(fn):
+        return lambda p: fn(np.asarray(p) @ Q) @ Q.T
+    return MMSCase(case.name, turned(case.u), turned(case.J), at(case.g))
+
+
 # on the Kuhn grids the quadrature of mms1 balances the normal load to
 # 2e-16, as opposite faces are translates; that of this field does not
 UNBALANCED = MMSCase(
@@ -59,9 +71,11 @@ FIXTURE_CASES = [pytest.param(name, case, id=name + ("" if case == "mms1"
                  for case in CASES for name in FIXTURES]
 
 
-def _solve(m, formulation, case_name, shift=(0.0, 0.0, 0.0)):
-    """u_h at the barycentres and the load compatibility of the report."""
-    case = _shifted(CASES[case_name], shift)
+def _solve(m, formulation, case_name, shift=(0.0, 0.0, 0.0), Q=None):
+    """u_h at the barycentres and the load compatibility of the report, for
+    the case turned by Q, if given, then moved by ``shift``."""
+    case = CASES[case_name] if Q is None else _rotated(CASES[case_name], Q)
+    case = _shifted(case, shift)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "get_case", lambda name: case)
         sol, rep = cli.solve_on_mesh(
@@ -98,6 +112,40 @@ def test_u_h_invariant_under_renumbering_and_translation(name, case_name,
     check()
 
 
+@pytest.mark.parametrize("name,case_name", FIXTURE_CASES)
+def test_u_h_invariant_under_renumbering_and_rotation(name, case_name,
+                                                      request):
+    m = request.getfixturevalue(name)
+    forms = ("tangential", "normal")
+    ref = {f: _solve(m, f, case_name) for f in forms}
+
+    @settings(max_examples=2, deadline=None, database=None,
+              phases=[Phase.explicit, Phase.generate])
+    @given(seed=st.integers(0, 2**32 - 1),
+           shift=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    def check(seed, shift):
+        rng = np.random.default_rng(seed)
+        Q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        Q = Q * np.sign(np.diag(r))
+        if np.linalg.det(Q) < 0:
+            Q[:, 0] = -Q[:, 0]                    # proper: det Q = +1
+        perm = rng.permutation(m.n_v)             # old vertex v is perm[v]
+        vertices = np.empty_like(m.vertices)
+        vertices[perm] = m.vertices @ Q.T + shift
+        order = rng.permutation(m.n_t)            # new tet i is old order[i]
+        tets = rng.permuted(perm[m.tets[order]], axis=1)
+        moved = build_mesh(vertices, tets)
+        for f in forms:
+            vals, compat = _solve(moved, f, case_name, shift, Q)
+            diff = np.abs(vals - ref[f][0][order] @ Q.T).max()
+            assert diff <= 1e-10 * np.abs(ref[f][0]).max(), (f, diff)
+            # the mms1 figures lie at round-off (about 1e-16), which the
+            # rotation moves by a large factor: an absolute bound
+            assert compat == pytest.approx(ref[f][1], rel=0, abs=1e-13), f
+
+    check()
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_quotient_u_h_matches_gauged_reference(name, request):
     m = request.getfixturevalue(name)
@@ -105,11 +153,10 @@ def test_quotient_u_h_matches_gauged_reference(name, request):
     sol, _ = cli.solve_on_mesh(m, cli.ProblemConfig("tangential", "mms1",
                                                     tol=TOL), topo)
     case = get_case("mms1")
-    b = topo.boundary
     prob = case.tangential(1.0)
-    lift = rt_potential(m, b, DivergenceData(interpolate("cell", case.g, m),
-                                             discrete_alpha(case, m, b)))
-    ref = gauged_solve(prob, m, topo, lift, tol=TOL)
+    lift = rt_potential(DivergenceData(interpolate("cell", case.g, m),
+                                       discrete_alpha(case, m)))
+    ref = gauged_solve(prob, topo, lift, tol=TOL)
     u, u_ref = sol.u_h.coeffs, ref.u_h.coeffs
     assert np.abs(u - u_ref).max() <= 1e-9 * np.abs(u_ref).max()
 

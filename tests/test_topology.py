@@ -98,8 +98,7 @@ def test_boundary_first_property(fixture, mesh, request):
 
 def test_closing_edges_on_boundary(torus, topo_torus):
     be = np.concatenate(topo_torus.boundary.component_edges)
-    assert np.isin(surface_cycle_basis(torus, topo_torus.boundary,
-                                       topo_torus.tree), be).all()
+    assert np.isin(surface_cycle_basis(torus, topo_torus.tree), be).all()
 
 
 @pytest.mark.parametrize("fixture,mesh", [("topo_torus", "torus")])
@@ -213,7 +212,7 @@ def _check_reference_selection(m, topo):
 def test_sweep_selects_reference_cycles(mesh, fixture, request):
     m = request.getfixturevalue(mesh)
     topo = request.getfixturevalue(fixture)
-    tree = build_boundary_first_tree(m, m.boundary)
+    tree = build_boundary_first_tree(m)
     # the topology keeps the tree as it was built, the cotree ascending
     for f in dataclasses.fields(tree):
         assert np.array_equal(getattr(topo.tree, f.name),
@@ -438,10 +437,10 @@ def test_stalled_sweep_rank_is_exact(torus, topo_torus):
 
 
 def test_tree_is_frozen_and_left_unchanged(torus):
-    tree = build_boundary_first_tree(torus, torus.boundary)
+    tree = build_boundary_first_tree(torus)
     cotree = tree.cotree_edges.copy()
     topo = compute_topology(torus)
-    surface_cycle_basis(torus, torus.boundary, tree)
+    surface_cycle_basis(torus, tree)
     assert np.array_equal(tree.cotree_edges, cotree)
     # the cotree is the ascending complement of the tree, as built
     assert np.array_equal(cotree, np.flatnonzero(
