@@ -47,7 +47,7 @@ class Topology:
 
 def compute_topology(m: Mesh) -> Topology:
     tc = build_boundary_first_tree(m)
-    hb = domain_homology_basis(m, tc, surface_cycle_basis(m, tc))
+    hb = domain_homology_basis(tc, surface_cycle_basis(tc))
     return Topology(boundary=m.boundary, tree=tc, homology=hb)
 
 
@@ -140,7 +140,7 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
     """Full pipeline on a built mesh; returns the solution and a report."""
     if topo is None:
         topo = compute_topology(m)
-    tc, hb = topo.tree, topo.homology
+    hb = topo.homology
     case = get_case(cfg.case)
     report = {"formulation": cfg.formulation, "case": cfg.case,
               "checks": {}, "passed": True}
@@ -153,7 +153,7 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
         report["validation"] = validate_tangential(prob, m)
         g_h = interpolate("cell", case.g, m)
         lift = rt_potential(DivergenceData(g_h, alpha))
-        system = assemble_tangential(prob, lift, hb.cocycles)
+        system = assemble_tangential(prob, lift, hb)
         coeffs = solve_spd(system, tol=cfg.tol, maxit=cfg.maxit)
         sol = recover_solution(coeffs, lift)
         div_resid = float(np.abs(
@@ -165,13 +165,13 @@ def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
         report["checks"]["flux_error"] = flux_err
         ok = div_resid <= RESIDUAL_TOL * scale and flux_err <= RESIDUAL_TOL * scale
     else:
-        beta = discrete_beta(case, m, hb) if cfg.beta is None else cfg.beta
+        beta = discrete_beta(case, hb) if cfg.beta is None else cfg.beta
         if len(beta) != hb.g:
             raise ConfigError(f"beta must have length g = {hb.g}")
         prob = case.normal(cfg.coefficient)
         J_I = interpolate("face", case.J, m)
         J_h = clean_curl_data(J_I)
-        lift = nedelec_potential(tc, hb, CurlData(J_h, beta))
+        lift = nedelec_potential(hb, CurlData(J_h, beta))
         system = assemble_normal(prob, lift)
         coeffs = solve_spd(system, tol=cfg.tol, maxit=cfg.maxit)
         sol = recover_solution(coeffs, lift)
@@ -207,7 +207,7 @@ def solution_residual_field(sol: Solution) -> np.ndarray:
 def topology_report(m: Mesh) -> dict:
     topo = compute_topology(m)
     tc, hb = topo.tree, topo.homology
-    b0, b1, b2 = betti(m, hb.rank_C)
+    b0, b1, b2 = betti(hb)
     return {
         "n_v": m.n_v, "n_e": m.n_e, "n_f": m.n_f, "n_t": m.n_t,
         "p": m.boundary.p, "g": hb.g,

@@ -12,7 +12,9 @@ carries its period.  Circulations it leaves free (none on any mesh tried)
 are fitted to the unused faces.
 Each function reads the mesh from the function it is given (g_h of
 ``DivergenceData``, J_h of ``CurlData``, or the field itself) and the
-boundary components from that mesh's ``Mesh.boundary``.
+boundary components from that mesh's ``Mesh.boundary``; the Nedelec lift
+reads its gauge tree and closing edges from the ``HomologyBasis`` of that
+mesh, and refuses a basis of another.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .elements import FEFunction, Space
 from .mesh import FACE_EDGE_SIGN
-from .topology import HomologyBasis, TreeCotree, _bfs, _face_sweep
+from .topology import HomologyBasis, _bfs, _face_sweep
 
 
 class LiftError(ValueError):
@@ -117,11 +119,14 @@ def cycle_period(cycle: dict, coeffs: np.ndarray) -> float:
     return float(sum(c * coeffs[int(e)] for e, c in cycle.items()))
 
 
-def nedelec_potential(tc: TreeCotree, hb: HomologyBasis,
-                      cd: CurlData) -> FEFunction:
+def nedelec_potential(hb: HomologyBasis, cd: CurlData) -> FEFunction:
     """Nedelec field on the mesh of J_h with curl = J_h and prescribed
-    sigma_n periods; ``tc`` and ``hb`` are the topology of that mesh."""
+    sigma_n periods, gauged to zero on the tree ``hb.tree``; ``hb`` must be
+    the homology basis of that mesh (``hb.tree.mesh is cd.J_h.mesh``)."""
     m = cd.J_h.mesh
+    if hb.tree.mesh is not m:
+        raise LiftError("the homology basis is of another mesh than the "
+                        "curl data J_h")
     if len(cd.beta) != hb.g:
         raise LiftError(f"beta must have length g = {hb.g}")
     inc = m.incidence
@@ -137,7 +142,7 @@ def nedelec_potential(tc: TreeCotree, hb: HomologyBasis,
     circ = np.zeros(m.n_e)
     circ[hb.closing_edges] = cd.beta
     known = np.zeros(m.n_e, dtype=bool)
-    known[tc.tree_edges] = True
+    known[hb.tree.tree_edges] = True
     known[hb.closing_edges] = True
     X, R = _face_sweep(m.face_edges, FACE_EDGE_SIGN, known, circ, J)
     circ = X[:, 0]

@@ -102,8 +102,10 @@ def discrete_alpha(case: MMSCase, m: Mesh) -> np.ndarray:
                      for c in b.components[1:]])
 
 
-def discrete_beta(case: MMSCase, m: Mesh, hb: HomologyBasis) -> np.ndarray:
-    """Periods of the Nedelec interpolant of u over the sigma_n cycles."""
+def discrete_beta(case: MMSCase, hb: HomologyBasis) -> np.ndarray:
+    """Periods of the Nedelec interpolant of u over the sigma_n cycles of
+    ``hb``, on its mesh ``hb.tree.mesh``."""
+    m = hb.tree.mesh
     u_I = np.zeros(m.n_e)
     edges = np.array(sorted({int(e) for cyc in hb.cycles for e in cyc}),
                      dtype=np.int64)

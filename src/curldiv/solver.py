@@ -38,7 +38,7 @@ from .elements import (FEFunction, Space, differential, eval_field,
                        field_values, interpolate, tet_point_values)
 from .mesh import Mesh
 from .quadrature import make_quadrature
-from .topology import HomologyBasis, TreeCotree
+from .topology import HomologyBasis
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -106,9 +106,11 @@ class Solution:
 # gauged bases
 
 
-def build_N_star(tc: TreeCotree, hb: HomologyBasis) -> np.ndarray:
-    """The edges of N*_h: the cotree less the sigma_n closing edges."""
-    return tc.cotree_edges[~np.isin(tc.cotree_edges, hb.closing_edges)]
+def build_N_star(hb: HomologyBasis) -> np.ndarray:
+    """The edges of N*_h: the cotree of ``hb.tree`` less the sigma_n
+    closing edges."""
+    cotree = hb.tree.cotree_edges
+    return cotree[~np.isin(cotree, hb.closing_edges)]
 
 
 def build_L_star(m: Mesh) -> np.ndarray:
@@ -345,16 +347,21 @@ def _lift_load(lift: FEFunction) -> np.ndarray:
 
 
 def assemble_tangential(p: TangentialProblem, lift: FEFunction,
-                        cocycles: np.ndarray) -> AssembledSystem:
+                        hb: HomologyBasis) -> AssembledSystem:
     """K = C^T eta M_f C and rhs = F - C^T eta M_f lift over all edges of
     the lift's mesh, with F the consistent load against ker C
-    (``consistent_load``) and ``cocycles`` those of that mesh."""
+    (``consistent_load``) and the cocycles ``hb.cocycles``; ``hb`` must be
+    the homology basis of that mesh (``hb.tree.mesh is lift.mesh``)."""
     if lift.space != Space.FACE:
         raise SolverError("tangential lift must be an RT function")
     m = lift.mesh
+    if hb.tree.mesh is not m:
+        raise SolverError("the homology basis is of another mesh than the "
+                          "lift")
     # the load first: its element passes run before K takes memory
     F, compat = consistent_load(
-        m, _edge_load(m, p.J) + _tangential_boundary_load(m, p.a), cocycles)
+        m, _edge_load(m, p.J) + _tangential_boundary_load(m, p.a),
+        hb.cocycles)
     K = p.eta * m.curl_curl
     rhs = F - p.eta * _lift_load(lift)
     return AssembledSystem(K=K, rhs=rhs, load_compatibility=compat)

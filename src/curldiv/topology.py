@@ -1,15 +1,19 @@
 """Tree-cotree structure and homology generators of the complex.
 
-The boundary components are those of ``Mesh.boundary``, which every
-function here reads from its mesh.  The boundary-first spanning tree
-restricts to a spanning tree of each boundary component; the cotree is
-the rest of the edges, ascending, and no later stage reorders it.  The
-fundamental cycles, in the boundary tree, of the boundary cotree edges
-span H1 of the boundary, and so H1 of the domain, onto which H1 of the
-boundary maps for a domain in R^3.  The domain generators sigma_n are
-the first g of them, the cotree edges of each component ascending and
-the components from ``components[0]``, that stay independent in H1 of
-the domain.
+Each product records where it came from: a ``TreeCotree`` its mesh, a
+``HomologyBasis`` its tree.  A function given a tree or a basis reads the
+mesh from it, and every function the boundary components from the
+mesh's ``Mesh.boundary``, so no call pairs the topology of one mesh with
+another.
+
+The boundary-first spanning tree restricts to a spanning tree of each
+boundary component; the cotree is the rest of the edges, ascending, and
+no later stage reorders it.  The fundamental cycles, in the boundary
+tree, of the boundary cotree edges span H1 of the boundary, and so H1 of
+the domain, onto which H1 of the boundary maps for a domain in R^3.  The
+domain generators sigma_n are the first g of them, the cotree edges of
+each component ascending and the components from ``components[0]``,
+that stay independent in H1 of the domain.
 
 That selection, and rank C for the Betti numbers, come from a face sweep
 (Webb & Forghani, IEEE Trans. Magn. 1989) from the tree edges, gauged to
@@ -33,7 +37,7 @@ solves them in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,9 +186,10 @@ class TreeCotree:
     cotree_edges: np.ndarray        # (n_Q,) remaining edge ids, ascending
     boundary_parent: np.ndarray     # (n_v,) edge to the parent in the
                                     # boundary tree, -1 at roots and inside
+    mesh: Mesh = field(repr=False, compare=False)   # the mesh it spans
 
     def __post_init__(self):
-        read_only(*vars(self).values())
+        read_only(self.tree_edges, self.cotree_edges, self.boundary_parent)
 
     @property
     def n_Q(self) -> int:
@@ -197,6 +202,7 @@ class HomologyBasis:
     closing_edges: np.ndarray       # (g,) closing edge of each, coeff +1
     rank_C: int                     # rank of the curl incidence operator
     cocycles: np.ndarray            # (n_e, g) ker C, period delta_nm on sigma_m
+    tree: TreeCotree = field(repr=False, compare=False)  # the gauge it is of
 
     def __post_init__(self):
         read_only(self.closing_edges, self.cocycles)
@@ -243,25 +249,6 @@ def _bfs(n: int, u, v, root: int):
     return np.concatenate(order), parent
 
 
-def _spanning_forest(n: int, u, v, in_tree: np.ndarray) -> None:
-    """Extend the arcs ``in_tree`` (arc i joins u[i], v[i]) in place to a
-    spanning forest of the n nodes, in ``build_boundary_first_tree`` the
-    boundary trees to the global tree: each round joins every component to
-    its lowest-index outgoing arc (Boruvka), as a scan in index order
-    would."""
-    label = connected_components(n, u[in_tree], v[in_tree])
-    while True:
-        cross = np.flatnonzero(label[u] != label[v])
-        if not len(cross):
-            return
-        best = np.full(n, len(u))
-        np.minimum.at(best, label[u[cross]], cross)
-        np.minimum.at(best, label[v[cross]], cross)
-        new = best[best < len(u)]
-        in_tree[new] = True
-        label = connected_components(n, label[u[new]], label[v[new]])[label]
-
-
 def build_boundary_first_tree(m: Mesh) -> TreeCotree:
     """Spanning tree containing a BFS spanning tree of each boundary
     component of ``m.boundary``."""
@@ -277,19 +264,26 @@ def build_boundary_first_tree(m: Mesh) -> TreeCotree:
         in_tree[up] = True
         bparent[order[1:]] = up
 
-    _spanning_forest(m.n_v, *m.edges.T, in_tree)
+    # one BFS over the graph of the boundary trees, contracted to a node
+    # each, joins them and the inner vertices to the global tree
+    u, v = m.edges.T
+    label = connected_components(m.n_v, u[in_tree], v[in_tree])
+    order, arc = _bfs(m.n_v, label[u], label[v], int(label[0]))
+    in_tree[arc[order[1:]]] = True
     tree_edges = np.flatnonzero(in_tree)
     if len(tree_edges) != m.n_v - 1:
         raise TopologyError("vertex graph is disconnected")
     return TreeCotree(tree_edges=tree_edges,
                       cotree_edges=np.flatnonzero(~in_tree),
-                      boundary_parent=bparent)
+                      boundary_parent=bparent, mesh=m)
 
 
-def fundamental_cycle(m: Mesh, parent, edge_id: int) -> dict:
-    """Cycle formed by a non-tree edge plus the tree path between its ends,
-    the tree given by each vertex's parent edge (-1 at the root): the edge
+def fundamental_cycle(tc: TreeCotree, edge_id: int) -> dict:
+    """Cycle formed by an edge of ``tc.mesh`` off the boundary tree plus
+    the path in that tree between its ends, the tree given by each
+    vertex's parent edge ``tc.boundary_parent`` (-1 at the roots): the edge
     a -> b, the path up from b, then the path from a, reversed."""
+    m, parent = tc.mesh, tc.boundary_parent
     a, b = (int(x) for x in m.edges[int(edge_id)])
     paths = []
     for v in (b, a):
@@ -312,22 +306,24 @@ def fundamental_cycle(m: Mesh, parent, edge_id: int) -> dict:
     return chain
 
 
-def surface_cycle_basis(m: Mesh, tc: TreeCotree) -> np.ndarray:
+def surface_cycle_basis(tc: TreeCotree) -> np.ndarray:
     """The closing edges of every fundamental cycle of the boundary tree:
-    the cotree edges of each component of ``m.boundary``, ascending,
+    the cotree edges of each component of ``tc.mesh.boundary``, ascending,
     component after component from ``components[0]``.  Their cycles span
     H1 of the boundary; ``domain_homology_basis`` picks the sigma_n among
     them."""
     return np.concatenate([np.zeros(0, dtype=np.int64)] + [
         tc.cotree_edges[np.isin(tc.cotree_edges, ce)]
-        for ce in m.boundary.component_edges])
+        for ce in tc.mesh.boundary.component_edges])
 
 
-def domain_homology_basis(m: Mesh, tc: TreeCotree,
+def domain_homology_basis(tc: TreeCotree,
                           surface_closing: np.ndarray) -> HomologyBasis:
-    """Domain generators sigma_n: of the boundary cycles closed by the edges
-    ``surface_closing``, the first g, in order, independent in H1 of the
-    domain, and rank C from the same sweep."""
+    """Domain generators sigma_n of ``tc.mesh``: of the boundary cycles
+    closed by the edges ``surface_closing``, the first g, in order,
+    independent in H1 of the domain, and rank C from the same sweep,
+    gauged by ``tc``."""
+    m = tc.mesh
     g = 1 + m.boundary.p - m.euler_characteristic
     known = np.zeros(m.n_e, dtype=bool)
     known[tc.tree_edges] = True
@@ -349,8 +345,7 @@ def domain_homology_basis(m: Mesh, tc: TreeCotree,
             f"only {np.count_nonzero(pivots < nc)} of {g} boundary cycles "
             "survive in the domain; mesh or topology bug")
     closing = cand[pivots]
-    cycles = [fundamental_cycle(m, tc.boundary_parent, int(e))
-              for e in closing]
+    cycles = [fundamental_cycle(tc, int(e)) for e in closing]
     H = E[:, nc:].T.copy()
     H[H > _PRIME // 2] -= _PRIME
     periods = np.array([np.array(list(cyc.values())) @ H[list(cyc)]
@@ -360,18 +355,20 @@ def domain_homology_basis(m: Mesh, tc: TreeCotree,
         raise TopologyError("the harmonic cocycles are not curl-free integer "
                             "cochains with unit periods; mesh or topology bug")
     return HomologyBasis(cycles=cycles, closing_edges=closing,
-                         rank_C=rank_C, cocycles=H)
+                         rank_C=rank_C, cocycles=H, tree=tc)
 
 
-def betti(m: Mesh, rank_C: int):
-    """Betti numbers (b0, b1, b2) from ranks of the incidence operators.
+def betti(hb: HomologyBasis):
+    """Betti numbers (b0, b1, b2) of the mesh ``hb.tree.mesh`` from ranks
+    of the incidence operators.
 
     rank G = n_v - 1, as build_mesh rejects disconnected complexes; rank C
-    is ``HomologyBasis.rank_C``, from the face sweep of
-    domain_homology_basis (the rank does not depend on the spanning tree
-    that gauges the sweep); rank D is n_t less the dual components (tets
-    joined through shared faces) that touch no boundary face.
+    is ``hb.rank_C``, from the face sweep of domain_homology_basis (the
+    rank does not depend on the spanning tree that gauges the sweep); rank
+    D is n_t less the dual components (tets joined through shared faces)
+    that touch no boundary face.
     """
+    m, rank_C = hb.tree.mesh, hb.rank_C
     t0, t1 = m.face_tets.T
     interior = t1 >= 0
     label = connected_components(m.n_t, t0[interior], t1[interior])

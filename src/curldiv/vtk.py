@@ -26,6 +26,11 @@ def _rows(fmt: str, a: np.ndarray) -> str:
 
 def write_vtk(m: Mesh, u: FEFunction, path,
               residual: np.ndarray | None = None) -> None:
+    """Write ``u`` and the per-tet ``residual`` on the mesh ``m``, which
+    must be the mesh of ``u``; nothing is opened when it is not."""
+    if u.mesh is not m:
+        raise ElementError("the field is on another mesh than the one to "
+                           "write")
     vals = _barycenter_values(u)
     if residual is not None:
         residual = np.asarray(residual, dtype=np.float64)

@@ -14,21 +14,22 @@ from curldiv import (AssembledSystem, CurlData, FEFunction, Solution,
                      solve_spd)
 
 
-def float_cocycles(m, tc, hb):
+def float_cocycles(hb):
     """(n_e, g) Nedelec lifts with zero curl and a unit period on one
     sigma_n: ``HomologyBasis.cocycles`` by g float sweeps over C."""
+    m = hb.tree.mesh
     zero = FEFunction("face", m, np.zeros(m.n_f))
     H = np.zeros((m.n_e, hb.g))
     for n, beta in enumerate(np.eye(hb.g)):
-        H[:, n] = nedelec_potential(tc, hb, CurlData(zero, beta)).coeffs
+        H[:, n] = nedelec_potential(hb, CurlData(zero, beta)).coeffs
     return H
 
 
 def gauged_system(prob, topo, lift):
     """N*_h and the principal submatrix on it of the quotient system, with
     sorted column indices, so that CG sums each row in column order."""
-    full = assemble_tangential(prob, lift, topo.homology.cocycles)
-    gb = build_N_star(topo.tree, topo.homology)
+    full = assemble_tangential(prob, lift, topo.homology)
+    gb = build_N_star(topo.homology)
     return gb, AssembledSystem(K=full.K[gb][:, gb].sorted_indices(),
                                rhs=full.rhs[gb],
                                load_compatibility=full.load_compatibility)

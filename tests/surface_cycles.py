@@ -86,7 +86,7 @@ def reference_surface_cycles(m, b, tc):
         for e in tc.cotree_edges:
             if int(e) not in comp_edges:
                 continue
-            cyc = fundamental_cycle(m, tc.boundary_parent, int(e))
+            cyc = fundamental_cycle(tc, int(e))
             if basis.add(dict(cyc)):
                 cycles.append(cyc)
                 closing.append(int(e))

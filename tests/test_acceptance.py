@@ -67,7 +67,7 @@ def test_criterion_03_dimension_identity(request):
         p = topo.boundary.p
         n_Q = topo.tree.n_Q
         assert n_Q - g == m.n_f - m.n_t - p
-        gb = build_N_star(topo.tree, topo.homology)
+        gb = build_N_star(topo.homology)
         S = m.incidence.C.toarray()[:, gb]
         assert np.linalg.matrix_rank(S) == n_Q - g
     print("\nACCEPTANCE 3 (dimension identity n_Q - g = n_f - n_t - p "
@@ -81,7 +81,7 @@ def test_criterion_04_exact_complex_identities(request):
         inc = m.incidence
         assert np.all((inc.C @ inc.G).toarray() == 0)
         assert np.all((inc.D @ inc.C).toarray() == 0)
-        gb = build_N_star(topo.tree, topo.homology)
+        gb = build_N_star(topo.homology)
         S = inc.C.tocsc()[:, gb]
         assert np.all((inc.D @ S).toarray() == 0)
     print("\nACCEPTANCE 4 (exact complex identities C.G=0, D.C=0, "
@@ -92,7 +92,7 @@ def test_criterion_05_W0h_membership(request):
     for name in FIXTURES:
         m = request.getfixturevalue(name)
         topo = request.getfixturevalue(f"topo_{name}")
-        gb = build_N_star(topo.tree, topo.homology)
+        gb = build_N_star(topo.homology)
         S = m.incidence.C.toarray()[:, gb]
         scale = 1.0 + np.abs(S).max()
         for col in range(S.shape[1]):
@@ -203,7 +203,7 @@ def test_criterion_09_lift_contracts(request, cube2, topo_cube2, torus,
     # curl lift on the torus with a prescribed period
     J_h = FEFunction("face", torus, np.zeros(torus.n_f))
     beta = np.array([2.0])
-    nlift = nedelec_potential(topo_torus.tree, topo_torus.homology,
+    nlift = nedelec_potential(topo_torus.homology,
                               CurlData(J_h, beta))
     assert np.abs(torus.incidence.C @ nlift.coeffs).max() <= 1e-10
     per = cycle_period(topo_torus.homology.cycles[0], nlift.coeffs)

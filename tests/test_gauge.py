@@ -16,7 +16,7 @@ from surface_cycles import (reference_domain_selection,
 
 
 def _gauged(topo):
-    return build_N_star(topo.tree, topo.homology)
+    return build_N_star(topo.homology)
 
 
 def _curls(m, dofs):

@@ -10,8 +10,11 @@ and constant of its classes, is read by the package, exported from
 ``curldiv/__init__.py`` or read by the benchmark: a name only the tests
 read lives in the tests.  And no function of the package takes a value
 another of its inputs holds: a ``BoundaryStructure`` (``Mesh.boundary``
-gives it), or a ``Mesh`` beside a finite element function or lift data,
-which hold their mesh; ``vtk.write_vtk`` is the one exception.
+gives it), a ``Mesh`` beside a finite element function, lift data, a
+``TreeCotree`` or a ``HomologyBasis``, which hold their mesh, or a
+``TreeCotree`` beside a ``HomologyBasis``, which holds its tree;
+``vtk.write_vtk`` is the one exception, and it checks that the function
+is on the mesh.
 
 Run-time check: the topology path runs on numpy alone, and scipy loads
 only when a solve needs it.
@@ -142,8 +145,10 @@ def test_no_unused_imports_in_perfbench(module):
 
 
 # a function takes no value another of its inputs holds: the boundary is
-# Mesh.boundary, and a finite element function, or lift data, holds its mesh
-_HOLDS_MESH = {"FEFunction", "DivergenceData", "CurlData"}
+# Mesh.boundary, a finite element function, lift data, a tree-cotree or a
+# homology basis holds its mesh, and a homology basis its tree
+_HOLDS_MESH = {"FEFunction", "DivergenceData", "CurlData", "TreeCotree",
+               "HomologyBasis"}
 # perfbench/workloads.py calls write_vtk(m, u, ...) positionally
 _TAKES_MESH_AND_FUNCTION = {"vtk.write_vtk"}
 
@@ -163,8 +168,9 @@ def _annotation_names(node) -> set[str]:
 
 def restated_inputs(source: str, module: str) -> list[str]:
     """The functions, as module.name, with a parameter annotated
-    ``BoundaryStructure``, or with a ``Mesh`` parameter beside one of a
-    type in _HOLDS_MESH, less those in _TAKES_MESH_AND_FUNCTION."""
+    ``BoundaryStructure``, with a ``Mesh`` parameter beside one of a type
+    in _HOLDS_MESH, less those in _TAKES_MESH_AND_FUNCTION, or with a
+    ``TreeCotree`` parameter beside a ``HomologyBasis`` one."""
     bad = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.FunctionDef):
@@ -177,7 +183,9 @@ def restated_inputs(source: str, module: str) -> list[str]:
         if (any("BoundaryStructure" in t for t in types)
                 or (any("Mesh" in t for t in types)
                     and any(t & _HOLDS_MESH for t in types)
-                    and name not in _TAKES_MESH_AND_FUNCTION)):
+                    and name not in _TAKES_MESH_AND_FUNCTION)
+                or (any("TreeCotree" in t for t in types)
+                    and any("HomologyBasis" in t for t in types))):
             bad.append(name)
     return bad
 
@@ -189,11 +197,16 @@ def test_restated_inputs_detected():
               "def d(m: Mesh, dd: Optional[DivergenceData] = None): pass\n"
               "def e(m: Mesh, tc: TreeCotree): pass\n"
               "def f(cd: CurlData): pass\n"
+              "def g(tc: TreeCotree, hb: 'HomologyBasis'): pass\n"
+              "def h(m: Mesh, hb: HomologyBasis | None = None): pass\n"
+              "def i(hb: HomologyBasis, cd: CurlData): pass\n"
               "def write_vtk(m: Mesh, u: FEFunction): pass\n")
     assert restated_inputs(source, "mod") == ["mod.a", "mod.b", "mod.c",
-                                              "mod.d", "mod.write_vtk"]
+                                              "mod.d", "mod.e", "mod.g",
+                                              "mod.h", "mod.write_vtk"]
     assert restated_inputs(source, "vtk") == ["vtk.a", "vtk.b", "vtk.c",
-                                              "vtk.d"]
+                                              "vtk.d", "vtk.e", "vtk.g",
+                                              "vtk.h"]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -196,6 +196,21 @@ def test_vtk_rejects_residual_of_wrong_shape(tmp_path, shape):
     assert not p.exists()
 
 
+def test_vtk_rejects_field_of_another_mesh(tmp_path):
+    # a renumbered copy has the tet count of m, so values and points would
+    # both fit; no file is opened
+    m = structured_cube_mesh(1)
+    perm = np.random.default_rng(0).permutation(m.n_v)
+    vertices = np.empty_like(m.vertices)
+    vertices[perm] = m.vertices
+    copy = build_mesh(vertices, perm[m.tets])
+    u = FEFunction("face", copy, np.ones(copy.n_f))
+    p = tmp_path / "other.vtk"
+    with pytest.raises(ElementError, match="another mesh"):
+        write_vtk(m, u, p)
+    assert not p.exists()
+
+
 def _write_vtk_per_row(m, u, path, residual=None):
     """Reference writer: one formatted write per row."""
     vals = _barycenter_values(u)

@@ -46,8 +46,7 @@ def test_rt_alpha_length_checked(cube1):
 
 def test_nedelec_zero_data_returns_zero(cube1, topo_cube1):
     J_h = FEFunction("face", cube1, np.zeros(cube1.n_f))
-    u = nedelec_potential(topo_cube1.tree, topo_cube1.homology,
-                          CurlData(J_h, np.zeros(0)))
+    u = nedelec_potential(topo_cube1.homology, CurlData(J_h, np.zeros(0)))
     assert np.abs(u.coeffs).max() == 0.0
 
 
@@ -59,8 +58,7 @@ def test_nedelec_matches_interpolated_curl(cube2, topo_cube2):
     J_h = interpolate("face", J, cube2)
     scale = 1.0 + np.abs(J_h.coeffs).max()
     assert np.abs(cube2.incidence.D @ J_h.coeffs).max() <= 1e-10 * scale
-    u = nedelec_potential(topo_cube2.tree, topo_cube2.homology,
-                          CurlData(J_h, np.zeros(0)))
+    u = nedelec_potential(topo_cube2.homology, CurlData(J_h, np.zeros(0)))
     resid = np.abs(cube2.incidence.C @ u.coeffs - J_h.coeffs).max()
     assert resid <= 1e-10 * scale
 
@@ -68,8 +66,7 @@ def test_nedelec_matches_interpolated_curl(cube2, topo_cube2):
 def test_nedelec_torus_unit_period(torus, topo_torus):
     hb = topo_torus.homology
     J_h = FEFunction("face", torus, np.zeros(torus.n_f))
-    u = nedelec_potential(topo_torus.tree, hb,
-                          CurlData(J_h, np.array([1.0])))
+    u = nedelec_potential(hb, CurlData(J_h, np.array([1.0])))
     assert np.abs(torus.incidence.C @ u.coeffs).max() <= 1e-10
     assert abs(cycle_period(hb.cycles[0], u.coeffs) - 1.0) <= 1e-10
 
@@ -77,8 +74,16 @@ def test_nedelec_torus_unit_period(torus, topo_torus):
 def test_nedelec_beta_length_checked(torus, topo_torus):
     J_h = FEFunction("face", torus, np.zeros(torus.n_f))
     with pytest.raises(LiftError):
-        nedelec_potential(topo_torus.tree, topo_torus.homology,
-                          CurlData(J_h, np.zeros(0)))
+        nedelec_potential(topo_torus.homology, CurlData(J_h, np.zeros(0)))
+
+
+def test_nedelec_rejects_topology_of_another_mesh(torus):
+    # a renumbered copy has the counts and the genus of the torus, its
+    # tree and closing edges other edge ids
+    hb = compute_topology(_renumbered(torus, 0)).homology
+    J_h = FEFunction("face", torus, np.zeros(torus.n_f))
+    with pytest.raises(LiftError, match="another mesh than the curl data"):
+        nedelec_potential(hb, CurlData(J_h, np.zeros(1)))
 
 
 def test_nedelec_incompatible_curl_rejected(cube1, topo_cube1):
@@ -89,7 +94,7 @@ def test_nedelec_incompatible_curl_rejected(cube1, topo_cube1):
                                 topo_cube1.boundary.boundary_faces)]
     J[interior[0]] = 1.0
     with pytest.raises(LiftError):
-        nedelec_potential(topo_cube1.tree, topo_cube1.homology,
+        nedelec_potential(topo_cube1.homology,
                           CurlData(FEFunction("face", cube1, J), np.zeros(0)))
 
 
@@ -202,13 +207,13 @@ def test_nedelec_sweep_matches_reference_without_lstsq(mesh, fixture, request,
     topo = request.getfixturevalue(fixture)
     case = get_case("mms1")
     J_h = clean_curl_data(interpolate("face", case.J, m))
-    beta = discrete_beta(case, m, topo.homology) + 0.5
+    beta = discrete_beta(case, topo.homology) + 0.5
     expected = _reference_nedelec(m, topo.tree, topo.homology, J_h.coeffs,
                                   beta)
     def fail(*args, **kwargs):
         raise AssertionError("least squares called")
     monkeypatch.setattr(lifts.np.linalg, "lstsq", fail)
-    u = nedelec_potential(topo.tree, topo.homology, CurlData(J_h, beta))
+    u = nedelec_potential(topo.homology, CurlData(J_h, beta))
     assert np.abs(u.coeffs - expected).max() <= 1e-12
 
 
@@ -226,10 +231,11 @@ def test_nedelec_fits_circulations_the_sweep_leaves(torus, topo_torus,
     no_periods = HomologyBasis(cycles=[],
                                closing_edges=np.zeros(0, dtype=np.int64),
                                rank_C=topo_torus.homology.rank_C,
-                               cocycles=np.zeros((torus.n_e, 0), dtype=int))
+                               cocycles=np.zeros((torus.n_e, 0), dtype=int),
+                               tree=topo_torus.tree)
     a = np.random.default_rng(0).standard_normal(torus.n_e)
     J = torus.incidence.C @ a
-    u = nedelec_potential(topo_torus.tree, no_periods,
+    u = nedelec_potential(no_periods,
                           CurlData(FEFunction("face", torus, J), np.zeros(0)))
     assert len(calls) == 1 and calls[0][1] >= 1
     assert np.abs(torus.incidence.C @ u.coeffs - J).max() <= 1e-12
@@ -318,7 +324,7 @@ def test_topology_and_lift_invariant_under_renumbering(seed, which):
         5, 0.2, lambda i, j, k: not (j == 2 and i in (1, 3))))[which]
     m = _renumbered(base, seed)
     topo = compute_topology(m)
-    assert betti(m, topo.homology.rank_C) == (1, which + 1, 0)
+    assert betti(topo.homology) == (1, which + 1, 0)
     assert (topo.boundary.p, topo.homology.g) == (0, which + 1)
     calls = []
     lstsq = lifts.np.linalg.lstsq
@@ -330,7 +336,7 @@ def test_topology_and_lift_invariant_under_renumbering(seed, which):
     try:
         J = FEFunction("face", m, np.zeros(m.n_f))
         beta = np.arange(1.0, topo.homology.g + 1)
-        u = nedelec_potential(topo.tree, topo.homology, CurlData(J, beta))
+        u = nedelec_potential(topo.homology, CurlData(J, beta))
     finally:
         lifts.np.linalg.lstsq = lstsq
     assert calls == []
@@ -370,5 +376,5 @@ def test_nedelec_sweep_leaves_nothing_free_on_renumbered_benchmark_domains(
         assert topo.homology.g == d.g
         J = FEFunction("face", m, np.zeros(m.n_f))
         beta = np.arange(1.0, d.g + 1)
-        nedelec_potential(topo.tree, topo.homology, CurlData(J, beta))
+        nedelec_potential(topo.homology, CurlData(J, beta))
     assert sum(unknowns) == 0

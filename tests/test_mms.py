@@ -75,7 +75,7 @@ def test_discrete_alpha_on_hollow(hollow):
 
 
 def test_discrete_beta_on_torus(torus, topo_torus):
-    beta = discrete_beta(get_case("constant"), torus, topo_torus.homology)
+    beta = discrete_beta(get_case("constant"), topo_torus.homology)
     assert beta.shape == (1,)
     # circulations of a constant field along a closed cycle vanish
     assert abs(beta[0]) <= 1e-12
@@ -96,5 +96,5 @@ def test_discrete_beta_is_the_period_of_the_edge_interpolant(name, request):
     u_I = interpolate("edge", case.u, m).coeffs
     want = np.array([cycle_period(cyc, u_I) for cyc in hb.cycles])
     assert len(want) == hb.g > 0
-    assert np.array_equal(discrete_beta(case, m, hb), want)
+    assert np.array_equal(discrete_beta(case, hb), want)
 

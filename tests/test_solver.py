@@ -7,7 +7,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from curldiv import (AssembledSystem, CurlData, DivergenceData,
-                     ElementError, FEFunction, MMSCase, NormalProblem,
+                     ElementError, FEFunction, LiftError, MMSCase,
+                     NormalProblem,
                      SolverError, TangentialProblem, assemble_normal,
                      assemble_tangential, build_mesh, cli,
                      clean_curl_data, discrete_alpha, discrete_beta,
@@ -235,6 +236,32 @@ def test_mesh_numbering_invariance():
         vals.append(eval_at_points(sol.u_h, probes))
     scale = 1.0 + np.abs(vals[0]).max()
     assert np.abs(vals[0] - vals[1]).max() <= 1e-8 * scale
+
+
+def _topology_of_a_copy(m):
+    """The topology of m with its vertices renumbered: the counts, p and g
+    of m, its cocycles and cycles on other edge ids."""
+    perm = np.random.default_rng(3).permutation(m.n_v)
+    vertices = np.empty_like(m.vertices)
+    vertices[perm] = m.vertices
+    return compute_topology(build_mesh(vertices, perm[m.tets]))
+
+
+def test_tangential_assembly_rejects_topology_of_another_mesh(torus):
+    case = get_case("mms1")
+    lift = rt_potential(DivergenceData(interpolate("cell", case.g, torus),
+                                       np.zeros(0)))
+    hb = _topology_of_a_copy(torus).homology
+    with pytest.raises(SolverError, match="another mesh than the lift"):
+        assemble_tangential(case.tangential(1.0), lift, hb)
+
+
+@pytest.mark.parametrize("formulation,error", [("tangential", SolverError),
+                                               ("normal", LiftError)])
+def test_solve_rejects_topology_of_another_mesh(torus, formulation, error):
+    topo = _topology_of_a_copy(torus)
+    with pytest.raises(error, match="another mesh"):
+        solve_on_mesh(torus, ProblemConfig(formulation, "mms1"), topo)
 
 
 def test_error_norms_of_representable_field(cube1, topo_cube1):
@@ -504,11 +531,11 @@ def _scaled_mms1_u_h(m, topo, formulation, c, s):
     if formulation == "tangential":
         lift = rt_potential(DivergenceData(
             interpolate("cell", case.g, m), discrete_alpha(case, m)))
-        system = assemble_tangential(case.tangential(c), lift, hb.cocycles)
+        system = assemble_tangential(case.tangential(c), lift, hb)
     else:
         J_h = clean_curl_data(interpolate("face", case.J, m))
-        lift = nedelec_potential(topo.tree, hb,
-                                 CurlData(J_h, discrete_beta(case, m, hb)))
+        lift = nedelec_potential(hb,
+                                 CurlData(J_h, discrete_beta(case, hb)))
         system = assemble_normal(case.normal(c), lift)
     return recover_solution(solve_spd(system), lift).u_h.coeffs
 
