@@ -39,9 +39,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class Topology:
-    boundary: object        # m.boundary: the stages read it from m, the
-                            # benchmark's checks from here
-    tree: object
+    # the stages read the boundary from m and the tree from the homology
+    # basis; the benchmark's checks read all three from here
+    boundary: object        # m.boundary
+    tree: object            # homology.tree
     homology: object
 
 
@@ -137,7 +138,10 @@ def parse_config(data: dict) -> ProblemConfig:
 
 def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
                   topo: Topology | None = None) -> tuple[Solution, dict]:
-    """Full pipeline on a built mesh; returns the solution and a report."""
+    """Full pipeline on a built mesh; returns the solution and a report.
+
+    ``topo`` must be the topology of ``m``: the assembly (tangential) or
+    the lift (normal) raises on the homology basis of another mesh."""
     if topo is None:
         topo = compute_topology(m)
     hb = topo.homology

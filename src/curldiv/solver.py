@@ -8,7 +8,9 @@ checked to lie in COEFFICIENT_RANGE when a problem is made, scales the
 unit-coefficient matrices of the mesh.  The boundary data are callables
 fn(points, normals).  A problem holds what its assembly reads (eta, J, a
 or mu, g, b); g and alpha, or J and beta, enter through the lift, whose
-space names the formulation.
+space names the formulation.  Each assembly reads the mesh from the lift,
+and the tangential one the cocycles from a ``HomologyBasis``, which must
+be of that mesh: ``hb.tree.mesh is lift.mesh``, checked before any work.
 
 Both run CG on a semidefinite K in a quotient space, the load made
 consistent first: it loses its projection onto ker K (Ren, IEEE Trans.
@@ -274,7 +276,8 @@ def consistent_load(m: Mesh, F: np.ndarray,
     Also returns |G^T F| and |Q^T F|, Q an orthonormal basis of the
     orthogonalised H (free of the sigma_n the numbering picks), each over
     |F|.  F is scaled by a power of two first, as is the rhs in
-    ``solve_spd``.
+    ``solve_spd``.  Any (n_e, k) columns H of ker C will do;
+    ``assemble_tangential`` passes those of its homology basis.
     """
     F, e = _scaled(F)
     norm = np.linalg.norm(F)
