@@ -138,10 +138,8 @@ def parse_config(data: dict) -> ProblemConfig:
 
 def solve_on_mesh(m: Mesh, cfg: ProblemConfig,
                   topo: Topology | None = None) -> tuple[Solution, dict]:
-    """Full pipeline on a built mesh; returns the solution and a report.
-
-    ``topo`` must be the topology of ``m``: the assembly (tangential) or
-    the lift (normal) raises on the homology basis of another mesh."""
+    """Full pipeline on a built mesh and its topology (computed if omitted;
+    one of another mesh raises); returns the solution and a report."""
     if topo is None:
         topo = compute_topology(m)
     hb = topo.homology

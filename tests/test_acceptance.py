@@ -203,8 +203,7 @@ def test_criterion_09_lift_contracts(request, cube2, topo_cube2, torus,
     # curl lift on the torus with a prescribed period
     J_h = FEFunction("face", torus, np.zeros(torus.n_f))
     beta = np.array([2.0])
-    nlift = nedelec_potential(topo_torus.homology,
-                              CurlData(J_h, beta))
+    nlift = nedelec_potential(topo_torus.homology, CurlData(J_h, beta))
     assert np.abs(torus.incidence.C @ nlift.coeffs).max() <= 1e-10
     per = cycle_period(topo_torus.homology.cycles[0], nlift.coeffs)
     assert abs(per - 2.0) <= 1e-10 * 3.0

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from curldiv import (AssembledSystem, CurlData, DivergenceData,
                      ElementError, FEFunction, LiftError, MMSCase,
-                     NormalProblem,
-                     SolverError, TangentialProblem, assemble_normal,
-                     assemble_tangential, build_mesh, cli,
+                     NormalProblem, SolverError, TangentialProblem,
+                     assemble_normal, assemble_tangential, build_mesh, cli,
                      clean_curl_data, discrete_alpha, discrete_beta,
                      error_norms, interpolate, nedelec_potential,
                      recover_solution, rt_potential, solve_spd, solver,
@@ -534,8 +533,7 @@ def _scaled_mms1_u_h(m, topo, formulation, c, s):
         system = assemble_tangential(case.tangential(c), lift, hb)
     else:
         J_h = clean_curl_data(interpolate("face", case.J, m))
-        lift = nedelec_potential(hb,
-                                 CurlData(J_h, discrete_beta(case, hb)))
+        lift = nedelec_potential(hb, CurlData(J_h, discrete_beta(case, hb)))
         system = assemble_normal(case.normal(c), lift)
     return recover_solution(solve_spd(system), lift).u_h.coeffs
 
