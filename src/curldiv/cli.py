@@ -68,6 +68,12 @@ _CONFIG_KEYS = tuple(f.name for f in fields(ProblemConfig))
 _COEFFICIENT_KEYS = {"identity": ("kind",), "scalar": ("kind", "value")}
 
 
+def _is_number(x) -> bool:
+    """A JSON number: float() and numpy take the strings and booleans of
+    JSON too, which are not."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def parse_config(data: dict) -> ProblemConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -92,11 +98,10 @@ def parse_config(data: dict) -> ProblemConfig:
     if unknown:
         raise ConfigError(f"unknown coefficient key {unknown[0]!r} for kind "
                           f"{kind!r}")
-    # JSON true and false are not numbers, though float() takes them
-    if type(cspec.get("value")) is bool:
+    if "value" in cspec and not _is_number(cspec["value"]):
         raise ConfigError(f"coefficient value must be a number, got "
                           f"{cspec['value']!r}")
-    if type(data.get("tol")) is bool:
+    if "tol" in data and not _is_number(data["tol"]):
         raise ConfigError(f"tol must be > 0 and < 1, got {data['tol']!r}")
     maxit = data.get("maxit")
     if maxit is not None and (type(maxit) is not int or maxit < 1):
@@ -130,7 +135,7 @@ def parse_config(data: dict) -> ProblemConfig:
     for name, value in (("alpha", cfg.alpha), ("beta", cfg.beta)):
         if value is not None and (value.ndim != 1
                                   or not np.all(np.isfinite(value))
-                                  or any(type(x) is bool for x in data[name])):
+                                  or not all(map(_is_number, data[name]))):
             raise ConfigError(f"{name} must be a flat list of finite "
                               f"numbers, got {data[name]!r}")
     return cfg

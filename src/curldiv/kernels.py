@@ -6,8 +6,9 @@ a pass over a whole mesh takes BLOCK tets (or faces) at a time from
 6*volume is the triple product of a tet's edge vectors from vertex 0 and
 the barycentric gradients their cross products over it, computed once per
 mesh by ``Mesh.tet_geometry``.  The local matrices are closed forms: the
-edge mass, and the curl-curl and P1 stiffness from the edge curls and the
-gradients, constant on each tet.
+curl-curl and P1 stiffness from the edge curls and the gradients,
+constant on each tet.  No edge mass is formed: the solver applies it only
+to curl-free fields, constant on each tet, in one closed form.
 
 Conventions: tets carry sorted vertex indices, so the local Whitney bases
 (edge pairs and face triples in lexicographic order) coincide with the
@@ -25,8 +26,8 @@ _EDGE_A = np.array([0, 0, 0, 1, 1, 2], dtype=np.int64)
 _EDGE_B = np.array([1, 2, 3, 2, 3, 3], dtype=np.int64)
 _LOCAL_FACE_EDGES = np.array([np.flatnonzero((_EDGE_A != v) & (_EDGE_B != v))
                               for v in (3, 2, 1, 0)])
-# int_T lam_a lam_b = |T| (1 + delta_ab) / 20
-_BARY_GRAM = (1.0 + np.eye(4)) / 20.0
+# the local gradient (6, 4): row i of _LOCAL_GRAD @ phi is phi_b - phi_a
+_LOCAL_GRAD = np.eye(4)[_EDGE_B] - np.eye(4)[_EDGE_A]
 
 BLOCK = 512                                 # tets or faces per block
 
@@ -89,19 +90,6 @@ def rt_basis_values(grads, bary):
 def edge_curls(grads):
     """Edge function curls (n_t, 6, 3): 2 grad lam_a x grad lam_b on [a, b]."""
     return 2.0 * np.cross(grads[:, _EDGE_A], grads[:, _EDGE_B])
-
-
-def edge_mass(grads, vol):
-    """Whitney edge mass matrices (n_t, 6, 6) from the Gram matrix
-    G = grad lam . grad lam^T: for edges [a, b] and [c, d], |T| times
-    L_ac G_bd - L_ad G_bc - L_bc G_ad + L_bd G_ac, L = ``_BARY_GRAM``."""
-    G = grads @ grads.transpose(0, 2, 1)
-    L = _BARY_GRAM
-    a, b = _EDGE_A[:, None], _EDGE_B[:, None]
-    c, d = _EDGE_A, _EDGE_B
-    M = (L[a, c] * G[:, b, d] - L[a, d] * G[:, b, c]
-         - L[b, c] * G[:, a, d] + L[b, d] * G[:, a, c])
-    return M * vol[:, None, None]
 
 
 def curl_curl(grads, vol):

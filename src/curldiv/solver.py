@@ -22,10 +22,13 @@ them, which shifts g by the constant that balances it against b.
 Tangential: u_h = C x + lift over all edges, K = eta C^T M_f C = eta
 ``Mesh.curl_curl``; the edge load loses its M_e-projection onto ker C,
 the gradients plus the g harmonic cocycles ``HomologyBasis.cocycles``,
-and the curl of every CG iterate lies in W0h.  The principal submatrices
-of K on L*_h (every vertex but the last) and on N*_h (the cotree less the
-g closing edges of the sigma_n) are positive definite and give the same
-u_h; the tests keep them as the reference.
+and the curl of every CG iterate lies in W0h.  M_e is never assembled:
+each product with it is of a curl-free field, constant on each tet, or
+is G^T M_e lift, and sums |T| grad lam_v . u(centroid) over the tets
+(``_centroid_pairings``).  The principal submatrices of K on L*_h (every
+vertex but the last) and on N*_h (the cotree less the g closing edges of
+the sigma_n) are positive definite and give the same u_h; the tests keep
+them as the reference.
 """
 
 from __future__ import annotations
@@ -268,16 +271,16 @@ def consistent_load(m: Mesh, F: np.ndarray,
     """F - M_e Z (Z^T M_e Z)^-1 Z^T F, Z = [G, H] spanning ker C.
 
     M_e is the Nedelec mass with the unit coefficient and H the
-    (n_e, g) cocycles; M_e is applied element by element and never
-    assembled (``_mass_gradient``, ``_mass_columns``).  The gradient part
-    is one Jacobi-CG solve with G^T M_e G, its rhs rid of its round-off
-    mean (the exact one sums to 0); H is made M_e-orthogonal to the
-    gradients, one solve per column, then its part is one g x g solve.
-    Also returns |G^T F| and |Q^T F|, Q an orthonormal basis of the
-    orthogonalised H (free of the sigma_n the numbering picks), each over
-    |F|.  F is scaled by a power of two first, as is the rhs in
-    ``solve_spd``.  Any (n_e, k) columns H of ker C will do;
-    ``assemble_tangential`` passes those of its homology basis.
+    (n_e, g) cocycles; every product with M_e is of a curl-free field,
+    applied element by element and never assembled (``_curl_free_mass``).
+    The gradient part is one Jacobi-CG solve with G^T M_e G, its rhs rid
+    of its round-off mean (the exact one sums to 0); H is made
+    M_e-orthogonal to the gradients, one solve per column, then its part
+    is one g x g solve.  Also returns |G^T F| and |Q^T F|, Q an
+    orthonormal basis of the orthogonalised H (free of the sigma_n the
+    numbering picks), each over |F|.  F is scaled by a power of two first,
+    as is the rhs in ``solve_spd``.  Any (n_e, k) columns H of ker C will
+    do; ``assemble_tangential`` passes those of its homology basis.
     """
     F, e = _scaled(F)
     norm = np.linalg.norm(F)
@@ -285,68 +288,67 @@ def consistent_load(m: Mesh, F: np.ndarray,
         return F, {"gradient": 0.0, "harmonic": 0.0}
     G = m.incidence.G
 
-    def potential(v):
-        """The phi whose gradient G phi has the M_e-pairings G^T v with
-        every gradient."""
+    def gradient_part(v):
+        """The gradient G phi whose M_e-pairings with every gradient are
+        G^T v."""
         r = G.T @ v
-        return solve_spd(AssembledSystem(K=m.gradient_stiffness,
-                                         rhs=r - r.mean()))
+        return G @ solve_spd(AssembledSystem(K=m.gradient_stiffness,
+                                             rhs=r - r.mean()))
 
     H = np.array(cocycles, dtype=np.float64)
-    MH = _mass_columns(m, H)
+    MH = np.empty_like(H)
     for n in range(H.shape[1]):
-        psi = potential(MH[:, n])
-        H[:, n] -= G @ psi
-        MH[:, n] -= _mass_gradient(m, psi)
+        H[:, n] -= gradient_part(_curl_free_mass(m, H[:, n]))
+        MH[:, n] = _curl_free_mass(m, H[:, n])
     y = np.linalg.solve(H.T @ MH, H.T @ F)
-    Fc = np.ldexp(F - _mass_gradient(m, potential(F)) - MH @ y, e)
+    Fc = np.ldexp(F - _curl_free_mass(m, gradient_part(F)) - MH @ y, e)
     QtF = np.linalg.qr(H)[0].T @ F
     return Fc, {"gradient": float(np.linalg.norm(G.T @ F) / norm),
                 "harmonic": float(np.linalg.norm(QtF) / norm)}
 
 
-def _mass_gradient(m: Mesh, phi: np.ndarray) -> np.ndarray:
-    """M_e G phi, unit coefficient: int_T lam = |T|/4 makes the pairing
-    of edge [a, b] with the constant grad phi_T on T |T|/4 (grad lam_b -
-    grad lam_a) . grad phi_T, as in ``_lift_load``."""
-    loads = np.empty(m.tet_edges.shape)
-    for blk in kernels.blocks(m.n_t):
-        w = m.tet_geometry[0][blk]
-        grad = np.einsum("tvx,tv->tx", w, phi[m.tets[blk]])
-        pair = np.einsum("tvx,tx,t->tv", w, grad, m.volumes[blk] / 4.0)
-        loads[blk] = pair[:, kernels._EDGE_B] - pair[:, kernels._EDGE_A]
-    return np.bincount(m.tet_edges.ravel(), loads.ravel(), minlength=m.n_e)
+def _curl_free_mass(m: Mesh, u: np.ndarray) -> np.ndarray:
+    """M_e u, unit coefficient, for the coefficients u (n_e,) of a
+    curl-free Nedelec field, constant on each tet: int_T w_ab = |T|/4
+    (grad lam_b - grad lam_a) pairs edge [a, b] with (P_b - P_a)/4, P the
+    ``_centroid_pairings`` of u."""
+    P = _centroid_pairings(FEFunction(Space.EDGE, m, u))
+    return np.bincount(m.tet_edges.ravel(),
+                       (P @ (kernels._LOCAL_GRAD.T / 4.0)).ravel(),
+                       minlength=m.n_e)
 
 
-def _mass_columns(m: Mesh, H: np.ndarray) -> np.ndarray:
-    """M_e H for the (n_e, k) columns H, unit coefficient: one pass of
-    the local ``kernels.edge_mass``, scattered by one bincount."""
-    k = H.shape[1]
-    if k == 0:
-        return np.zeros(H.shape)
-    loads = np.empty(m.tet_edges.shape + (k,))
+def _centroid_pairings(u: FEFunction) -> np.ndarray:
+    """|T| w . u(centroid) per tet, w constant on T: the edge curls
+    (n_t, 6) for an RT u, the hat gradients (n_t, 4) for a Nedelec u,
+    whose centroid value sum_e u_e (grad lam_b - grad lam_a)/4 is summed
+    per vertex, through ``kernels._LOCAL_GRAD``.  u is affine on T, so
+    this is int_T w . u."""
+    m = u.mesh
+    face = u.space == Space.FACE
+    pairs = np.empty((m.n_t, 6 if face else 4))
     for blk in kernels.blocks(m.n_t):
-        loads[blk] = kernels.edge_mass(m.tet_geometry[0][blk],
-                                       m.volumes[blk]) @ H[m.tet_edges[blk]]
-    ids = m.tet_edges[:, :, None] * k + np.arange(k)
-    return np.bincount(ids.ravel(), loads.ravel(),
-                       minlength=m.n_e * k).reshape(m.n_e, k)
+        grads = m.tet_geometry[0][blk]
+        if face:
+            w = kernels.edge_curls(grads)
+            mean = field_values(u, np.full((1, 4), 0.25), blk)[:, 0]
+        else:
+            w = grads
+            mean = np.einsum("tv,tvx->tx", u.coeffs[m.tet_edges[blk]]
+                             @ kernels._LOCAL_GRAD, grads) / 4.0
+        pairs[blk] = np.einsum("tix,tx,t->ti", w, mean, m.volumes[blk])
+    return pairs
 
 
 def _lift_load(lift: FEFunction) -> np.ndarray:
     """C^T M_f lift (RT lift) or G^T M_e lift (Nedelec lift), unit
-    coefficient: sum_T |T| w . lift(centroid), w the curl of an edge
-    function or the gradient of a hat function, constant on T."""
+    coefficient: the ``_centroid_pairings`` of the lift scattered into
+    the edges or the vertices."""
     m = lift.mesh
-    face = lift.space == Space.FACE
-    conn, n = (m.tet_edges, m.n_e) if face else (m.tets, m.n_v)
-    loads = np.empty(conn.shape)
-    for blk in kernels.blocks(m.n_t):
-        w = m.tet_geometry[0][blk]
-        w = kernels.edge_curls(w) if face else w
-        mean = field_values(lift, np.full((1, 4), 0.25), blk)[:, 0]
-        loads[blk] = np.einsum("tix,tx,t->ti", w, mean, m.volumes[blk])
-    return np.bincount(conn.ravel(), loads.ravel(), minlength=n)
+    conn, n = ((m.tet_edges, m.n_e) if lift.space == Space.FACE
+               else (m.tets, m.n_v))
+    return np.bincount(conn.ravel(), _centroid_pairings(lift).ravel(),
+                       minlength=n)
 
 
 def assemble_tangential(p: TangentialProblem, lift: FEFunction,

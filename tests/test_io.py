@@ -9,7 +9,7 @@ from curldiv import (ElementError, FEFunction, MeshError, MshParseError,
                      write_vtk)
 from curldiv.cli import main, parse_config, run_convergence, ConfigError
 from curldiv.meshes import (hollow_ball_mesh, single_tet_mesh,
-                            structured_cube_mesh)
+                            solid_torus_mesh, structured_cube_mesh)
 from curldiv.mms import get_case
 from curldiv.vtk import _barycenter_values
 
@@ -304,7 +304,6 @@ def test_cli_solve_roundtrip(tmp_path, capsys):
 
 
 def test_cli_topology(tmp_path, capsys):
-    from curldiv.meshes import solid_torus_mesh
     m = solid_torus_mesh()
     mesh_path = tmp_path / "torus.msh"
     write_gmsh(mesh_path, m.vertices, m.tets)
@@ -490,6 +489,23 @@ def test_cli_alpha_beta_not_finite_exit_1(tmp_path, capsys, name, formulation,
                             formulation=formulation, **{name: [value]}) == 1
     assert f"{name} must be a flat list of finite numbers" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mesh, config, message", [
+    (single_tet_mesh, {"tol": "1e-3"}, "tol must be > 0 and < 1, got '1e-3'"),
+    (single_tet_mesh, {"coefficient": {"kind": "scalar", "value": "2.5"}},
+     "coefficient value must be a number, got '2.5'"),
+    (hollow_ball_mesh, {"alpha": ["1.5"]},
+     "alpha must be a flat list of finite numbers"),
+    (solid_torus_mesh, {"formulation": "normal", "beta": ["1.5"]},
+     "beta must be a flat list of finite numbers")],
+    ids=["tol", "value", "alpha", "beta"])
+def test_cli_number_as_string_exit_1(tmp_path, capsys, mesh, config,
+                                     message):
+    # float() and numpy parsed each string as a number, and the solve
+    # exited 0
+    assert _solve_exit_code(tmp_path, mesh=mesh(), **config) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_closed_complex_rejected(tmp_path, capsys):
