@@ -21,6 +21,8 @@ from .quadrature import make_quadrature
 
 # Degrees of the edge and face DOF functionals: C I_N u = I_RT curl u to
 # round-off for smooth u, so the normal u_h does not depend on the sigma_n.
+# The face rule is Dunavant's symmetric 25-point rule; with one of degree 4
+# the identity fails, and the sigma_n the numbering picks move u_h.
 EDGE_DEGREE = 11
 FACE_DEGREE = 10
 
@@ -103,15 +105,17 @@ def edge_integrals(fn, m: Mesh, edges: np.ndarray) -> np.ndarray:
 def face_fluxes(fn, m: Mesh, faces: np.ndarray) -> np.ndarray:
     """Flux of a vector field through each face in ``faces``, along the
     face normal (p1 - p0) x (p2 - p0), by the degree FACE_DEGREE rule, in
-    blocks of faces so the point arrays stay small."""
+    blocks of faces so the point arrays stay small: the rule's weighted sum
+    of the values on a face, dotted with its constant normal."""
     rule = make_quadrature("tri", FACE_DEGREE)
     flux = np.empty(len(faces))
     for blk in kernels.blocks(len(faces)):
         fverts = m.vertices[m.faces[faces[blk]]]
         vals = eval_field(fn, (rule.points @ fverts).reshape(-1, 3),
                           vector=True).reshape(len(fverts), -1, 3)
-        nvec = np.cross(fverts[:, 1] - fverts[:, 0], fverts[:, 2] - fverts[:, 0])
-        flux[blk] = np.einsum("fqx,fx,q->f", vals, nvec, rule.weights)
+        nvec = kernels.cross(fverts[:, 1] - fverts[:, 0],
+                             fverts[:, 2] - fverts[:, 0])
+        flux[blk] = np.einsum("fx,fx->f", rule.weights @ vals, nvec)
     return flux
 
 

@@ -5,10 +5,13 @@ a pass over a whole mesh takes BLOCK tets (or faces) at a time from
 ``blocks``, so that its point and basis arrays stay small.  The signed
 6*volume is the triple product of a tet's edge vectors from vertex 0 and
 the barycentric gradients their cross products over it, computed once per
-mesh by ``Mesh.tet_geometry``.  The local matrices are closed forms: the
-curl-curl and P1 stiffness from the edge curls and the gradients,
-constant on each tet.  No edge mass is formed: the solver applies it only
-to curl-free fields, constant on each tet, in one closed form.
+mesh by ``Mesh.tet_geometry``; every cross product of the package is
+``cross``.  The local matrices are closed forms: the curl-curl and P1
+stiffness from the edge curls and the gradients, constant on each tet.
+No edge mass is formed: the solver applies it only to curl-free fields,
+constant on each tet, in one closed form.  The edge loads form no basis
+values either: ``edge_pairings`` takes them from the vertex moments
+int lam_v f of the field, one (n, 4, 3) array per block.
 
 Conventions: tets carry sorted vertex indices, so the local Whitney bases
 (edge pairs and face triples in lexicographic order) coincide with the
@@ -40,19 +43,32 @@ def blocks(n: int):
     return (slice(start, start + BLOCK) for start in range(0, n, BLOCK))
 
 
+def cross(a, b):
+    """The cross product of the 3-vectors on the last axes of the arrays
+    ``a`` and ``b``, broadcast: the products and differences of np.cross,
+    in its order, so the same bits, without its axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
+
+
 def tet_edge_vectors(vertices, tets):
     """The edge vectors d_i = p_i - p_0 of each tet (n_t, 3, 3), and their
     triple product d1 . d2 x d3, the signed 6*volume (n_t,)."""
     p = vertices[tets]                       # (n_t, 4, 3)
     d = p[:, 1:] - p[:, :1]
-    return d, np.einsum("tx,tx->t", d[:, 0], np.cross(d[:, 1], d[:, 2]))
+    return d, np.einsum("tx,tx->t", d[:, 0], cross(d[:, 1], d[:, 2]))
 
 
 def tet_geometry(vertices, tets):
     """Barycentric gradients (n_t, 4, 3): d2 x d3, d3 x d1 and d1 x d2 over
     6*volume (rows of [d1 d2 d3]^-1) and minus their sum; 6*volume (n_t,)."""
     d, det = tet_edge_vectors(vertices, tets)
-    g = np.cross(d[:, [1, 2, 0]], d[:, [2, 0, 1]]) / det[:, None, None]
+    g = cross(d[:, [1, 2, 0]], d[:, [2, 0, 1]]) / det[:, None, None]
     return np.concatenate([-g.sum(axis=1, keepdims=True), g], axis=1), det
 
 
@@ -72,6 +88,15 @@ def edge_basis_values(grads, bary):
             bary[..., _EDGE_B, None] * ga[:, None])
 
 
+def edge_pairings(grads, moments):
+    """int f . w_ab (n, 6) for each edge [a, b] of n tets, from the vertex
+    moments P_v = int lam_v f (n, 4, 3) of a field f: w_ab = lam_a grad
+    lam_b - lam_b grad lam_a, so the integral is S_ab - S_ba, S_ab = P_a .
+    grad lam_b."""
+    s = moments @ grads.transpose(0, 2, 1)              # (n, 4, 4)
+    return s[:, _EDGE_A, _EDGE_B] - s[:, _EDGE_B, _EDGE_A]
+
+
 def rt_basis_values(grads, bary):
     """Raviart-Thomas face functions at shared points ``bary`` (nq, 4),
     (n_t, nq, 4, 3): lam_a c_bc - lam_b c_ac + lam_c c_ab on face [a, b, c]."""
@@ -89,7 +114,7 @@ def rt_basis_values(grads, bary):
 
 def edge_curls(grads):
     """Edge function curls (n_t, 6, 3): 2 grad lam_a x grad lam_b on [a, b]."""
-    return 2.0 * np.cross(grads[:, _EDGE_A], grads[:, _EDGE_B])
+    return 2.0 * cross(grads[:, _EDGE_A], grads[:, _EDGE_B])
 
 
 def curl_curl(grads, vol):

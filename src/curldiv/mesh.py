@@ -112,13 +112,13 @@ class Mesh:
     def face_areas(self) -> np.ndarray:
         p = self.vertices[self.faces]
         return read_only(0.5 * np.linalg.norm(
-            np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1))
+            kernels.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1))
 
     @cached_property
     def face_normals(self) -> np.ndarray:
         """Unit normals by the right-hand rule on the sorted vertex cycle."""
         p = self.vertices[self.faces]
-        n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        n = kernels.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         return read_only(n / np.linalg.norm(n, axis=1)[:, None])
 
     @cached_property
@@ -359,7 +359,7 @@ def extract_boundary(m: Mesh) -> BoundaryStructure:
     # the centroid, so that the determinants do not cancel far from 0).
     # It becomes component 0; the internal ones keep their order.
     p = m.vertices[m.faces[bfaces]] - m.vertices.mean(axis=0)
-    det = np.einsum("fi,fi->f", p[:, 0], np.cross(p[:, 1], p[:, 2]))
+    det = np.einsum("fi,fi->f", p[:, 0], kernels.cross(p[:, 1], p[:, 2]))
     enclosed = np.bincount(comp_index, weights=sign[bfaces] * det / 6.0)
     external = np.argmax(enclosed)
     comp_index = np.where(comp_index == external, 0,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .elements import edge_integrals, face_fluxes
 from .lifts import cycle_period
 from .mesh import Mesh
@@ -47,7 +48,7 @@ class MMSCase:
         """curl(c u) = J and (c u) x n = a for eta = c."""
         u, J = self.u, self.J
         return TangentialProblem(c, J=lambda x: c * J(x),
-                                 a=lambda x, n: np.cross(c * u(x), n))
+                                 a=lambda x, n: kernels.cross(c * u(x), n))
 
     def normal(self, c: float) -> NormalProblem:
         """div(c u) = g and c u.n = b for mu = c."""

@@ -2,11 +2,12 @@
 
 Points are stored in barycentric coordinates, weights sum to the reference
 measure (1 for the unit segment, 1/2 for the unit triangle, 1/6 for the unit
-tetrahedron).  Tet rules go to degree 4.  Triangle rules to degree 4 are
-symmetric in the vertices; above that they are collapsed Gauss-Legendre
-rules, which are not.  Every rule is checked against monomial integrals at
-construction time.  Rules are built once per process and shared, so their
-arrays are read-only.
+tetrahedron).  Tet rules go to degree 4 and triangle rules to degree 10;
+every triangle rule is symmetric in the vertices, so no integral depends
+on how a face numbers them.  A triangle rule of degree 5 to 10 is
+Dunavant's 25-point rule of degree 10 (Dunavant, IJNME 21, 1985).  Every
+rule is checked against monomial integrals at construction time.  Rules
+are built once per process and shared, so their arrays are read-only.
 """
 
 from __future__ import annotations
@@ -95,34 +96,41 @@ def _tri_rule(degree):
         np.fill_diagonal(pts[1:], 0.6)
         w = np.array([-27.0 / 48.0, 25.0 / 48.0, 25.0 / 48.0, 25.0 / 48.0])
     elif degree == 4:
-        # Dunavant 6-point rule
-        a1, w1 = 0.445948490915965, 0.223381589678011
-        a2, w2 = 0.091576213509771, 0.109951743655322
-        pts = []
-        w = []
-        for (a, wt) in [(a1, w1), (a2, w2)]:
-            for i in range(3):
-                p = np.full(3, a)
-                p[i] = 1.0 - 2.0 * a
-                pts.append(p)
-                w.append(wt)
-        pts = np.array(pts)
-        w = np.array(w)
+        pts, w = _symmetric_tri_rule(
+            None, [(0.445948490915965, 0.223381589678011),
+                   (0.091576213509771, 0.109951743655322)], [])
+    elif degree <= 10:
+        pts, w = _symmetric_tri_rule(
+            0.090817990382754,
+            [(0.485577633383657, 0.036725957756467),
+             (0.109481575485037, 0.045321059435528)],
+            [(0.141707219414880, 0.307939838764121, 0.072757916845420),
+             (0.025003534762686, 0.246672560639903, 0.028327242531057),
+             (0.009540815400299, 0.066803251012200, 0.009421666963733)])
     else:
-        return _collapsed_tri_rule(degree)
+        raise QuadratureError(f"tri rule of degree {degree} not supported")
     return pts, w * 0.5
 
 
-def _collapsed_tri_rule(degree):
-    """Gauss-Legendre on the unit square mapped onto the triangle by
-    (s, t) -> (s, t (1 - s)); the Jacobian 1 - s raises the degree in s by
-    one (Duffy, SIAM J. Numer. Anal. 19, 1982)."""
-    s, ws = _edge_rule(degree + 1)
-    t, wt = _edge_rule(degree)
-    x = np.repeat(s[:, 1], len(wt))
-    y = np.tile(t[:, 1], len(ws)) * (1.0 - x)
-    w = np.outer(ws * s[:, 0], wt).ravel()
-    return np.column_stack([1.0 - x - y, x, y]), w
+def _symmetric_tri_rule(centroid, s21, s111):
+    """A Dunavant rule from its orbits, weights summing to 1: the centroid
+    weight (None if the rule has no centroid point), (a, w) for each orbit
+    of the 3 points (a, a, 1 - 2a) and (a, b, w) for each orbit of the 6
+    permutations of (a, b, 1 - a - b)."""
+    pts, w = [], []
+    if centroid is not None:
+        pts.append(np.full(3, 1.0 / 3.0))
+        w.append(centroid)
+    for (a, wt) in s21:
+        for i in range(3):
+            p = np.full(3, a)
+            p[i] = 1.0 - 2.0 * a
+            pts.append(p)
+            w.append(wt)
+    for (a, b, wt) in s111:
+        pts.extend(itertools.permutations((a, b, 1.0 - a - b)))
+        w.extend([wt] * 6)
+    return np.array(pts), np.array(w)
 
 
 def _edge_rule(degree):

@@ -128,14 +128,15 @@ def build_L_star(m: Mesh) -> np.ndarray:
 
 
 def _edge_load(m: Mesh, fn) -> np.ndarray:
-    """Global vector of integrals of fn against the edge basis."""
+    """Global vector of integrals of fn against the edge basis, from the
+    vertex moments of fn on each tet (``kernels.edge_pairings``)."""
     rule = make_quadrature("tet", VOLUME_DEGREE)
     grads, det = m.tet_geometry
+    weighted = (rule.points * rule.weights[:, None]).T      # (4, nq)
     loads = np.empty((m.n_t, 6))
     for blk in kernels.blocks(m.n_t):
-        basis = kernels.edge_basis_values(grads[blk], rule.points)
         vals = tet_point_values(fn, m, blk, rule, vector=True)
-        loads[blk] = (np.einsum("tqix,tqx,q->ti", basis, vals, rule.weights)
+        loads[blk] = (kernels.edge_pairings(grads[blk], weighted @ vals)
                       * np.abs(det[blk])[:, None])
     return np.bincount(m.tet_edges.ravel(), loads.ravel(), minlength=m.n_e)
 
@@ -172,25 +173,27 @@ def _boundary_quadrature(m: Mesh, faces: np.ndarray, fn, vector: bool):
 
 
 def _tangential_boundary_load(m: Mesh, a_fn) -> np.ndarray:
-    """Integrals of the tangential field a against edge-basis traces."""
+    """Integrals of the tangential field a against edge-basis traces, from
+    the vertex moments of a on each face (``kernels.edge_pairings``)."""
     faces = m.boundary.boundary_faces
     owners = m.face_tets[faces, 0]
     loads = np.empty((len(faces), 6))
     for blk in kernels.blocks(len(faces)):
         rule, pts, nrm, avals, scale = _boundary_quadrature(
             m, faces[blk], a_fn, vector=True)
-        # project a onto the tangent plane; the normal part must not count
-        avals = avals - (np.einsum("fqx,fx->fq", avals, nrm)[:, :, None]
-                         * nrm[:, None, :])
-        # edge basis of the owner tet on the face, whose barycentric
-        # coords are lam(x) = e_0 + grads . (x - p0), affine on the tet
+        # the barycentric coords of the owner tet at the points, lam(x) =
+        # e_0 + grads . (x - p0), affine on the tet
         grads = m.tet_geometry[0][owners[blk]]          # (nbf, 4, 3)
         p0 = m.vertices[m.tets[owners[blk], 0]]         # (nbf, 3)
         lam = np.einsum("fix,fqx->fqi", grads, pts - p0[:, None, :])
         lam[:, :, 0] += 1.0
-        wvals = kernels.edge_basis_values(grads, lam)
-        loads[blk] = np.einsum("fqix,fqx,q,f->fi", wvals, avals,
-                               rule.weights, scale)
+        moments = lam.transpose(0, 2, 1) @ (
+            avals * (rule.weights[:, None] * scale[:, None, None]))
+        # project a onto the tangent plane, through its moments, as the
+        # normal is constant on the face; the normal part must not count
+        moments -= (np.einsum("fix,fx->fi", moments, nrm)[:, :, None]
+                    * nrm[:, None, :])
+        loads[blk] = kernels.edge_pairings(grads, moments)
     return np.bincount(m.tet_edges[owners].ravel(), loads.ravel(),
                        minlength=m.n_e)
 
@@ -221,9 +224,12 @@ def validate_tangential(p: TangentialProblem, m: Mesh) -> dict:
     boundary face, taken from those same fluxes, with the circulation of
     n x a, n the outward normal, around the face in its stored vertex
     order, whose right-hand normal is the one of the flux (Stokes on the
-    face), a block of boundary faces at a time.  Both residuals are over
-    1 + max |flux|.  The compatibility against the harmonic fields is the
-    ``harmonic`` part of the load compatibility (``consistent_load``).
+    face), a block of boundary faces at a time.  Along an edge t of the
+    face, (n x a) . t = a . (t x n), so a pairs with t x n, one cross
+    product per edge, and is not crossed at every point.  Both residuals
+    are over 1 + max |flux|.  The compatibility against the harmonic fields
+    is the ``harmonic`` part of the load compatibility
+    (``consistent_load``).
     """
     report = {"warnings": [], "div_check": None, "trace_check": None}
     flux = interpolate("face", p.J, m).coeffs
@@ -250,8 +256,11 @@ def validate_tangential(p: TangentialProblem, m: Mesh) -> dict:
         epts = (1.0 - t) * head[:, :, None] + t * tail[:, :, None]
         nq = np.broadcast_to(nrm[:, None, None], epts.shape).reshape(-1, 3)
         av = _eval_boundary(p.a, epts.reshape(-1, 3), nq, vector=True)
-        tang = np.cross(nrm[:, None, None], av.reshape(epts.shape))
-        circ = np.einsum("feqx,fex,q->f", tang, tail - head, erule.weights)
+        # (n x a) . t = a . (t x n): one cross product per edge, with the
+        # rule's sum of a along it
+        tn = kernels.cross(tail - head, nrm[:, None])
+        circ = np.einsum("fex,fex->f",
+                         erule.weights @ av.reshape(epts.shape), tn)
         resid[blk] = flux[faces[blk]] - circ
     worst = float(np.abs(resid).max(initial=0.0) / scale)
     report["trace_check"] = worst

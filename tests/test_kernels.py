@@ -6,7 +6,7 @@ import pytest
 from curldiv import build_mesh, error_norms, kernels, mesh, solver, write_vtk
 from curldiv.cli import (ProblemConfig, compute_topology,
                          solution_residual_field, solve_on_mesh)
-from curldiv.elements import FEFunction, zero_function
+from curldiv.elements import FEFunction, face_fluxes, zero_function
 from curldiv.meshes import structured_cube_mesh
 from curldiv.mms import get_case
 from curldiv.quadrature import make_quadrature
@@ -104,44 +104,65 @@ def _add_at(idx, local, n):
     return out
 
 
-def _reference_loads(m, J, g, a_fn, b_fn):
-    """The edge, nodal, tangential boundary and scalar boundary loads with
-    np.add.at scatters, the owner tets of the boundary faces inverted
-    again and their edge functions written out index by index."""
+def _volume_points(m):
+    """The degree VOLUME_DEGREE tet rule, the gradients and |6 volume| of
+    every tet, inverted again, and the rule's points in them, flat."""
     rule = make_quadrature("tet", solver.VOLUME_DEGREE)
     grads, det = kernels.tet_geometry(m.vertices, m.tets)
     pts = np.einsum("qi,tix->tqx", rule.points, m.vertices[m.tets])
-    pts = pts.reshape(-1, 3)
-    basis = kernels.edge_basis_values(grads, rule.points)
-    vol = np.abs(det)[:, None]
-    edge = _add_at(m.tet_edges, np.einsum(
-        "tqix,tqx,q->ti", basis, J(pts).reshape(m.n_t, -1, 3),
-        rule.weights) * vol, m.n_e)
-    nodal = _add_at(m.tets, np.einsum(
-        "qi,tq,q->ti", rule.points, g(pts).reshape(m.n_t, -1),
-        rule.weights) * vol, m.n_v)
+    return rule, grads, np.abs(det)[:, None], pts.reshape(-1, 3)
 
+
+def _boundary_points(m):
+    """The degree BOUNDARY_DEGREE tri rule on the boundary faces, its
+    points (nbf, nq, 3), the outward normals, the 2*area scales, the owner
+    tets of the faces, and their gradients, inverted again, and
+    barycentric coords at the points."""
     b = m.boundary
     faces = b.boundary_faces
     frule = make_quadrature("tri", solver.BOUNDARY_DEGREE)
     fpts = np.einsum("qi,fix->fqx", frule.points, m.vertices[m.faces[faces]])
-    nbf, nq = fpts.shape[:2]
     nrm = m.face_normals[faces] * b.face_sign[faces, None]
-    nrm_q = np.repeat(nrm, nq, axis=0)
-    scale = 2.0 * m.face_areas[faces]
-    avals = a_fn(fpts.reshape(-1, 3), nrm_q).reshape(nbf, nq, 3)
-    avals = avals - (np.einsum("fqx,fx->fq", avals, nrm)[:, :, None]
-                     * nrm[:, None, :])
     owners = m.face_tets[faces, 0]
     ograds, _ = kernels.tet_geometry(m.vertices, m.tets[owners])
     lam = np.einsum("fix,fqx->fqi", ograds,
                     fpts - m.vertices[m.tets[owners][:, 0]][:, None, :])
     lam[:, :, 0] += 1.0
-    tangential = _add_at(m.tet_edges[owners], np.einsum(
-        "fqix,fqx,q,f->fi", _edge_basis_by_index(ograds, lam), avals,
-        frule.weights, scale), m.n_e)
-    bvals = b_fn(fpts.reshape(-1, 3), nrm_q).reshape(nbf, nq)
-    scalar = _add_at(m.faces[faces], np.einsum(
+    return (frule, fpts, nrm, 2.0 * m.face_areas[faces], owners, ograds,
+            lam)
+
+
+def _eval_a(a_fn, fpts, nrm):
+    nbf, nq = fpts.shape[:2]
+    return a_fn(fpts.reshape(-1, 3),
+                np.repeat(nrm, nq, axis=0)).reshape(nbf, nq, 3)
+
+
+def _reference_loads(m, J, g, a_fn, b_fn):
+    """The edge, nodal, tangential boundary and scalar boundary loads with
+    np.add.at scatters, over the whole mesh at once, the owner tets of the
+    boundary faces inverted again; the edge loads from the vertex moments
+    of the data (``kernels.edge_pairings``)."""
+    rule, grads, vol, pts = _volume_points(m)
+    moments = ((rule.points * rule.weights[:, None]).T
+               @ J(pts).reshape(m.n_t, -1, 3))
+    edge = _add_at(m.tet_edges, kernels.edge_pairings(grads, moments) * vol,
+                   m.n_e)
+    nodal = _add_at(m.tets, np.einsum(
+        "qi,tq,q->ti", rule.points, g(pts).reshape(m.n_t, -1),
+        rule.weights) * vol, m.n_v)
+
+    frule, fpts, nrm, scale, owners, ograds, lam = _boundary_points(m)
+    moments = lam.transpose(0, 2, 1) @ (_eval_a(a_fn, fpts, nrm) * (
+        frule.weights[:, None] * scale[:, None, None]))
+    moments -= (np.einsum("fix,fx->fi", moments, nrm)[:, :, None]
+                * nrm[:, None, :])
+    tangential = _add_at(m.tet_edges[owners],
+                         kernels.edge_pairings(ograds, moments), m.n_e)
+    nbf, nq = fpts.shape[:2]
+    bvals = b_fn(fpts.reshape(-1, 3),
+                 np.repeat(nrm, nq, axis=0)).reshape(nbf, nq)
+    scalar = _add_at(m.faces[m.boundary.boundary_faces], np.einsum(
         "fq,qi,q,f->fi", bvals, frule.points, frule.weights, scale), m.n_v)
     return edge, nodal, tangential, scalar
 
@@ -157,6 +178,43 @@ def test_loads_match_add_at_reference_bitwise(name, request):
     for got, want in zip(loads, _reference_loads(m, case.J, case.g,
                                                  a_fn, b_fn)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_edge_loads_match_basis_value_contraction(name, request):
+    # the vertex moments against the edge functions evaluated at every
+    # point, shared points in the tets and per-face ones on the boundary,
+    # the data projected onto the tangent plane pointwise
+    m = request.getfixturevalue(name)
+    case = get_case("mms1")
+    a_fn = case.tangential(1.0).a
+    rule, grads, vol, pts = _volume_points(m)
+    edge = _add_at(m.tet_edges, np.einsum(
+        "tqix,tqx,q->ti", kernels.edge_basis_values(grads, rule.points),
+        case.J(pts).reshape(m.n_t, -1, 3), rule.weights) * vol, m.n_e)
+    frule, fpts, nrm, scale, owners, ograds, lam = _boundary_points(m)
+    avals = _eval_a(a_fn, fpts, nrm)
+    avals = avals - (np.einsum("fqx,fx->fq", avals, nrm)[:, :, None]
+                     * nrm[:, None, :])
+    tangential = _add_at(m.tet_edges[owners], np.einsum(
+        "fqix,fqx,q,f->fi", _edge_basis_by_index(ograds, lam), avals,
+        frule.weights, scale), m.n_e)
+    _assert_close(solver._edge_load(m, case.J), edge)
+    _assert_close(solver._tangential_boundary_load(m, a_fn), tangential)
+
+
+def test_cross_matches_numpy_bitwise():
+    # broadcast shapes as the package uses them, on values from 1e-300 to
+    # 1e300, whose products overflow, underflow and subtract inf from inf
+    rng = np.random.default_rng(5)
+    for sa, sb in (((3,), (3,)), ((40, 3), (40, 3)), ((40, 3, 3), (40, 1, 3)),
+                   ((40, 1, 3), (7, 3)), ((5, 6, 3), (3,))):
+        a, b = (rng.standard_normal(s) * 10.0 ** rng.integers(-300, 300, s)
+                for s in (sa, sb))
+        with np.errstate(all="ignore"):
+            got, want = kernels.cross(a, b), np.cross(a, b)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def _assert_matches(got, want):
@@ -248,10 +306,14 @@ def test_curl_free_products_match_quadrature(name, request):
 # times those measured with numpy 2.4 and scipy 1.17; the assembled edge
 # mass that consistent_load built before it applied M_e per element peaked
 # at 3.0 MB, and the quadrature edge mass before that and the whole-mesh
-# passes that the last five replaced at 7.2, 4.9, 0.65, 1.7, 7.2 and 11.8 MB
+# passes that the last five replaced at 7.2, 4.9, 0.65, 1.7, 7.2 and 11.8
+# MB.  The face passes peaked at 1.84 and 1.93 MB with the 36-point
+# collapsed Gauss rule, and the edge loads at 1.27 and 1.20 MB with basis
+# values at every point.
 PASS_PEAK_MB = {"curl_curl": 4.0, "gradient_stiffness": 1.9,
-                "consistent_load": 1.0, "edge_load": 1.65,
-                "nodal_load": 0.3, "tangential_boundary_load": 1.6,
+                "consistent_load": 1.0, "edge_load": 0.48,
+                "nodal_load": 0.3, "tangential_boundary_load": 0.63,
+                "face_fluxes": 1.72, "validate_tangential": 1.91,
                 "tangential_error": 1.75, "normal_error": 3.0,
                 "lift_load_rt": 0.85, "lift_load_nedelec": 0.6}
 
@@ -275,6 +337,9 @@ def _element_passes(m):
         "nodal_load": lambda: solver._nodal_load(m, case.g),
         "tangential_boundary_load": lambda: solver._tangential_boundary_load(
             m, case.tangential(1.0).a),
+        "face_fluxes": lambda: face_fluxes(case.J, m, np.arange(m.n_f)),
+        "validate_tangential": lambda: solver.validate_tangential(
+            case.tangential(1.0), m),
         "tangential_error": lambda: error_norms(sols["tangential"], case.u,
                                                 case.g),
         "normal_error": lambda: error_norms(sols["normal"], case.u, case.J),
