@@ -6,6 +6,12 @@ Coefficients are the DOF functionals of the represented field: vertex
 value, edge tangential integral, face normal flux, cell value; the edge
 and face functionals are taken by ``edge_integrals`` and ``face_fluxes``,
 on any subset of edges or faces.
+
+An edge or face function is affine on each tet: u_c + (curl u / 2) x
+(x - x_c) on an edge, u_c + (div u / 3)(x - x_c) on a face, with u_c its
+value at the centroid x_c.  ``centroid_values`` gives u_c and
+``field_values`` the field at any barycentric points, from that one form;
+the solver's centroid pairings and the VTK values read u_c.
 """
 
 from __future__ import annotations
@@ -127,20 +133,57 @@ def tet_point_values(fn, m: Mesh, tets: slice, rule, vector: bool):
     return vals.reshape(pts.shape[:2] + vals.shape[1:])
 
 
+def _offsets(m: Mesh, tets: slice) -> np.ndarray:
+    """The vertices of the tets ``tets`` less their vertex 0, (n, 4, 3):
+    every coordinate difference is taken in the tet, so none cancels far
+    from the origin."""
+    p = m.vertices[m.tets[tets]]
+    p -= p[:, :1]
+    return p
+
+
+def _face_weights(u: FEFunction, tets: slice) -> np.ndarray:
+    """s_i u_i / (3|T|) for the local faces i of the tets ``tets``, (n, 4),
+    s_i the D entry of face i: RT face function i is s_i (x - p_{3-i}) /
+    (3|T|), and the sum of the weights is div u / 3."""
+    m = u.mesh
+    return (m.tet_face_sign[tets] * u.coeffs[m.tet_faces[tets]]
+            / (3.0 * m.volumes[tets, None]))
+
+
+def centroid_values(u: FEFunction, tets: slice = slice(None)) -> np.ndarray:
+    """An edge or face function at the centroid x_c of each of the tets
+    ``tets``, (n, 3).  Edge: sum_e u_e (grad lam_b - grad lam_a) / 4 over
+    the edges [a, b], through ``kernels._LOCAL_GRAD``.  Face: sum_i s_i u_i
+    (x_c - p_{3-i}) / (3|T|) over the local faces i (``_face_weights``)."""
+    m = u.mesh
+    if u.space == Space.EDGE:
+        return np.einsum("tv,tvx->tx", u.coeffs[m.tet_edges[tets]]
+                         @ kernels._LOCAL_GRAD, m.tet_geometry[0][tets]) / 4.0
+    if u.space == Space.FACE:
+        d = _offsets(m, tets)
+        r = np.subtract(d.mean(axis=1, keepdims=True), d, out=d)  # x_c - p_j
+        return np.einsum("ti,tix->tx", _face_weights(u, tets), r[:, ::-1])
+    raise ElementError(f"{u.space.value} functions have no centroid value "
+                       f"here")
+
+
 def field_values(u: FEFunction, bary, tets: slice = slice(None)):
     """An edge or face function at barycentric points ``bary`` (nq, 4) of
-    the tets ``tets``, (n, nq, 3); a cell function as (n, 1, 1)."""
+    the tets ``tets``, (n, nq, 3); a cell function as (n, 1, 1).  Either
+    field is affine on a tet: u_c + (curl u / 2) x dx on an edge, u_c +
+    (div u / 3) dx on a face, u_c the ``centroid_values`` and dx = x - x_c
+    = (bary - 1/4) @ (p - p_0)."""
     m = u.mesh
     if u.space == Space.CELL:
         return u.coeffs[tets, None, None]
-    grads = m.tet_geometry[0][tets]
+    u_c = centroid_values(u, tets)[:, None]
+    dx = (bary - 0.25) @ _offsets(m, tets)                  # (n, nq, 3)
     if u.space == Space.EDGE:
-        basis, conn = kernels.edge_basis_values(grads, bary), m.tet_edges
-    elif u.space == Space.FACE:
-        basis, conn = kernels.rt_basis_values(grads, bary), m.tet_faces
-    else:
-        raise ElementError("nodal functions are not evaluated per tet")
-    return np.einsum("tqix,ti->tqx", basis, u.coeffs[conn[tets]])
+        curl = np.einsum("ti,tix->tx", u.coeffs[m.tet_edges[tets]],
+                         kernels.edge_curls(m.tet_geometry[0][tets]))
+        return u_c + kernels.cross(curl[:, None] / 2.0, dx)
+    return u_c + _face_weights(u, tets).sum(axis=1)[:, None, None] * dx
 
 
 def interpolate(space, fn, m: Mesh) -> FEFunction:

@@ -1,17 +1,19 @@
-"""Element kernels: tet geometry, Whitney basis values and local matrices.
+"""Element kernels: tet geometry, edge pairings and local matrices.
 
 Each kernel is one vectorized numpy expression over the tets it is given;
 a pass over a whole mesh takes BLOCK tets (or faces) at a time from
-``blocks``, so that its point and basis arrays stay small.  The signed
-6*volume is the triple product of a tet's edge vectors from vertex 0 and
-the barycentric gradients their cross products over it, computed once per
+``blocks``, so that its point arrays stay small.  The signed 6*volume is
+the triple product of a tet's edge vectors from vertex 0 and the
+barycentric gradients their cross products over it, computed once per
 mesh by ``Mesh.tet_geometry``; every cross product of the package is
 ``cross``.  The local matrices are closed forms: the curl-curl and P1
 stiffness from the edge curls and the gradients, constant on each tet.
 No edge mass is formed: the solver applies it only to curl-free fields,
-constant on each tet, in one closed form.  The edge loads form no basis
-values either: ``edge_pairings`` takes them from the vertex moments
-int lam_v f of the field, one (n, 4, 3) array per block.
+constant on each tet, in one closed form.  No kernel forms Whitney basis
+values: ``edge_pairings`` takes the edge loads from the vertex moments
+int lam_v f of the field, one (n, 4, 3) array per block, and
+``elements.field_values`` evaluates edge and face functions in their
+affine form on each tet.
 
 Conventions: tets carry sorted vertex indices, so the local Whitney bases
 (edge pairs and face triples in lexicographic order) coincide with the
@@ -73,19 +75,7 @@ def tet_geometry(vertices, tets):
 
 
 # ---------------------------------------------------------------------------
-# basis values at barycentric points
-
-
-def edge_basis_values(grads, bary):
-    """Whitney edge functions at quadrature points: (n_t, nq, 6, 3).
-
-    ``bary`` holds points shared by every tet, (nq, 4), or points of each
-    tet, (n_t, nq, 4).
-    """
-    ga = grads[:, _EDGE_A]                   # (n_t, 6, 3)
-    gb = grads[:, _EDGE_B]
-    return (bary[..., _EDGE_A, None] * gb[:, None] -
-            bary[..., _EDGE_B, None] * ga[:, None])
+# edge loads from vertex moments
 
 
 def edge_pairings(grads, moments):
@@ -95,16 +85,6 @@ def edge_pairings(grads, moments):
     grad lam_b."""
     s = moments @ grads.transpose(0, 2, 1)              # (n, 4, 4)
     return s[:, _EDGE_A, _EDGE_B] - s[:, _EDGE_B, _EDGE_A]
-
-
-def rt_basis_values(grads, bary):
-    """Raviart-Thomas face functions at shared points ``bary`` (nq, 4),
-    (n_t, nq, 4, 3): lam_a c_bc - lam_b c_ac + lam_c c_ab on face [a, b, c]."""
-    ab, ac, bc = _LOCAL_FACE_EDGES.T
-    a, b, c = _EDGE_A[ab], _EDGE_B[ab], _EDGE_B[ac]
-    curls = edge_curls(grads)[:, None]                  # (n_t, 1, 6, 3)
-    return (bary[:, a, None] * curls[:, :, bc] - bary[:, b, None]
-            * curls[:, :, ac] + bary[:, c, None] * curls[:, :, ab])
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,12 @@ the gradients plus the g harmonic cocycles ``HomologyBasis.cocycles``,
 and the curl of every CG iterate lies in W0h.  M_e is never assembled:
 each product with it is of a curl-free field, constant on each tet, or
 is G^T M_e lift, and sums |T| grad lam_v . u(centroid) over the tets
-(``_centroid_pairings``).  The principal submatrices of K on L*_h (every
-vertex but the last) and on N*_h (the cotree less the g closing edges of
-the sigma_n) are positive definite and give the same u_h; the tests keep
-them as the reference.
+(``_centroid_pairings``), as C^T M_f lift sums |T| c_e . u(centroid),
+c_e the edge curls: u is affine on each tet, and u(centroid) is its
+``elements.centroid_values``.  The principal submatrices of K on L*_h
+(every vertex but the last) and on N*_h (the cotree less the g closing
+edges of the sigma_n) are positive definite and give the same u_h; the
+tests keep them as the reference.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernels
-from .elements import (FEFunction, Space, differential, eval_field,
-                       field_values, interpolate, tet_point_values)
+from .elements import (FEFunction, Space, centroid_values, differential,
+                       eval_field, field_values, interpolate,
+                       tet_point_values)
 from .mesh import Mesh
 from .quadrature import make_quadrature
 from .topology import HomologyBasis
@@ -214,6 +217,16 @@ def _scalar_boundary_load(m: Mesh, b_fn) -> np.ndarray:
 # data validation (report only)
 
 
+def _warn_non_finite(warnings: list, check: str, faces: np.ndarray,
+                     finite: np.ndarray) -> None:
+    """Warn that ``check`` leaves out the faces ``faces[~finite]``, whose
+    data are not finite: their count and the first of them."""
+    bad = faces[~finite]
+    if len(bad):
+        warnings.append(f"{check} leaves out {len(bad)} faces with "
+                        f"non-finite data (first face {bad[0]})")
+
+
 def validate_tangential(p: TangentialProblem, m: Mesh) -> dict:
     """Necessary-condition checks on tangential data on the boundary
     ``m.boundary``; warnings, no failures.
@@ -227,14 +240,20 @@ def validate_tangential(p: TangentialProblem, m: Mesh) -> dict:
     face), a block of boundary faces at a time.  Along an edge t of the
     face, (n x a) . t = a . (t x n), so a pairs with t x n, one cross
     product per edge, and is not crossed at every point.  Both residuals
-    are over 1 + max |flux|.  The compatibility against the harmonic fields
+    are over 1 + max |flux|, each maximum over the finite values; a check
+    that meets non-finite data warns with the count of its faces and the
+    first one.  The compatibility against the harmonic fields
     is the ``harmonic`` part of the load compatibility
     (``consistent_load``).
     """
     report = {"warnings": [], "div_check": None, "trace_check": None}
     flux = interpolate("face", p.J, m).coeffs
-    scale = 1.0 + np.abs(flux).max()
-    div_resid = float(np.abs(m.incidence.D @ flux).max() / scale)
+    finite = np.isfinite(flux)
+    _warn_non_finite(report["warnings"], "div_check", np.arange(m.n_f),
+                     finite)
+    scale = 1.0 + np.abs(flux[finite]).max(initial=0.0)
+    div = m.incidence.D @ flux
+    div_resid = float(np.abs(div[np.isfinite(div)]).max(initial=0.0) / scale)
     report["div_check"] = div_resid
     if div_resid > _VALIDATE_TOL:
         report["warnings"].append(
@@ -262,7 +281,9 @@ def validate_tangential(p: TangentialProblem, m: Mesh) -> dict:
         circ = np.einsum("fex,fex->f",
                          erule.weights @ av.reshape(epts.shape), tn)
         resid[blk] = flux[faces[blk]] - circ
-    worst = float(np.abs(resid).max(initial=0.0) / scale)
+    finite = np.isfinite(resid)
+    _warn_non_finite(report["warnings"], "trace_check", faces, finite)
+    worst = float(np.abs(resid[finite]).max(initial=0.0) / scale)
     report["trace_check"] = worst
     if worst > _VALIDATE_TOL:
         report["warnings"].append(
@@ -329,23 +350,17 @@ def _curl_free_mass(m: Mesh, u: np.ndarray) -> np.ndarray:
 
 def _centroid_pairings(u: FEFunction) -> np.ndarray:
     """|T| w . u(centroid) per tet, w constant on T: the edge curls
-    (n_t, 6) for an RT u, the hat gradients (n_t, 4) for a Nedelec u,
-    whose centroid value sum_e u_e (grad lam_b - grad lam_a)/4 is summed
-    per vertex, through ``kernels._LOCAL_GRAD``.  u is affine on T, so
-    this is int_T w . u."""
+    (n_t, 6) for an RT u, the hat gradients (n_t, 4) for a Nedelec u, and
+    u(centroid) its ``centroid_values``.  u is affine on T, so this is
+    int_T w . u."""
     m = u.mesh
     face = u.space == Space.FACE
     pairs = np.empty((m.n_t, 6 if face else 4))
     for blk in kernels.blocks(m.n_t):
         grads = m.tet_geometry[0][blk]
-        if face:
-            w = kernels.edge_curls(grads)
-            mean = field_values(u, np.full((1, 4), 0.25), blk)[:, 0]
-        else:
-            w = grads
-            mean = np.einsum("tv,tvx->tx", u.coeffs[m.tet_edges[blk]]
-                             @ kernels._LOCAL_GRAD, grads) / 4.0
-        pairs[blk] = np.einsum("tix,tx,t->ti", w, mean, m.volumes[blk])
+        w = kernels.edge_curls(grads) if face else grads
+        pairs[blk] = np.einsum("tix,tx,t->ti", w, centroid_values(u, blk),
+                               m.volumes[blk])
     return pairs
 
 

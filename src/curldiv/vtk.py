@@ -1,22 +1,23 @@
 """Legacy ASCII VTK writer for solution fields.
 
-The solution is sampled at cell barycenters and written as CELL_DATA
-vectors, together with the per-cell divergence or curl residual against
-the discrete data.  Numbers carry 17 significant digits.
+The solution is sampled at cell barycenters, its ``centroid_values``
+(a cell function as (c, 0, 0)), and written as CELL_DATA vectors,
+together with the per-cell divergence or curl residual against the
+discrete data.  Numbers carry 17 significant digits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .elements import ElementError, FEFunction, Space, field_values
+from .elements import ElementError, FEFunction, Space, centroid_values
 from .mesh import Mesh
 
 
 def _barycenter_values(u: FEFunction) -> np.ndarray:
     if u.space == Space.CELL:
         return np.column_stack([u.coeffs, np.zeros((u.mesh.n_t, 2))])
-    return field_values(u, np.full((1, 4), 0.25))[:, 0, :]
+    return centroid_values(u)
 
 
 def _rows(fmt: str, a: np.ndarray) -> str:

@@ -9,6 +9,7 @@ import numpy as np
 from curldiv import kernels
 from curldiv.elements import ElementError, FEFunction, Space
 from curldiv.mesh import Mesh
+from whitney import edge_basis_values, rt_basis_values
 
 INSIDE_TOL = 1e-10
 
@@ -33,9 +34,9 @@ def eval_fe(f: FEFunction, tet: int, p):
     grads, _ = kernels.tet_geometry(m.vertices, m.tets[tet:tet + 1])
     bary = lam[None, :]
     if f.space == Space.EDGE:
-        vals = kernels.edge_basis_values(grads, bary)[0, 0]   # (6, 3)
+        vals = edge_basis_values(grads, bary)[0, 0]           # (6, 3)
         return vals.T @ f.coeffs[m.tet_edges[tet]]
-    vals = kernels.rt_basis_values(grads, bary)[0, 0]         # (4, 3)
+    vals = rt_basis_values(grads, bary)[0, 0]                 # (4, 3)
     return vals.T @ f.coeffs[m.tet_faces[tet]]
 
 

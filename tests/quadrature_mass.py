@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from curldiv import kernels
 from curldiv.quadrature import make_quadrature
+from whitney import edge_basis_values, rt_basis_values
 
 
 def tensor_mass(m, space):
@@ -18,10 +19,10 @@ def tensor_mass(m, space):
     tensor = np.ascontiguousarray(np.broadcast_to(np.eye(3), (n_t, nq, 3, 3)))
     grads, det = kernels.tet_geometry(m.vertices, m.tets)
     if space == "face":
-        basis, conn, dim = (kernels.rt_basis_values(grads, rule.points),
+        basis, conn, dim = (rt_basis_values(grads, rule.points),
                             m.tet_faces, m.n_f)
     else:
-        basis, conn, dim = (kernels.edge_basis_values(grads, rule.points),
+        basis, conn, dim = (edge_basis_values(grads, rule.points),
                             m.tet_edges, m.n_e)
     cb = np.einsum("tqxy,tqjy->tqjx", tensor, basis)
     local = np.einsum("tqix,tqjx,q->tij", basis, cb, rule.weights)

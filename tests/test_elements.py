@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from curldiv import (ElementError, FEFunction, differential,
-                     interpolate, zero_function)
-from curldiv.elements import eval_field
+from curldiv import (ElementError, FEFunction, build_mesh, differential,
+                     interpolate, structured_cube_mesh, zero_function)
+from curldiv.elements import centroid_values, eval_field, field_values
 from curldiv.mms import get_case
 from curldiv.quadrature import make_quadrature
 from fe_eval import eval_at_points, eval_fe
+from whitney import edge_basis_values, rt_basis_values
 
 
 def _edge_dof_of(m, f, edge):
@@ -169,3 +170,56 @@ def test_eval_field_requires_vectorized_shape(fn, vector):
     points = np.random.default_rng(0).random((5, 3))
     with pytest.raises(ElementError):
         eval_field(fn, points, vector)
+
+
+AFFINE_FIXTURES = ["cube2", "torus", "hollow", "genus2", "handle_cavity",
+                   "torus_cavity", "handle_torus_cavity"]
+
+
+def _jittered_cube():
+    """Cube n=6, each interior vertex moved by up to 0.2h per coordinate."""
+    m = structured_cube_mesh(6)
+    v = m.vertices.copy()
+    inner = np.all((v > 0.0) & (v < 1.0), axis=1)
+    rng = np.random.default_rng(7)
+    v[inner] += rng.uniform(-0.2, 0.2, (inner.sum(), 3)) / 6.0
+    return build_mesh(v, m.tets)
+
+
+def _moved_cube():
+    """Cube n=6 moved by 1e3: x - x_c taken from absolute coordinates
+    loses about 1e-12 of it to cancellation."""
+    m = structured_cube_mesh(6)
+    return build_mesh(m.vertices + 1e3, m.tets)
+
+
+@pytest.fixture(params=AFFINE_FIXTURES + ["jittered_cube", "moved_cube"])
+def affine_mesh(request):
+    if request.param == "jittered_cube":
+        return _jittered_cube()
+    if request.param == "moved_cube":
+        return _moved_cube()
+    return request.getfixturevalue(request.param)
+
+
+def test_affine_form_matches_whitney_basis_values(affine_mesh):
+    # centroid_values and field_values against the contraction of the
+    # Whitney basis values, at the centroid, the degree-4 tet points and
+    # random barycentric points, for random edge and face coefficients
+    m = affine_mesh
+    rng = np.random.default_rng(11)
+    grads = m.tet_geometry[0]
+    centre = np.full((1, 4), 0.25)
+    for space, n, basis, conn in (("edge", m.n_e, edge_basis_values,
+                                   m.tet_edges),
+                                  ("face", m.n_f, rt_basis_values,
+                                   m.tet_faces)):
+        u = FEFunction(space, m, rng.standard_normal(n))
+        for bary in (centre, make_quadrature("tet", 4).points,
+                     rng.dirichlet(np.ones(4), 5)):
+            want = np.einsum("tqix,ti->tqx", basis(grads, bary),
+                             u.coeffs[conn])
+            tol = 1e-14 * np.abs(want).max()
+            assert np.abs(field_values(u, bary) - want).max() <= tol
+            if bary is centre:
+                assert np.abs(centroid_values(u) - want[:, 0]).max() <= tol

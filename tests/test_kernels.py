@@ -10,7 +10,9 @@ from curldiv.elements import FEFunction, face_fluxes, zero_function
 from curldiv.meshes import structured_cube_mesh
 from curldiv.mms import get_case
 from curldiv.quadrature import make_quadrature
+from curldiv.vtk import _barycenter_values
 from quadrature_mass import tensor_mass
+from whitney import edge_basis_values
 
 FIXTURES = ["cube2", "torus", "hollow", "genus2", "handle_cavity",
             "torus_cavity"]
@@ -90,11 +92,11 @@ def _edge_basis_by_index(grads, lam):
 def test_edge_basis_values_per_tet_and_shared_points(handle_cavity):
     grads, _ = handle_cavity.tet_geometry
     lam = np.random.default_rng(0).dirichlet(np.ones(4), (len(grads), 5))
-    assert np.array_equal(kernels.edge_basis_values(grads, lam),
+    assert np.array_equal(edge_basis_values(grads, lam),
                           _edge_basis_by_index(grads, lam))
     shared = make_quadrature("tet", 2).points
     per_tet = np.broadcast_to(shared, (len(grads),) + shared.shape)
-    assert np.array_equal(kernels.edge_basis_values(grads, shared),
+    assert np.array_equal(edge_basis_values(grads, shared),
                           _edge_basis_by_index(grads, per_tet))
 
 
@@ -190,7 +192,7 @@ def test_edge_loads_match_basis_value_contraction(name, request):
     a_fn = case.tangential(1.0).a
     rule, grads, vol, pts = _volume_points(m)
     edge = _add_at(m.tet_edges, np.einsum(
-        "tqix,tqx,q->ti", kernels.edge_basis_values(grads, rule.points),
+        "tqix,tqx,q->ti", edge_basis_values(grads, rule.points),
         case.J(pts).reshape(m.n_t, -1, 3), rule.weights) * vol, m.n_e)
     frule, fpts, nrm, scale, owners, ograds, lam = _boundary_points(m)
     avals = _eval_a(a_fn, fpts, nrm)
@@ -309,13 +311,17 @@ def test_curl_free_products_match_quadrature(name, request):
 # passes that the last five replaced at 7.2, 4.9, 0.65, 1.7, 7.2 and 11.8
 # MB.  The face passes peaked at 1.84 and 1.93 MB with the 36-point
 # collapsed Gauss rule, and the edge loads at 1.27 and 1.20 MB with basis
-# values at every point.
+# values at every point.  The error norms and the VTK centroid values
+# peaked at 1.52, 2.17, 1.68 and 1.69 MB contracting Whitney basis values
+# (tangential, normal, face, edge); their bounds are 1.3 times the peaks
+# of the affine form.
 PASS_PEAK_MB = {"curl_curl": 4.0, "gradient_stiffness": 1.9,
                 "consistent_load": 1.0, "edge_load": 0.48,
                 "nodal_load": 0.3, "tangential_boundary_load": 0.63,
                 "face_fluxes": 1.72, "validate_tangential": 1.91,
-                "tangential_error": 1.75, "normal_error": 3.0,
-                "lift_load_rt": 0.85, "lift_load_nedelec": 0.6}
+                "tangential_error": 0.92, "normal_error": 1.08,
+                "lift_load_rt": 0.85, "lift_load_nedelec": 0.6,
+                "vtk_values_face": 0.81, "vtk_values_edge": 0.31}
 
 
 def _element_passes(m):
@@ -344,7 +350,9 @@ def _element_passes(m):
                                                 case.g),
         "normal_error": lambda: error_norms(sols["normal"], case.u, case.J),
         "lift_load_rt": lambda: solver._lift_load(sols["tangential"].u_h),
-        "lift_load_nedelec": lambda: solver._lift_load(sols["normal"].u_h)}
+        "lift_load_nedelec": lambda: solver._lift_load(sols["normal"].u_h),
+        "vtk_values_face": lambda: _barycenter_values(sols["tangential"].u_h),
+        "vtk_values_edge": lambda: _barycenter_values(sols["normal"].u_h)}
 
 
 def test_element_passes_stay_within_memory_bounds():

@@ -396,6 +396,45 @@ def test_validate_flags_wrong_tangential_datum(cube2):
     assert any("surface divergence" in w for w in rep["warnings"])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_counts_non_finite_data(cube2, bad):
+    # a that is not finite on the boundary face edges at x = 1/2: the
+    # trace check takes its max over the other faces, warns with their
+    # count and the first of them, and the report stays valid JSON
+    a = _mms1_tangential().a
+
+    def a_bad(points, normals):
+        return np.where(np.isclose(points[:, :1], 0.5), bad,
+                        a(points, normals))
+    rep = validate_tangential(_mms1_tangential(a_bad), cube2)
+    ok = validate_tangential(_mms1_tangential(), cube2)
+    faces = cube2.boundary.boundary_faces
+    on_line = faces[np.isclose(cube2.vertices[cube2.faces[faces], 0],
+                               0.5).sum(axis=1) >= 2]
+    assert len(on_line) and rep["div_check"] == ok["div_check"]
+    assert 0.0 <= rep["trace_check"] <= ok["trace_check"]
+    assert rep["warnings"] == [
+        f"trace_check leaves out {len(on_line)} faces with non-finite data "
+        f"(first face {on_line[0]})"]
+    json.dumps(rep, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_counts_non_finite_fluxes(cube2, bad):
+    # J not finite at x > 3/4: the fluxes of the faces there leave both
+    # checks, and each check warns once
+    J = _mms1_tangential().J
+
+    def J_bad(points):
+        return np.where(points[:, :1] > 0.75, bad, J(points))
+    rep = validate_tangential(
+        TangentialProblem(1.0, J_bad, _mms1_tangential().a), cube2)
+    assert np.isfinite(rep["div_check"]) and np.isfinite(rep["trace_check"])
+    assert [w.split(" leaves out")[0] for w in rep["warnings"]] == [
+        "div_check", "trace_check"]
+    json.dumps(rep, allow_nan=False)
+
+
 def test_validate_memory_stays_blocked():
     m = structured_cube_mesh(8)
     b, _ = m.boundary, m.incidence              # cached outside the trace
